@@ -37,14 +37,12 @@ from .opbasis import HermitianBasis, assemble_from_coefficients, block_element, 
 from .spectral import (
     ChainOmegaData,
     OmegaData,
-    SpectralRealization,
     SvdTruncation,
     build_chain_omega,
     build_omega,
     build_omega_from_marginals,
     empirical_realization,
     nonhomog_reconstruct,
-    reconstruct_marginal,
     spectral_realization,
     truncate,
 )

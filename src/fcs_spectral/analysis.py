@@ -31,7 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius_norm, operator_norm_2to2, pseudoinverse, svd
+from .linalg import (
+    frobenius_norm,
+    numerical_rank,
+    operator_norm_2to2,
+    pseudoinverse,
+    svd,
+    trace_norm_hermitian,
+)
+from .opbasis import assemble_from_coefficients
 from .spectral import OmegaData, empirical_realization, spectral_realization, truncate
 
 __all__ = [
@@ -48,7 +56,6 @@ __all__ = [
     "surrogate_parameters",
     "precision_budget",
     "sigma_m",
-    "omega_norm",
     "check_singular_value_perturbation",
     "check_pseudoinverse_perturbation",
     "check_singular_subspace_stability",
@@ -82,12 +89,7 @@ def _pair(a, b):
 def trace_distance(a, b, herm_tol=1e-8) -> float:
     """Half the Schatten-1 norm of the difference of two Hermitian matrices."""
     ma, mb = _pair(a, b)
-    diff = ma - mb
-    dev = np.abs(diff - diff.conj().T).max()
-    if dev > herm_tol * max(1.0, np.abs(diff).max()):
-        raise ValueError(f"difference is not Hermitian: max deviation {dev:.3e}")
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return 0.5 * trace_norm_hermitian(ma - mb, herm_tol)
 
 
 def hs_distance(a, b) -> float:
@@ -102,11 +104,8 @@ def trace_distance_from_coefficients(c_a, c_b, basis, sites: int) -> float:
     Assembles only the coefficient difference (the basis map is linear), so
     one assembly and one eigensolve per call.
     """
-    from .opbasis import assemble_from_coefficients
-
     delta = np.asarray(c_a, dtype=float) - np.asarray(c_b, dtype=float)
-    diff = assemble_from_coefficients(delta, basis, sites)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return 0.5 * trace_norm_hermitian(assemble_from_coefficients(delta, basis, sites))
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +229,6 @@ def sigma_m(omega, m: int) -> float:
     if not 1 <= m <= s.size:
         raise ValueError(f"m = {m} out of range [1, {s.size}]")
     return float(s[m - 1])
-
-
-def omega_norm(xi, omega) -> float:
-    """Euclidean norm of Omega applied to a coefficient vector."""
-    return float(np.linalg.norm(np.asarray(omega, dtype=float) @ np.asarray(xi, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +393,7 @@ def check_projected_sigma_stability(omega, omega_hat, epsilon: float, m: int | N
         raise PreconditionError(f"epsilon must be in [0, 1/2), got {epsilon}")
     u, s, _ = svd(omega)
     if m is None:
-        m = int((s > 1e-9 * s[0]).sum())
+        m = numerical_rank(s, 1e-9)
     if not 1 <= m <= s.size or s[m - 1] <= 0:
         raise PreconditionError(f"invalid rank m = {m}")
     d_norm = operator_norm_2to2(omega_hat - omega)
@@ -472,13 +466,13 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, 
     denom = min(sigma_hat, sigma_cross) ** 2
 
     d_dot_op = _flattened_k_norm(od_noisy.omega_dot, od_exact.omega_dot)
-    lhs_k = _flattened_k_norm(tilde.k_hat, hat.k_hat)
+    lhs_k = _flattened_k_norm(tilde.kappa, hat.kappa)
     rhs_k = GOLDEN_PINV_CONSTANT * d_op / denom + d_dot_op / sigma_proj_hat
 
-    lhs_e = float(np.linalg.norm(hat.e_hat - tilde.e_hat))
+    lhs_e = float(np.linalg.norm(hat.e - tilde.e))
     rhs_e = float(np.linalg.norm(od_noisy.omega_one - od_exact.omega_one))
 
-    lhs_rho = float(np.linalg.norm(hat.rho_hat - tilde.rho_hat))
+    lhs_rho = float(np.linalg.norm(hat.rho - tilde.rho))
     rhs_rho = GOLDEN_PINV_CONSTANT * frobenius_norm(od_noisy.omega - od_exact.omega) / denom \
         + float(np.linalg.norm(od_noisy.tau_omega - od_exact.tau_omega)) / sigma_proj_hat
 

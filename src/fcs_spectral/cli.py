@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fcs, noise, spectral
+from .linalg import numerical_rank
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
@@ -343,7 +344,7 @@ def _run_ti_trial(task):
         model_id = f"{model_id}+mix(xi={xi:g})"
     rows = []
     for t_idx, t in enumerate(ctx["sites"]):
-        rec = spectral.reconstruct_coefficients(sr, t)
+        rec = fcs.word_coefficient_tensor(sr.rho, sr.kappa, sr.e, t)
         exact = ctx["exact_coeffs"][t]
         td = analysis.trace_distance_from_coefficients(rec, exact, ctx["basis"], t)
         hs = float(np.linalg.norm(rec - exact))
@@ -455,14 +456,18 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
     lw, rw = int(cfg["left_width"]), int(cfg["right_width"])
     cod = spectral.build_chain_omega(state, basis, lw, rw)
     rank_tol = float(cfg.get("rank_tol", 1e-9))
-    ranks = []
+    # ranks[j-1] and sigmas[j-1]: numerical rank and smallest retained
+    # singular value of the exact window form at site j
+    ranks, sigmas = [], []
     for j in range(1, n):
         sv = np.linalg.svd(cod.omegas[j], compute_uv=False)
-        ranks.append(int((sv > rank_tol * sv[0]).sum()))
+        ranks.append(numerical_rank(sv, rank_tol))
+        if ranks[-1] == 0:
+            raise ValueError(f"nonhomog: no singular value of the exact window form at "
+                             f"site {j} exceeds rank_tol * sigma_1")
+        sigmas.append(float(sv[ranks[-1] - 1]))
     log.info("exact window ranks: %s", ranks)
-    sigma_min = min(
-        analysis.sigma_m(cod.omegas[j], ranks[j - 1]) for j in range(1, n)
-    )
+    sigma_min = min(sigmas)
     timing = bool(cfg.get("timing", False))
     seed = int(cfg["seed"])
     rows = []
@@ -475,7 +480,7 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
             rec_coeffs = recon.coefficients()
             td = analysis.trace_distance_from_coefficients(rec_coeffs, exact_coeffs, basis, n)
             hs = float(np.linalg.norm(rec_coeffs - exact_coeffs))
-            bound = _nonhomog_bound(cod, cod_hat, ranks, chain.d_a, n)
+            bound = _nonhomog_bound(cod, cod_hat, ranks, sigmas, chain.d_a, n)
             wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
             rows.append([model_id, n, eps, seed, trial, td, hs, sigma_min,
                          max(ranks), bound, wall, td / n])
@@ -484,11 +489,13 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
     return out
 
 
-def _nonhomog_bound(cod, cod_hat, ranks, d_a: int, n: int) -> float:
+def _nonhomog_bound(cod, cod_hat, ranks, sigmas, d_a: int, n: int) -> float:
     """(1 + Delta')^N - 1 with the per-site 2-norm surrogate for Delta'.
 
-    Interior sites use the printed surrogate; at the ends, where a window
-    form is missing, the nearest defined window's constants stand in.
+    ``ranks`` and ``sigmas`` are the exact per-site ranks and sigma_m of the
+    window forms at sites 1..N-1.  Interior sites use the printed surrogate;
+    at the ends, where a window form is missing, the nearest defined
+    window's constants stand in.
     """
     sq3 = math.sqrt(3.0)
     sqd = math.sqrt(d_a)
@@ -496,17 +503,15 @@ def _nonhomog_bound(cod, cod_hat, ranks, d_a: int, n: int) -> float:
     for j in range(1, n + 1):
         d_dot = float(np.linalg.norm(cod_hat.omega_dots[j] - cod.omega_dots[j]))
         if j < n:
-            sig_j = analysis.sigma_m(cod.omegas[j], ranks[j - 1])
+            sig_j = sigmas[j - 1]
             d_om = float(np.linalg.norm(cod_hat.omegas[j] - cod.omegas[j]))
             inner = d_om / sig_j ** 2 + d_dot / (3.0 * sig_j)
         else:
-            sig_prev = analysis.sigma_m(cod.omegas[n - 1], ranks[n - 2])
-            inner = d_dot / (3.0 * sig_prev)
+            inner = d_dot / (3.0 * sigmas[n - 2])
         if j == 1:
             m_prev, sig_prev = 1, 1.0
         else:
-            m_prev = ranks[j - 2]
-            sig_prev = analysis.sigma_m(cod.omegas[j - 1], ranks[j - 2])
+            m_prev, sig_prev = ranks[j - 2], sigmas[j - 2]
         terms.append((8.0 * m_prev * sqd / (sq3 * sig_prev)) * inner)
     delta = max(terms)
     return (1.0 + delta) ** n - 1.0
@@ -628,7 +633,7 @@ def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
     for idx, (name, r, basis) in enumerate(models):
         od = spectral.build_omega(r, basis)
         sv = np.linalg.svd(od.omega, compute_uv=False)
-        rank = int((sv > 1e-9 * sv[0]).sum())
+        rank = numerical_rank(sv, 1e-9)
         sigma = float(sv[rank - 1])
         for f_idx, factor in enumerate(noise_factors):
             eps = factor * sigma / 3.0
@@ -705,11 +710,11 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> Path:
     tr = spectral.truncate(od.omega, **_truncation_from_config(cfg["truncation"]))
     sr = spectral.spectral_realization(od, tr, pinv_tol=float(cfg.get("pinv_tol", 1e-12)))
     out = out_dir / cfg.get("output", "realization.json")
-    _write_json(out, sr.to_dict())
+    _write_json(out, fcs.realization_to_dict(sr))
     sites = [int(t) for t in cfg.get("sites", [])]
     if sites:
         cap = int(cfg.get("dense_cap", fcs.DEFAULT_DENSE_CAP))
-        recon = {t: spectral.reconstruct_marginal(sr, t, basis, cap=cap) for t in sites}
+        recon = {t: fcs.marginal(sr, t, basis, cap=cap) for t in sites}
         save_marginals(out_dir / cfg.get("marginals_output", "reconstructed_marginals.json"),
                        d, recon)
     return out
@@ -746,12 +751,15 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _load_config(args.config)
     try:
+        cfg = _load_config(args.config)
+        out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out_dir)
-    except (ValueError, KeyError) as exc:
-        log.error("%s", exc)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        # OSError: unreadable config or output; ValueError includes a config
+        # that is not JSON; TypeError: a config value of the wrong JSON type,
+        # e.g. a number where a list is expected
+        log.error("%s: %s", type(exc).__name__, exc)
         return 2
     return 0
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import numerical_rank
 from .opbasis import (
     HermitianBasis,
     _hermitian_basis,
@@ -39,6 +40,7 @@ __all__ = [
     "CStarRealization",
     "ChainRealization",
     "partial_trace_window",
+    "word_rows",
     "evaluate_word",
     "word_coefficient_tensor",
     "marginal",
@@ -123,12 +125,17 @@ class Realization:
     kappa[a] is the m x m matrix of the generating map evaluated on basis
     element a; kappa[0] corresponds to the normalized identity, so the
     identity transfer matrix is sqrt(d_a) * kappa[0].
+
+    Exact models are stationary and normalized (see :meth:`validate`);
+    spectral estimates generally are neither and carry their spectral
+    diagnostics, which are saved with them.
     """
 
     d_a: int
     kappa: np.ndarray  # (d_a^2, m, m) real
     e: np.ndarray      # (m,)
     rho: np.ndarray    # (m,)
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
@@ -219,16 +226,43 @@ class ChainRealization:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def word_rows(boundary, maps, from_right: bool = False) -> list[np.ndarray]:
+    """Word rows grown one site at a time over a sequence of per-site maps.
+
+    ``maps`` lists the sites 1..N in order; ``maps[k]`` has shape
+    (n_k, p_k, q_k), one p_k x q_k transfer matrix per letter of site k+1.
+    Entry k of the result (k = 0..N) holds one row per word of k letters,
+    first letter most significant, over sites 1..k from the left and over
+    sites N-k+1..N from the right:
+
+        from the left:   boundary . M_1[a_1] ... M_k[a_k]
+        from the right:  (M_{N-k+1}[a_1] ... M_N[a_k] . boundary)^T
+
+    Entry 0 is the boundary as a single row.
+    """
+    cur = np.asarray(boundary, dtype=float).reshape(1, -1)
+    rows = [cur]
+    if from_right:
+        for k in reversed(maps):
+            cur = np.einsum("aij,wj->awi", k, cur).reshape(-1, k.shape[1])
+            rows.append(cur)
+    else:
+        for k in maps:
+            cur = np.einsum("wi,aij->waj", cur, k).reshape(-1, k.shape[2])
+            rows.append(cur)
+    return rows
+
+
 def evaluate_word(r: Realization, word) -> float:
     """Correlation value rho . K_{c_1} ... K_{c_t} . e for coefficient vectors c_k."""
     n = r.kappa.shape[0]
-    v = np.asarray(r.e, dtype=float)
-    for c in reversed(list(word)):
+    maps = []
+    for c in word:
         c = np.asarray(c, dtype=float)
         if c.shape != (n,):
             raise ValueError(f"coefficient vector has shape {c.shape}, expected ({n},)")
-        v = np.tensordot(c, r.kappa, axes=(0, 0)) @ v
-    return float(np.asarray(r.rho, dtype=float) @ v)
+        maps.append(np.tensordot(c, r.kappa, axes=(0, 0))[None])
+    return float(word_rows(r.e, maps, from_right=True)[-1][0] @ np.asarray(r.rho, dtype=float))
 
 
 def word_coefficient_tensor(rho, kappa, e, t: int) -> np.ndarray:
@@ -237,23 +271,20 @@ def word_coefficient_tensor(rho, kappa, e, t: int) -> np.ndarray:
     Entry at flat index (i_1..i_t) is rho . kappa[i_1] ... kappa[i_t] . e.
     Built from both ends so the large intermediate is a single matmul.
     """
-    rho = np.asarray(rho, dtype=float)
-    e = np.asarray(e, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
-    m = kappa.shape[1]
-    t_left = t // 2
-    left = rho.reshape(1, m)
-    for _ in range(t_left):
-        left = np.einsum("wi,aij->waj", left, kappa).reshape(-1, m)
-    right = e.reshape(1, m)
-    for _ in range(t - t_left):
-        right = np.einsum("aij,wj->awi", kappa, right).reshape(-1, m)
+    left = word_rows(rho, [kappa] * (t // 2))[-1]
+    right = word_rows(e, [kappa] * (t - t // 2), from_right=True)[-1]
     return (left @ right.T).reshape(-1)
 
 
 def marginal(r: Realization, t: int, basis: HermitianBasis | None = None,
              cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
-    """Dense t-site marginal assembled from all correlation words."""
+    """Dense t-site marginal assembled from all correlation words.
+
+    For a spectral estimate the result is Hermitian by construction; its
+    trace is reported as computed (no renormalization, no positivity
+    projection).
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     if r.d_a ** t > cap:
@@ -365,22 +396,28 @@ def random_cstar(d_a: int, d_b: int, seed: int) -> CStarRealization:
     return CStarRealization(d_a=d_a, d_b=d_b, v=v, rho0=rho0).validate()
 
 
+def _apply_channels(rho0, isometries, d_a: int, d_b: int) -> np.ndarray:
+    """Dense state of len(isometries) sites, memory traced out.
+
+    Grows the state one site at a time via sigma -> (1 x V) sigma (1 x V)^dag.
+    """
+    sigma = np.asarray(rho0, dtype=complex)
+    for k, v in enumerate(isometries):
+        op = np.kron(np.eye(d_a ** k), v)
+        sigma = op @ sigma @ op.conj().T
+    n = d_a ** len(isometries)
+    return np.einsum("ibjb->ij", sigma.reshape(n, d_b, n, d_b))
+
+
 def dense_state(c: CStarRealization, t: int, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
     """Brute-force t-site marginal by sequential channel application.
 
-    Independent oracle for :func:`marginal`: grows the dense state one site
-    at a time via sigma -> (1 x V) sigma (1 x V)^dag and traces the memory
-    at the end.
+    Independent oracle for :func:`marginal`: it never forms a correlation
+    word.
     """
     if c.d_a ** t > cap:
         raise ValueError(f"dense cap exceeded: {c.d_a}^{t} > {cap}")
-    sigma = np.asarray(c.rho0, dtype=complex)
-    for k in range(t):
-        op = np.kron(np.eye(c.d_a ** k), c.v)
-        sigma = op @ sigma @ op.conj().T
-    n = c.d_a ** t
-    sigma = sigma.reshape(n, c.d_b, n, c.d_b)
-    out = np.einsum("ibjb->ij", sigma)
+    out = _apply_channels(c.rho0, [c.v] * t, c.d_a, c.d_b)
     return DensityMatrix(matrix=out, dim=c.d_a, sites=t)
 
 
@@ -409,13 +446,7 @@ def chain_state(chain: ChainRealization, cap: int = DEFAULT_DENSE_CAP) -> Densit
     n = chain.n_sites
     if chain.d_a ** n > cap:
         raise ValueError(f"dense cap exceeded: {chain.d_a}^{n} > {cap}")
-    sigma = np.asarray(chain.rho0, dtype=complex)
-    for k, v in enumerate(chain.isometries):
-        op = np.kron(np.eye(chain.d_a ** k), v)
-        sigma = op @ sigma @ op.conj().T
-    dim = chain.d_a ** n
-    sigma = sigma.reshape(dim, chain.d_b, dim, chain.d_b)
-    out = np.einsum("ibjb->ij", sigma)
+    out = _apply_channels(chain.rho0, chain.isometries, chain.d_a, chain.d_b)
     return DensityMatrix(matrix=out, dim=chain.d_a, sites=n)
 
 
@@ -454,14 +485,13 @@ def rank_profile(r: Realization, basis: HermitianBasis, max_block: int,
     # the largest form spans 2 * max_block sites
     if r.d_a ** (2 * max_block) > cap:
         raise ValueError(f"dense cap exceeded for block size {max_block}")
-    lefts = _left_words(r, max_block)
-    rights = _right_words(r, max_block)
+    lefts = word_rows(r.rho, [r.kappa] * max_block)
+    rights = word_rows(r.e, [r.kappa] * max_block, from_right=True)
     out = np.zeros((max_block, max_block), dtype=int)
     for i in range(1, max_block + 1):
         for j in range(1, max_block + 1):
-            om = lefts[j] @ rights[i].T
-            s = np.linalg.svd(om, compute_uv=False)
-            out[i - 1, j - 1] = int((s > tol * s[0]).sum()) if s[0] > 0 else 0
+            s = np.linalg.svd(lefts[j] @ rights[i].T, compute_uv=False)
+            out[i - 1, j - 1] = numerical_rank(s, tol)
     return out
 
 
@@ -480,33 +510,11 @@ def t_star(profile: np.ndarray) -> tuple[int, int]:
     return t1, t2
 
 
-def _left_words(r: Realization, max_block: int) -> dict[int, np.ndarray]:
-    """rho . K-word rows for every block length up to max_block."""
-    m = r.m
-    out = {}
-    cur = np.asarray(r.rho, dtype=float).reshape(1, m)
-    for k in range(1, max_block + 1):
-        cur = np.einsum("wi,aij->waj", cur, r.kappa).reshape(-1, m)
-        out[k] = cur
-    return out
-
-
-def _right_words(r: Realization, max_block: int) -> dict[int, np.ndarray]:
-    """K-word . e columns for every block length up to max_block."""
-    m = r.m
-    out = {}
-    cur = np.asarray(r.e, dtype=float).reshape(1, m)
-    for k in range(1, max_block + 1):
-        cur = np.einsum("aij,wj->awi", r.kappa, cur).reshape(-1, m)
-        out[k] = cur
-    return out
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
-def realization_to_dict(r: Realization, diagnostics: dict | None = None) -> dict:
+def realization_to_dict(r: Realization) -> dict:
     doc = {
         "version": 1,
         "d_a": int(r.d_a),
@@ -515,8 +523,8 @@ def realization_to_dict(r: Realization, diagnostics: dict | None = None) -> dict
         "e": np.asarray(r.e, dtype=float).tolist(),
         "rho": np.asarray(r.rho, dtype=float).tolist(),
     }
-    if diagnostics is not None:
-        doc["diagnostics"] = diagnostics
+    if r.diagnostics:
+        doc["diagnostics"] = r.diagnostics
     return doc
 
 
@@ -533,13 +541,14 @@ def realization_from_dict(doc: dict, validate: bool = True) -> Realization:
         kappa=kappa,
         e=np.asarray(doc["e"], dtype=float),
         rho=np.asarray(doc["rho"], dtype=float),
+        diagnostics=dict(doc.get("diagnostics", {})),
     )
     return r.validate() if validate else r
 
 
-def save_realization(r: Realization, path, diagnostics: dict | None = None):
+def save_realization(r: Realization, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(realization_to_dict(r, diagnostics), fh, indent=1)
+        json.dump(realization_to_dict(r), fh, indent=1)
         fh.write("\n")
 
 

@@ -45,21 +45,11 @@ class NoiseSpec:
     """Noise configuration for an experiment run."""
 
     mode: str = "gaussian_matrix"
-    epsilon: float = 0.0
-    epsilon_prime: float | None = None  # defaults to epsilon
-    shots: int = 1
+    epsilon_prime: float | None = None  # defaults to each sweep epsilon
 
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-
-    @property
-    def eps_prime(self) -> float:
-        return self.epsilon if self.epsilon_prime is None else self.epsilon_prime
 
 
 def make_rng(seed) -> np.random.Generator:

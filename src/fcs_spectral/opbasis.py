@@ -13,14 +13,13 @@ C-order value sum_k i_k * (d^2)^(s-k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "HermitianBasis",
     "gellmann",
-    "flat_index",
     "multi_index",
     "block_element",
     "expand_in_basis",
@@ -75,19 +74,9 @@ def _hermitian_basis(d: int) -> HermitianBasis:
     return HermitianBasis(dim=d, elements=np.array(elements))
 
 
-def flat_index(multi: Sequence[int], d: int) -> int:
-    """Flat block index of a multi-index, first entry most significant."""
-    n = d * d
-    flat = 0
-    for i in multi:
-        if not 0 <= i < n:
-            raise IndexError(f"basis index {i} out of range [0, {n})")
-        flat = flat * n + i
-    return flat
-
-
 def multi_index(flat: int, sites: int, d: int) -> tuple[int, ...]:
-    """Inverse of :func:`flat_index` for a block of the given length."""
+    """Multi-index (i_1, ..., i_s) of a flat block index, first entry most
+    significant."""
     n = d * d
     if not 0 <= flat < n ** sites:
         raise IndexError(f"flat index {flat} out of range for {sites} sites")

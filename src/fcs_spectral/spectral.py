@@ -9,41 +9,39 @@ Translation-invariant path
            e_hat   = U^T Omega(1)
            rho_hat = (tau Omega) (U^T Omega)^+
            K_hat_a = U^T Omega_a (U^T Omega)^+
-       and evaluate reconstructed words rho_hat K_hat ... K_hat e_hat.
+       as a :class:`~fcs_spectral.fcs.Realization`, whose words
+       rho_hat K_hat ... K_hat e_hat are the reconstructed marginals.
 
 Non-homogeneous path: per-site window forms Omega^{[i,j,k]} with the
 asymmetric boundary maps; see :func:`nonhomog_reconstruct`.
 
 Estimates are generally neither stationary nor positive semidefinite, so
-the reconstruction type carries no invariants beyond shape; an optional
-projection to the nearest density matrix is provided for downstream
-consumers and is outside the error analysis.
+they are not validated; an optional projection to the nearest density
+matrix is provided for downstream consumers and is outside the error
+analysis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fcs
 from .fcs import DEFAULT_DENSE_CAP, DensityMatrix, Realization
-from .linalg import pseudoinverse, svd
-from .opbasis import HermitianBasis, assemble_from_coefficients, gellmann
+from .linalg import hermitian_eigen, svd
+from .opbasis import HermitianBasis, assemble_from_coefficients
 
 __all__ = [
     "OmegaData",
     "SvdTruncation",
-    "SpectralRealization",
     "build_omega",
     "build_omega_from_marginals",
     "omega_data_from_coefficients",
     "truncate",
     "spectral_realization",
     "empirical_realization",
-    "reconstruct_coefficients",
-    "reconstruct_marginal",
     "project_to_density_matrix",
     "ChainOmegaData",
     "build_chain_omega",
@@ -107,8 +105,9 @@ def build_omega(r: Realization, basis: HermitianBasis | None = None,
         raise ValueError("basis dimension does not match the realization")
     if r.d_a ** (s_left + s_right) > cap:
         raise ValueError(f"dense cap exceeded for blocks ({s_left}, {s_right})")
-    left = fcs._left_words(r, s_left)[s_left]     # (nL, m) rows rho.K_word
-    right = fcs._right_words(r, s_right)[s_right]  # (nR, m) rows K_word.e
+    # (nL, m) rows rho.K_word and (nR, m) rows K_word.e
+    left = fcs.word_rows(r.rho, [r.kappa] * s_left)[-1]
+    right = fcs.word_rows(r.e, [r.kappa] * s_right, from_right=True)[-1]
     omega = left @ right.T
     omega_dot = np.einsum("jm,amn,in->aji", left, r.kappa, right)
     omega_one = left @ np.asarray(r.e, dtype=float)
@@ -193,49 +192,19 @@ def truncate(omega, rank: int | None = None, threshold: float | None = None) -> 
                          discarded=s[keep:].copy(), mode=mode, param=param)
 
 
-@dataclass
-class SpectralRealization:
-    """Estimated realization triple; not necessarily stationary or positive."""
-
-    d_a: int
-    e_hat: np.ndarray
-    rho_hat: np.ndarray
-    k_hat: np.ndarray          # (d_a^2, m_hat, m_hat)
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def m(self) -> int:
-        return self.k_hat.shape[1]
-
-    def evaluate_word(self, word) -> float:
-        v = self.e_hat
-        for c in reversed(list(word)):
-            v = np.tensordot(np.asarray(c, dtype=float), self.k_hat, axes=(0, 0)) @ v
-        return float(self.rho_hat @ v)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "version": 1,
-            "d_a": int(self.d_a),
-            "m": int(self.m),
-            "kappa": self.k_hat.tolist(),
-            "e": self.e_hat.tolist(),
-            "rho": self.rho_hat.tolist(),
-            "diagnostics": {k: _jsonable(v) for k, v in self.diagnostics.items()},
-        }
-        return doc
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
+def _realize(od: OmegaData, u_hat: np.ndarray, pinv_tol: float):
+    """e = U^T Omega(1), rho = (tau Omega) B^+ and K_a = U^T Omega_a B^+ with
+    B = U^T Omega; returns the realization and the SVD of B."""
+    b_svd = svd(u_hat.T @ od.omega)
+    b_pinv = b_svd.pinv(pinv_tol)
+    kappa = np.einsum("lj,alk,kr->ajr", u_hat, od.omega_dot, b_pinv, optimize=True)
+    r = Realization(d_a=od.d_a, kappa=kappa, e=u_hat.T @ od.omega_one,
+                    rho=od.tau_omega @ b_pinv)
+    return r, b_svd
 
 
 def spectral_realization(od: OmegaData, tr: SvdTruncation,
-                         pinv_tol: float = 1e-12) -> SpectralRealization:
+                         pinv_tol: float = 1e-12) -> Realization:
     """Estimated realization from Omega data and a truncated frame.
 
     The pseudoinverse cutoff is relative (default 1e-12 * sigma_1): the
@@ -243,25 +212,20 @@ def spectral_realization(od: OmegaData, tr: SvdTruncation,
     """
     if tr.u_hat.shape[0] != od.omega.shape[0]:
         raise ValueError("truncation frame does not match the Omega row space")
-    b = tr.u_hat.T @ od.omega               # (m_hat, nR)
-    b_pinv = pseudoinverse(b, tol=pinv_tol)
-    e_hat = tr.u_hat.T @ od.omega_one
-    rho_hat = od.tau_omega @ b_pinv
-    k_hat = np.einsum("lj,alk,kr->ajr", tr.u_hat, od.omega_dot, b_pinv, optimize=True)
-    sv_b = np.linalg.svd(b, compute_uv=False)
-    diagnostics = {
+    r, b_svd = _realize(od, tr.u_hat, pinv_tol)
+    sv_b = b_svd.s
+    r.diagnostics = {
         "sigma_m_hat": float(tr.retained[-1]),
         "rank": tr.rank,
         "cond_utomega": float(sv_b[0] / sv_b[-1]) if sv_b[-1] > 0 else float("inf"),
         "discarded_max": float(tr.discarded[0]) if tr.discarded.size else 0.0,
     }
-    return SpectralRealization(d_a=od.d_a, e_hat=e_hat, rho_hat=rho_hat,
-                               k_hat=k_hat, diagnostics=diagnostics)
+    return r
 
 
 def empirical_realization(od_exact: OmegaData, u_hat: np.ndarray,
                           min_overlap: float = 1e-8,
-                          pinv_tol: float = 1e-12) -> SpectralRealization:
+                          pinv_tol: float = 1e-12) -> Realization:
     """Exact-data realization in an estimated frame.
 
     Uses the true Omega data with a (possibly noisy) left frame u_hat; as
@@ -276,41 +240,15 @@ def empirical_realization(od_exact: OmegaData, u_hat: np.ndarray,
         raise ValueError(
             f"u_hat^T u is numerically singular: sigma_min = {overlap[-1]:.3e}"
         )
-    b = u_hat.T @ od_exact.omega
-    b_pinv = pseudoinverse(b, tol=pinv_tol)
-    e_t = u_hat.T @ od_exact.omega_one
-    rho_t = od_exact.tau_omega @ b_pinv
-    k_t = np.einsum("lj,alk,kr->ajr", u_hat, od_exact.omega_dot, b_pinv, optimize=True)
-    return SpectralRealization(
-        d_a=od_exact.d_a, e_hat=e_t, rho_hat=rho_t, k_hat=k_t,
-        diagnostics={"u_overlap_sigma_min": float(overlap[-1])},
-    )
-
-
-def reconstruct_coefficients(sr: SpectralRealization, t: int) -> np.ndarray:
-    """Flat coefficient tensor of the reconstructed t-site marginal."""
-    return fcs.word_coefficient_tensor(sr.rho_hat, sr.k_hat, sr.e_hat, t)
-
-
-def reconstruct_marginal(sr: SpectralRealization, t: int,
-                         basis: HermitianBasis | None = None,
-                         cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
-    """Dense reconstructed marginal; Hermitian by construction, trace reported
-    as computed (no renormalization, no positivity projection)."""
-    if sr.d_a ** t > cap:
-        raise ValueError(f"dense cap exceeded: {sr.d_a}^{t} > {cap}")
-    if basis is None:
-        basis = gellmann(sr.d_a)
-    coeffs = reconstruct_coefficients(sr, t)
-    matrix = assemble_from_coefficients(coeffs, basis, t)
-    return DensityMatrix(matrix=matrix, dim=sr.d_a, sites=t, coeffs=coeffs)
+    r, _ = _realize(od_exact, u_hat, pinv_tol)
+    r.diagnostics = {"u_overlap_sigma_min": float(overlap[-1])}
+    return r
 
 
 def project_to_density_matrix(dm: DensityMatrix) -> DensityMatrix:
     """Nearest-density-matrix post-processing: clip negative eigenvalues and
     renormalize the trace.  Outside the reconstruction error analysis."""
-    h = 0.5 * (dm.matrix + dm.matrix.conj().T)
-    w, v = np.linalg.eigh(h)
+    w, v = hermitian_eigen(dm.matrix)
     w = np.clip(w, 0.0, None)
     s = w.sum()
     if s <= 0:
@@ -381,10 +319,7 @@ class NonhomogReconstruction:
     ranks: list[int]
 
     def coefficients(self) -> np.ndarray:
-        cur = self.k_maps[0][:, 0, :]                      # (nb, m_1)
-        for k in self.k_maps[1:]:
-            cur = np.einsum("wp,apq->waq", cur, k).reshape(-1, k.shape[2])
-        return cur.reshape(-1)
+        return fcs.word_rows(np.ones(1), self.k_maps)[-1].reshape(-1)
 
     def state(self, basis: HermitianBasis) -> DensityMatrix:
         coeffs = self.coefficients()
@@ -420,11 +355,10 @@ def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
         out_ranks.append(tr.rank)
 
     def projected_pinv(j: int) -> np.ndarray:
-        b = frames[j].T @ cod.omegas[j]
-        sv = np.linalg.svd(b, compute_uv=False)
-        if sv[-1] <= 1e-14 * max(sv[0], 1e-300):
+        b_svd = svd(frames[j].T @ cod.omegas[j])
+        if b_svd.s[-1] <= 1e-14 * max(b_svd.s[0], 1e-300):
             raise ValueError(f"rank-deficient projected Omega at site {j}")
-        return pseudoinverse(b, tol=pinv_tol)
+        return b_svd.pinv(pinv_tol)
 
     k_maps: list[np.ndarray] = []
     # site 1: (d^2, 1, m_1)

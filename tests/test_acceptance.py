@@ -64,7 +64,7 @@ def test_c1_aklt_exact_round_trip(report):
     sr = spectral.spectral_realization(od, tr)
     worst = 0.0
     for t in range(1, 8):
-        rec = spectral.reconstruct_coefficients(sr, t)
+        rec = word_coefficient_tensor(sr.rho, sr.kappa, sr.e, t)
         exact = _aklt_exact_coeffs(t)
         td = analysis.trace_distance_from_coefficients(rec, exact, basis, t)
         assert td <= 1e-9, f"t={t}: trace distance {td:.3e} exceeds 1e-9"
@@ -107,7 +107,7 @@ def test_c3_oracle_equivalence_20_models(report):
             rank = int((sv > 1e-9 * sv[0]).sum())
             sr = spectral.spectral_realization(od, spectral.truncate(od.omega, rank=rank))
             for tt in range(1, 6):
-                rec = spectral.reconstruct_coefficients(sr, tt)
+                rec = word_coefficient_tensor(sr.rho, sr.kappa, sr.e, tt)
                 exact = word_coefficient_tensor(r.rho, r.kappa, r.e, tt)
                 td = analysis.trace_distance_from_coefficients(rec, exact, basis, tt)
                 assert td <= 1e-8, f"model ({d_a},{d_b},{seed}) t={tt}: TD {td:.2e}"

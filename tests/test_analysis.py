@@ -16,7 +16,6 @@ from fcs_spectral.analysis import (
     check_singular_value_perturbation,
     check_pseudoinverse_perturbation,
     check_projected_sigma_stability,
-    omega_norm,
     precision_budget,
     sigma_m,
     surrogate_parameters,
@@ -180,26 +179,16 @@ def test_budget_rejects_degenerate_sigma():
         precision_budget(1.5, 0.5, 1, 2, 1)
 
 
-# -- sigma_m / omega_norm -----------------------------------------------------------
+# -- sigma_m -----------------------------------------------------------
 
 def test_sigma_m_identity():
     assert sigma_m(np.eye(5), 3) == pytest.approx(1.0)
-    xi = np.array([3.0, 4.0, 0.0, 0.0, 0.0])
-    assert omega_norm(xi, np.eye(5)) == pytest.approx(5.0)
 
 
 def test_sigma_m_aklt(aklt_omega):
     assert sigma_m(aklt_omega.omega, 4) > 1e-10
     assert sigma_m(aklt_omega.omega, 5) <= 1e-10
     assert sigma_m(aklt_omega.omega, 4) == pytest.approx(2.0 / 9.0, abs=1e-12)
-
-
-def test_omega_norm_operator_bound(aklt_omega):
-    rng = np.random.default_rng(0)
-    top = np.linalg.svd(aklt_omega.omega, compute_uv=False)[0]
-    for _ in range(20):
-        xi = rng.standard_normal(9)
-        assert omega_norm(xi, aklt_omega.omega) <= top * np.linalg.norm(xi) + 1e-12
 
 
 def test_sigma_m_range_check():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from fcs_spectral import cli
-from fcs_spectral.fcs import marginal
-from fcs_spectral.spectral import SpectralRealization
+from fcs_spectral.fcs import evaluate_word, marginal, realization_from_dict
 
 
 def write_config(tmp_path, name, cfg):
@@ -207,6 +206,23 @@ def test_cmd_robustness_xi_zero_matches_aklt(tmp_path):
         assert 1.6 <= ratio <= 2.4
 
 
+@pytest.mark.parametrize("content, message", [
+    (json.dumps(dict(AKLT_CFG, epsilons=1e-3)), "TypeError"),
+    (json.dumps(AKLT_CFG)[:40], "JSONDecodeError"),
+    (None, "FileNotFoundError"),
+], ids=["number-for-list", "truncated-json", "missing-file"])
+def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, content, message):
+    # an exception escaping main would fail the test with its traceback
+    cfg_path = tmp_path / "cfg.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    rc = cli.main(["aklt", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--log-level", "error"])
+    assert rc == 2
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+    assert message in caplog.records[0].getMessage()
+
+
 def test_cmd_robustness_requires_xis(tmp_path):
     cfg_path = write_config(tmp_path, "r.json", dict(AKLT_CFG))
     rc = cli.main(["robustness", "--config", str(cfg_path), "--out", str(tmp_path),
@@ -228,15 +244,11 @@ def test_cmd_reconstruct_roundtrip(tmp_path, aklt_realization, basis3):
     out = run_cli(tmp_path, "reconstruct", cfg)
     doc = json.loads((out / "realization.json").read_text())
     assert doc["version"] == 1 and doc["m"] == 4 and doc["d_a"] == 3
-    sr = SpectralRealization(
-        d_a=doc["d_a"],
-        e_hat=np.array(doc["e"]),
-        rho_hat=np.array(doc["rho"]),
-        k_hat=np.array(doc["kappa"]),
-    )
+    sr = realization_from_dict(doc, validate=False)
+    assert sr.diagnostics["rank"] == 4
     c = np.zeros(9)
     c[0] = np.sqrt(3.0)
-    assert sr.evaluate_word([c, c]) == pytest.approx(1.0, abs=1e-8)
+    assert evaluate_word(sr, [c, c]) == pytest.approx(1.0, abs=1e-8)
     d, recs = cli.load_marginals(out / "rec_marginals.json")
     assert d == 3
     assert np.abs(recs[2].matrix - marginals[2].matrix).max() <= 1e-8

@@ -15,11 +15,6 @@ from fcs_spectral.noise import (
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(mode="bogus")
-    with pytest.raises(ValueError):
-        NoiseSpec(epsilon=-1.0)
-    spec = NoiseSpec(epsilon=0.1)
-    assert spec.eps_prime == 0.1
-    assert NoiseSpec(epsilon=0.1, epsilon_prime=0.5).eps_prime == 0.5
 
 
 def test_perturb_zero_epsilon_is_identity():
@@ -158,7 +153,7 @@ def test_reconstruction_error_monotone_in_epsilon(aklt_omega, basis3, aklt_reali
     # mean trace distance over seeds grows with the perturbation scale
     from fcs_spectral.analysis import trace_distance_from_coefficients
     from fcs_spectral.fcs import word_coefficient_tensor
-    from fcs_spectral.spectral import reconstruct_coefficients, spectral_realization, truncate
+    from fcs_spectral.spectral import spectral_realization, truncate
 
     r = aklt_realization
     exact = word_coefficient_tensor(r.rho, r.kappa, r.e, 3)
@@ -168,7 +163,7 @@ def test_reconstruction_error_monotone_in_epsilon(aklt_omega, basis3, aklt_reali
         for trial in range(20):
             od_hat = perturb_omega_data(aklt_omega, eps, eps, spawn_rng(77, trial))
             sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
-            rec = reconstruct_coefficients(sr, 3)
+            rec = word_coefficient_tensor(sr.rho, sr.kappa, sr.e, 3)
             tds.append(trace_distance_from_coefficients(rec, exact, basis3, 3))
         means.append(np.mean(tds))
     assert all(a < b for a, b in zip(means, means[1:]))

@@ -5,7 +5,6 @@ from fcs_spectral.opbasis import (
     assemble_from_coefficients,
     block_element,
     expand_in_basis,
-    flat_index,
     gellmann,
     multi_index,
 )
@@ -60,15 +59,18 @@ def test_block_orthonormality(d, s):
         assert np.abs(c - unit).max() <= 1e-12
 
 
-def test_flat_index_roundtrip():
+def test_multi_index_roundtrip():
+    # first entry most significant: the C-order digits of the flat index
     d = 3
     for flat in [0, 1, 17, 80, 700]:
-        assert flat_index(multi_index(flat, 3, d), d) == flat
-    assert flat_index((1, 2), 2) == 1 * 4 + 2
+        multi = multi_index(flat, 3, d)
+        assert multi == tuple(int(i) for i in np.unravel_index(flat, (d * d,) * 3))
+        assert np.ravel_multi_index(multi, (d * d,) * 3) == flat
+    assert multi_index(1 * 4 + 2, 2, 2) == (1, 2)
     with pytest.raises(IndexError):
         multi_index(9 ** 2, 2, 3)
     with pytest.raises(IndexError):
-        flat_index((9,), 3)
+        multi_index(-1, 2, 3)
 
 
 def test_block_element_single_site_identity():

@@ -1,0 +1,96 @@
+"""Property tests of the word-contraction kernel and the realization maps
+built on it: gauge invariance, single words against the word tensor, and
+per-site chain maps against a brute-force matrix product."""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fcs_spectral.fcs import Realization, evaluate_word, word_coefficient_tensor, word_rows
+from fcs_spectral.spectral import NonhomogReconstruction
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def random_realization(rng, d_a: int, m: int) -> Realization:
+    """Random (not stationary, not normalized) real realization data."""
+    return Realization(d_a=d_a, kappa=rng.standard_normal((d_a ** 2, m, m)) / m,
+                       e=rng.standard_normal(m), rho=rng.standard_normal(m))
+
+
+def well_conditioned(rng, m: int) -> np.ndarray:
+    """Random invertible m x m matrix with condition number at most 4."""
+    q1 = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return (q1 * rng.uniform(0.5, 2.0, size=m)) @ q2
+
+
+@SETTINGS
+@given(seed=seeds, d_a=st.integers(1, 3), m=st.integers(1, 5), t=st.integers(0, 4))
+def test_word_tensor_gauge_invariant(seed, d_a, m, t):
+    rng = np.random.default_rng(seed)
+    r = random_realization(rng, d_a, m)
+    s = well_conditioned(rng, m)
+    s_inv = np.linalg.inv(s)
+    kappa = np.einsum("ij,ajk,kl->ail", s, r.kappa, s_inv)
+    a = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
+    b = word_coefficient_tensor(r.rho @ s_inv, kappa, s @ r.e, t)
+    scale = np.abs(r.rho).sum() * np.abs(r.e).sum() * max(1.0, np.abs(r.kappa).sum()) ** t
+    assert np.abs(a - b).max() <= 1e-12 * scale
+
+
+@SETTINGS
+@given(seed=seeds, d_a=st.integers(1, 3), m=st.integers(1, 4), t=st.integers(0, 4))
+def test_evaluate_word_matches_word_tensor(seed, d_a, m, t):
+    rng = np.random.default_rng(seed)
+    r = random_realization(rng, d_a, m)
+    nb = d_a ** 2
+    tensor = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
+    letters = tuple(int(a) for a in rng.integers(0, nb, size=t))
+    units = [np.eye(nb)[a] for a in letters]
+    flat = np.ravel_multi_index(letters, (nb,) * t) if t else 0
+    assert abs(evaluate_word(r, units) - tensor[flat]) <= 1e-12 * max(1.0, np.abs(tensor).max())
+    # a general word of coefficient vectors is the same tensor contracted
+    # with one vector per site
+    coeffs = [rng.standard_normal(nb) for _ in range(t)]
+    want = tensor.reshape((nb,) * t)
+    for c in coeffs:
+        want = np.tensordot(c, want, axes=(0, 0))
+    assert abs(evaluate_word(r, coeffs) - float(want)) <= 1e-10 * max(1.0, abs(float(want)))
+
+
+@SETTINGS
+@given(seed=seeds, n_sites=st.integers(1, 4), nb=st.integers(1, 4),
+       widths=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+def test_chain_coefficients_match_brute_force(seed, n_sites, nb, widths):
+    rng = np.random.default_rng(seed)
+    dims = [1] + widths[:n_sites - 1] + [1]
+    k_maps = [rng.standard_normal((nb, dims[j], dims[j + 1])) for j in range(n_sites)]
+    recon = NonhomogReconstruction(d_a=1, n_sites=n_sites, k_maps=k_maps,
+                                   ranks=dims[1:-1])
+    got = recon.coefficients()
+    want = [np.linalg.multi_dot([np.eye(1)] + [k[a] for k, a in zip(k_maps, word)]
+                                + [np.eye(1)])[0, 0]
+            for word in itertools.product(range(nb), repeat=n_sites)]
+    assert got.shape == (nb ** n_sites,)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(seed=seeds, n_sites=st.integers(0, 4), nb=st.integers(1, 3),
+       widths=st.lists(st.integers(1, 3), min_size=5, max_size=5))
+def test_word_rows_agree_from_either_end(seed, n_sites, nb, widths):
+    rng = np.random.default_rng(seed)
+    dims = widths[:n_sites + 1]
+    maps = [rng.standard_normal((nb, dims[j], dims[j + 1])) for j in range(n_sites)]
+    left, right = rng.standard_normal(dims[0]), rng.standard_normal(dims[-1])
+    from_left = word_rows(left, maps)
+    from_right = word_rows(right, maps, from_right=True)
+    assert [x.shape[0] for x in from_left] == [nb ** k for k in range(n_sites + 1)]
+    a = from_left[-1] @ right
+    b = from_right[-1] @ left
+    assert np.allclose(a, b, rtol=1e-12, atol=1e-12)

@@ -19,7 +19,6 @@ from fcs_spectral.spectral import (
     empirical_realization,
     nonhomog_reconstruct,
     project_to_density_matrix,
-    reconstruct_marginal,
     spectral_realization,
     truncate,
 )
@@ -126,7 +125,7 @@ def test_product_state_reconstruction(basis2):
     assert sr.m == 1
     expected = rho_site.copy()
     for t in range(1, 6):
-        rec = reconstruct_marginal(sr, t, basis2)
+        rec = marginal(sr, t, basis2)
         assert np.abs(rec.matrix - expected).max() <= 1e-10
         expected = np.kron(expected, rho_site)
 
@@ -135,7 +134,7 @@ def test_aklt_exact_round_trip_small(aklt_realization, basis3, aklt_omega):
     tr = truncate(aklt_omega.omega, rank=4)
     sr = spectral_realization(aklt_omega, tr)
     for t in (1, 2, 3, 4):
-        rec = reconstruct_marginal(sr, t, basis3)
+        rec = marginal(sr, t, basis3)
         exact = marginal(aklt_realization, t, basis3)
         assert trace_distance(rec, exact) <= 1e-9
         assert rec.trace() == pytest.approx(1.0, abs=1e-9)
@@ -154,11 +153,11 @@ def test_block_size_must_reach_stabilized_rank(basis2):
     od2 = build_omega(r, basis2, 2, 2)
     sr = spectral_realization(od2, truncate(od2.omega, rank=9))
     exact = word_coefficient_tensor(r.rho, r.kappa, r.e, 4)
-    rec = fcs.word_coefficient_tensor(sr.rho_hat, sr.k_hat, sr.e_hat, 4)
+    rec = fcs.word_coefficient_tensor(sr.rho, sr.kappa, sr.e, 4)
     assert trace_distance_from_coefficients(rec, exact, basis2, 4) <= 1e-9
     od1 = build_omega(r, basis2, 1, 1)
     sr1 = spectral_realization(od1, truncate(od1.omega, rank=4))
-    rec1 = fcs.word_coefficient_tensor(sr1.rho_hat, sr1.k_hat, sr1.e_hat, 4)
+    rec1 = fcs.word_coefficient_tensor(sr1.rho, sr1.kappa, sr1.e, 4)
     assert trace_distance_from_coefficients(rec1, exact, basis2, 4) > 0.1
 
 
@@ -170,7 +169,7 @@ def test_asymmetric_blocks_still_exact(aklt_realization, basis3):
     assert od.omega.shape == (81, 9)
     sr = spectral_realization(od, truncate(od.omega, rank=4))
     for t in (1, 3, 4):
-        rec = reconstruct_marginal(sr, t, basis3)
+        rec = marginal(sr, t, basis3)
         exact = marginal(aklt_realization, t, basis3)
         assert trace_distance(rec, exact) <= 1e-9
 
@@ -183,7 +182,7 @@ def test_random_model_exact_round_trip(seed, basis2):
     rank = int((sv > 1e-9 * sv[0]).sum())
     sr = spectral_realization(od, truncate(od.omega, rank=rank))
     for t in (1, 3, 5):
-        rec = reconstruct_marginal(sr, t, basis2)
+        rec = marginal(sr, t, basis2)
         exact = marginal(r, t, basis2)
         assert trace_distance(rec, exact) <= 1e-9
 
@@ -197,8 +196,8 @@ def test_gauge_invariance_of_reconstruction(aklt_omega, basis3, aklt_realization
     tr_rot.u_hat = tr.u_hat @ q
     sr_rot = spectral_realization(aklt_omega, tr_rot)
     for t in (1, 2, 3):
-        a = fcs.word_coefficient_tensor(sr.rho_hat, sr.k_hat, sr.e_hat, t)
-        b = fcs.word_coefficient_tensor(sr_rot.rho_hat, sr_rot.k_hat, sr_rot.e_hat, t)
+        a = fcs.word_coefficient_tensor(sr.rho, sr.kappa, sr.e, t)
+        b = fcs.word_coefficient_tensor(sr_rot.rho, sr_rot.kappa, sr_rot.e, t)
         assert np.abs(a - b).max() <= 1e-10
 
 
@@ -206,7 +205,7 @@ def test_noisy_reconstruction_regression(aklt_omega, basis3):
     # recorded on first run: trace of the noisy rank-4 reconstruction
     od_hat = perturb_omega_data(aklt_omega, 1e-3, 1e-3, make_rng(1))
     sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
-    rec = reconstruct_marginal(sr, 4, basis3)
+    rec = marginal(sr, 4, basis3)
     assert np.abs(rec.matrix - rec.matrix.conj().T).max() <= 1e-12
     assert rec.trace() == pytest.approx(1.0, abs=1e-2)
     assert rec.trace() == pytest.approx(0.9983678908710114, abs=1e-6)
@@ -215,7 +214,7 @@ def test_noisy_reconstruction_regression(aklt_omega, basis3):
 def test_projection_to_density_matrix(aklt_omega, basis3):
     od_hat = perturb_omega_data(aklt_omega, 1e-2, 1e-2, make_rng(2))
     sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
-    rec = reconstruct_marginal(sr, 3, basis3)
+    rec = marginal(sr, 3, basis3)
     proj = project_to_density_matrix(rec)
     proj.validate(psd_tol=1e-12, trace_tol=1e-12)
 
@@ -228,7 +227,7 @@ def test_empirical_realization_with_exact_frame(aklt_omega, aklt_realization):
     u = svd(aklt_omega.omega).u[:, :4]
     er = empirical_realization(aklt_omega, u)
     for t in (1, 2, 3):
-        got = fcs.word_coefficient_tensor(er.rho_hat, er.k_hat, er.e_hat, t)
+        got = fcs.word_coefficient_tensor(er.rho, er.kappa, er.e, t)
         want = fcs.word_coefficient_tensor(
             aklt_realization.rho, aklt_realization.kappa, aklt_realization.e, t)
         assert np.abs(got - want).max() <= 1e-10
@@ -239,7 +238,7 @@ def test_empirical_realization_noisy_frame_still_exact(aklt_omega, aklt_realizat
     u_hat = truncate(od_hat.omega, rank=4).u_hat
     er = empirical_realization(aklt_omega, u_hat)
     for t in (1, 2, 4):
-        got = fcs.word_coefficient_tensor(er.rho_hat, er.k_hat, er.e_hat, t)
+        got = fcs.word_coefficient_tensor(er.rho, er.kappa, er.e, t)
         want = fcs.word_coefficient_tensor(
             aklt_realization.rho, aklt_realization.kappa, aklt_realization.e, t)
         assert np.abs(got - want).max() <= 1e-8
@@ -255,8 +254,8 @@ def test_empirical_realization_rotation_invariance(aklt_omega):
     er = empirical_realization(aklt_omega, u @ q)
     base = empirical_realization(aklt_omega, u)
     for t in (1, 3):
-        a = fcs.word_coefficient_tensor(er.rho_hat, er.k_hat, er.e_hat, t)
-        b = fcs.word_coefficient_tensor(base.rho_hat, base.k_hat, base.e_hat, t)
+        a = fcs.word_coefficient_tensor(er.rho, er.kappa, er.e, t)
+        b = fcs.word_coefficient_tensor(base.rho, base.kappa, base.e, t)
         assert np.abs(a - b).max() <= 1e-10
 
 
