@@ -745,11 +745,13 @@ def main(argv=None) -> int:
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"])
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, args.log_level.upper()),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = getattr(logging, args.log_level.upper())
+    logging.basicConfig(stream=sys.stderr, level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, so a
+    # later in-process call sets its level on the package logger
+    log.setLevel(level)
+    log.debug("%s: config %s, output directory %s", args.command, args.config, args.out)
     out_dir = Path(args.out)
     try:
         cfg = _load_config(args.config)

@@ -364,7 +364,11 @@ def _dual_step(v, rho, d_a, d_b):
 
 
 def stationary_state(v, d_a: int, d_b: int, tol=1e-12, max_iter=100_000) -> np.ndarray:
-    """Fixed point of the memory channel by power iteration from 1/d_b."""
+    """Fixed point of the memory channel by power iteration from 1/d_b.
+
+    Raises ``numpy.linalg.LinAlgError`` if the iteration does not converge
+    within ``max_iter`` steps.
+    """
     rho = np.eye(d_b, dtype=complex) / d_b
     for _ in range(max_iter):
         nxt = _dual_step(v, rho, d_a, d_b)
@@ -373,7 +377,7 @@ def stationary_state(v, d_a: int, d_b: int, tol=1e-12, max_iter=100_000) -> np.n
         if np.abs(nxt - rho).max() < tol:
             return nxt
         rho = nxt
-    raise RuntimeError(
+    raise np.linalg.LinAlgError(
         f"stationary state iteration did not converge within {max_iter} steps "
         "(degenerate peripheral spectrum?)"
     )
@@ -552,6 +556,9 @@ def save_realization(r: Realization, path):
         fh.write("\n")
 
 
-def load_realization(path) -> Realization:
+def load_realization(path, validate: bool = True) -> Realization:
+    """Read a realization document; ``validate=False`` admits an estimate
+    that is not exactly stationary or normalized, such as one learned from
+    noisy marginals."""
     with open(path, encoding="utf-8") as fh:
-        return realization_from_dict(json.load(fh))
+        return realization_from_dict(json.load(fh), validate=validate)

@@ -8,12 +8,19 @@ Two noise families:
   normalization is available behind a flag.
 * A shot-noise tomography simulator that measures each block basis element
   on n copies, either by actual multinomial sampling of its eigenvalues or
-  by a Gaussian surrogate with the exact single-shot variance.
+  by a Gaussian surrogate with the exact single-shot variance.  It uses the
+  product structure of the block basis: the eigenprojectors of
+  g_{a_1} x ... x g_{a_k} are products of single-site eigenprojectors, so
+  one eigendecomposition of the d^2 single-site elements and one
+  site-by-site contraction of the marginal give every outcome probability.
 
 RNG contract: streams come from numpy's PCG64 generator.  Per-trial
 sub-streams are derived with ``numpy.random.SeedSequence(seed, spawn_key)``
 where the spawn key is the tuple of loop indices; statistical (not
-bit-level cross-language) reproducibility is the contract.
+bit-level cross-language) reproducibility is the contract.  The tomography
+simulator makes one batched draw per marginal (``multinomial`` with one row
+of outcome probabilities per element, or ``standard_normal`` with one value
+per element), rows in flat block order; zero-variance elements draw nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opbasis import HermitianBasis, block_element, multi_index
+from .opbasis import HermitianBasis, _contract_sites
 from .spectral import ChainOmegaData, OmegaData
 
 __all__ = [
@@ -120,6 +127,31 @@ def perturb_chain_omega(cod: ChainOmegaData, epsilon: float, epsilon_prime: floa
     return out
 
 
+def _product_outcomes(rho, basis: HermitianBasis, sites: int):
+    """Outcome table of every block basis element, rows in flat block order.
+
+    Returns (vals, probs) of shape ((d^2)^sites, d^sites): probs[w, o] =
+    Tr(Pi rho) for the o-th eigenprojector Pi of block element w, and
+    vals[w, o] its eigenvalue.  Element g_{a_1} x ... x g_{a_k} has the
+    eigenprojectors Pi_{a_1 o_1} x ... x Pi_{a_k o_k} with eigenvalues
+    prod_j lambda_{a_j o_j}.
+    """
+    d = basis.dim
+    site_vals, site_vecs = np.linalg.eigh(basis.elements)
+    # proj[a * d + o] = |v_ao><v_ao|, the o-th eigenprojector of element a
+    proj = np.einsum("aio,ajo->aoij", site_vecs, site_vecs.conj()).reshape(-1, d, d)
+    x = _contract_sites(np.asarray(rho), proj, sites).real
+    # axes (a_1, o_1, ..., a_k, o_k) -> rows a_1..a_k, columns o_1..o_k
+    perm = list(range(0, 2 * sites, 2)) + list(range(1, 2 * sites, 2))
+    probs = x.reshape((d * d, d) * sites).transpose(perm).reshape(basis.size ** sites, -1)
+    del x
+    vals = np.ones((1, 1))
+    for _ in range(sites):
+        vals = (vals[:, None, :, None] * site_vals[None, :, None, :]).reshape(
+            vals.shape[0] * d * d, -1)
+    return vals, probs
+
+
 def simulate_tomography(dm, basis: HermitianBasis, shots: int, rng,
                         mode: str = "shot_multinomial") -> np.ndarray:
     """Estimated coefficient vector of a marginal from n measurement shots.
@@ -129,36 +161,36 @@ def simulate_tomography(dm, basis: HermitianBasis, shots: int, rng,
     (mode "shot_multinomial"), or a Gaussian surrogate with the identical
     mean and variance (<G^2> - <G>^2)/n (mode "shot_gaussian").  Estimates
     are unbiased; a zero-variance observable is returned exactly.
+
+    All elements are drawn in one call on ``rng``, one row per element in
+    flat block order; zero-variance rows draw nothing.
     """
     if mode not in ("shot_multinomial", "shot_gaussian"):
         raise ValueError(f"unknown tomography mode {mode!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rho = np.asarray(dm.matrix)
-    sites = dm.sites
-    n_out = basis.size ** sites
-    est = np.empty(n_out)
-    for flat in range(n_out):
-        g = block_element(basis, multi_index(flat, sites, basis.dim))
-        vals, vecs = np.linalg.eigh(g)
-        probs = np.einsum("ik,ij,jk->k", vecs.conj(), rho, vecs).real
-        lo = probs.min()
-        if lo < -1e-9:
-            warnings.warn(
-                f"clipping negative outcome probability {lo:.3e} (non-PSD input)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        mean = float(vals @ probs)
-        var = float((vals ** 2) @ probs) - mean ** 2
-        if var <= 1e-18 * max(1.0, float(vals.max() ** 2)):
-            # deterministic outcome (degenerate spectrum), up to roundoff
-            est[flat] = mean
-        elif mode == "shot_multinomial":
-            counts = rng.multinomial(shots, probs)
-            est[flat] = float(vals @ counts) / shots
-        else:
-            est[flat] = mean + rng.standard_normal() * np.sqrt(var / shots)
+    vals, probs = _product_outcomes(dm.matrix, basis, dm.sites)
+    lo = probs.min()
+    if lo < -1e-9:
+        warnings.warn(
+            f"clipping negative outcome probability {lo:.3e} (non-PSD input)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    np.clip(probs, 0.0, None, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    est = np.einsum("ij,ij->i", vals, probs)
+    # centred form: a constant spectrum gives var = 0 up to (ulp)^2, not
+    # the O(ulp) cancellation error of <G^2> - <G>^2
+    dev = vals - est[:, None]
+    var = np.einsum("ij,ij,ij->i", dev, dev, probs)
+    del dev
+    # a deterministic outcome (degenerate spectrum), up to roundoff, keeps
+    # its exact mean
+    live = ~(var <= 1e-18 * np.maximum(1.0, vals.max(axis=1) ** 2))
+    if mode == "shot_multinomial":
+        counts = rng.multinomial(shots, probs[live])
+        est[live] = np.einsum("ij,ij->i", vals[live], counts) / shots
+    else:
+        est[live] += rng.standard_normal(np.count_nonzero(live)) * np.sqrt(var[live] / shots)
     return est

@@ -112,17 +112,28 @@ def expand_in_basis(m, basis: HermitianBasis, sites: int, imag_tol=1e-10) -> np.
     n = d ** sites
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for {sites} sites, got {m.shape}")
-    # Tr(G m) with G = g_{i_1} x ... x g_{i_s} contracts, site by site, the
-    # row index of m with the column index of g and vice versa.
-    x = m.reshape((d,) * (2 * sites))
-    for site in range(sites):
-        x = np.tensordot(x, basis.elements, axes=([site, sites], [2, 1]))
-        x = np.moveaxis(x, -1, site)
+    x = _contract_sites(m, basis.elements, sites)
     scale = max(np.linalg.norm(m), 1e-300)
     imag = np.abs(x.imag).max()
     if imag > imag_tol * max(scale, 1.0):
         raise ValueError(f"coefficients are not real: max imaginary part {imag:.3e}")
     return np.ascontiguousarray(x.real).reshape(-1)
+
+
+def _contract_sites(m, ops, sites: int) -> np.ndarray:
+    """Tensor x[a_1, ..., a_s] = Tr((ops[a_1] x ... x ops[a_s]) m).
+
+    ``ops`` is a stack of single-site d x d operators and m a d^s x d^s
+    block matrix; the result is complex with one axis of len(ops) per site.
+    """
+    d = ops.shape[-1]
+    # Tr(O m) with O = o_{a_1} x ... x o_{a_s} contracts, site by site, the
+    # row index of m with the column index of o and vice versa.
+    x = m.reshape((d,) * (2 * sites))
+    for site in range(sites):
+        x = np.tensordot(x, ops, axes=([site, sites], [2, 1]))
+        x = np.moveaxis(x, -1, site)
+    return x
 
 
 def assemble_from_coefficients(coeffs, basis: HermitianBasis, sites: int) -> np.ndarray:

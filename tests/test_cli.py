@@ -1,11 +1,13 @@
 import csv
+import functools
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from fcs_spectral import cli
-from fcs_spectral.fcs import evaluate_word, marginal, realization_from_dict
+from fcs_spectral import cli, fcs
+from fcs_spectral.fcs import evaluate_word, load_realization, marginal, realization_from_dict
 
 
 def write_config(tmp_path, name, cfg):
@@ -100,6 +102,26 @@ def test_cmd_aklt_worker_pool_matches_sequential(tmp_path):
     seq = run_cli(tmp_path, "aklt", AKLT_CFG, out="seq")
     par = run_cli(tmp_path, "aklt", dict(AKLT_CFG, workers=2), out="par")
     assert (seq / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
+
+
+def test_cmd_aklt_shot_noise_block_size_two(tmp_path):
+    # block size 2 estimates the 2-, 4- and 5-site marginals by shot tomography
+    cfg = {
+        "model": {"kind": "aklt"},
+        "block_size": 2,
+        "truncation": {"mode": "rank", "value": 4},
+        "noise": {"mode": "shot_gaussian"},
+        "shots_sweep": [1000000],
+        "sites": [2, 4],
+        "trials": 1,
+        "seed": 3,
+        "output": "shots.csv",
+    }
+    out = run_cli(tmp_path, "aklt", cfg)
+    rows = read_rows(out / "shots.csv")
+    assert [int(r["sites"]) for r in rows] == [2, 4]
+    assert all(int(r["rank_used"]) == 4 for r in rows)
+    assert all(0.0 < float(r["trace_distance"]) < 0.02 for r in rows)
 
 
 def test_cmd_aklt_shot_noise_mode(tmp_path):
@@ -223,6 +245,33 @@ def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, content, me
     assert message in caplog.records[0].getMessage()
 
 
+def test_stationary_state_failure_exits_2(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(fcs, "stationary_state",
+                        functools.partial(fcs.stationary_state, max_iter=1))
+    cfg = dict(AKLT_CFG, model={"kind": "random", "d_a": 2, "d_b": 2, "seed": 1})
+    cfg_path = write_config(tmp_path, "random.json", cfg)
+    rc = cli.main(["aklt", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--log-level", "error"])
+    assert rc == 2
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+    assert "LinAlgError: stationary state iteration" in caplog.records[0].getMessage()
+
+
+def test_log_level_applies_on_every_call(tmp_path, caplog):
+    cfg_path = write_config(tmp_path, "aklt.json", dict(AKLT_CFG, trials=1))
+    try:
+        for level in ("info", "debug"):
+            caplog.clear()
+            rc = cli.main(["aklt", "--config", str(cfg_path), "--out", str(tmp_path / level),
+                           "--log-level", level])
+            assert rc == 0
+            levels = {r.levelname for r in caplog.records if r.name == "fcs_spectral"}
+            assert ("DEBUG" in levels) == (level == "debug")
+            assert "INFO" in levels
+    finally:
+        logging.getLogger("fcs_spectral").setLevel(logging.NOTSET)
+
+
 def test_cmd_robustness_requires_xis(tmp_path):
     cfg_path = write_config(tmp_path, "r.json", dict(AKLT_CFG))
     rc = cli.main(["robustness", "--config", str(cfg_path), "--out", str(tmp_path),
@@ -254,9 +303,9 @@ def test_cmd_reconstruct_roundtrip(tmp_path, aklt_realization, basis3):
     assert np.abs(recs[2].matrix - marginals[2].matrix).max() <= 1e-8
 
 
-def test_cmd_reconstruct_from_shot_tomography(tmp_path, aklt_realization, basis3):
-    # full estimation path through the file interface: simulate measurement
-    # statistics, write the marginals document, reconstruct via the CLI
+def reconstruct_from_shots(tmp_path, aklt_realization, basis3):
+    """Simulate measurement statistics of the 1-3 site AKLT marginals, write
+    the marginals document and reconstruct from it via the CLI."""
     from fcs_spectral.fcs import DensityMatrix
     from fcs_spectral.noise import make_rng, simulate_tomography
     from fcs_spectral.opbasis import assemble_from_coefficients
@@ -277,13 +326,29 @@ def test_cmd_reconstruct_from_shot_tomography(tmp_path, aklt_realization, basis3
         "sites": [3],
         "marginals_output": "rec.json",
     }
-    out = run_cli(tmp_path, "reconstruct", cfg)
+    return run_cli(tmp_path, "reconstruct", cfg)
+
+
+def test_cmd_reconstruct_from_shot_tomography(tmp_path, aklt_realization, basis3):
+    # full estimation path through the file interface
+    out = reconstruct_from_shots(tmp_path, aklt_realization, basis3)
     assert (out / "realization.json").exists()
     _, recs = cli.load_marginals(out / "rec.json")
     exact3 = marginal(aklt_realization, 3, basis3)
     from fcs_spectral.analysis import trace_distance
 
     assert trace_distance(recs[3].matrix, exact3.matrix, herm_tol=1e-6) < 0.05
+
+
+def test_load_realization_learned_from_shots(tmp_path, aklt_realization, basis3):
+    out = reconstruct_from_shots(tmp_path, aklt_realization, basis3)
+    loaded = load_realization(out / "realization.json", validate=False)
+    doc = json.loads((out / "realization.json").read_text())
+    assert np.array_equal(loaded.kappa, np.asarray(doc["kappa"]))
+    assert loaded.diagnostics["rank"] == 4
+    # an estimate from noisy marginals is not exactly stationary
+    with pytest.raises(ValueError, match="stationarity violated"):
+        load_realization(out / "realization.json")
 
 
 def test_cmd_reconstruct_missing_marginal(tmp_path, aklt_realization, basis3):

@@ -149,6 +149,12 @@ def test_random_cstar_deterministic():
     assert np.array_equal(a.rho0, b.rho0)
 
 
+def test_stationary_state_nonconvergence_is_linalg_error():
+    model = random_cstar(2, 2, 7)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge within 1 steps"):
+        fcs.stationary_state(model.v, 2, 2, max_iter=1)
+
+
 def test_random_cstar_trivial_memory_is_product(basis2):
     model = random_cstar(2, 1, 3)
     r = from_cstar(model)

@@ -4,6 +4,7 @@ import pytest
 from fcs_spectral.fcs import DensityMatrix, marginal
 from fcs_spectral.noise import (
     NoiseSpec,
+    _product_outcomes,
     make_rng,
     perturb_matrix,
     perturb_omega_data,
@@ -11,6 +12,7 @@ from fcs_spectral.noise import (
     simulate_tomography,
     spawn_rng,
 )
+from fcs_spectral.opbasis import block_element, expand_in_basis, gellmann, multi_index
 
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
@@ -167,3 +169,106 @@ def test_reconstruction_error_monotone_in_epsilon(aklt_omega, basis3, aklt_reali
             tds.append(trace_distance_from_coefficients(rec, exact, basis3, 3))
         means.append(np.mean(tds))
     assert all(a < b for a, b in zip(means, means[1:]))
+
+
+# -- product-basis simulator against the per-element oracle --------------------
+
+def _random_state(d, k, seed):
+    rng = np.random.default_rng(seed)
+    n = d ** k
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = g @ g.conj().T
+    return DensityMatrix(matrix=m / np.trace(m).real, dim=d, sites=k)
+
+
+def _reference_outcomes(dm, basis):
+    """Eigenvalues and outcome probabilities of every block element, one
+    Kronecker product and one eigh per element."""
+    out = []
+    for flat in range(basis.size ** dm.sites):
+        g = block_element(basis, multi_index(flat, dm.sites, basis.dim))
+        vals, vecs = np.linalg.eigh(g)
+        probs = np.einsum("ik,ij,jk->k", vecs.conj(), dm.matrix, vecs).real
+        out.append((vals, probs))
+    return out
+
+
+def _by_eigenvalue(vals, probs):
+    # a degenerate eigenspace has no preferred basis; its total probability
+    # Tr(P_lambda rho) does
+    order = np.argsort(vals)
+    v, p = vals[order], probs[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(v) > 1e-9])
+    return v[starts], np.add.reduceat(p, starts)
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_product_outcomes_match_per_element_oracle(d, k):
+    basis = gellmann(d)
+    dm = _random_state(d, k, seed=10 * d + k)
+    vals, probs = _product_outcomes(dm.matrix, basis, k)
+    assert vals.shape == probs.shape == (basis.size ** k, d ** k)
+    for w, (ref_vals, ref_probs) in enumerate(_reference_outcomes(dm, basis)):
+        levels, dist = _by_eigenvalue(vals[w], probs[w])
+        ref_levels, ref_dist = _by_eigenvalue(ref_vals, ref_probs)
+        assert levels.shape == ref_levels.shape, w
+        assert np.abs(levels - ref_levels).max() <= 1e-12, w
+        assert np.abs(dist - ref_dist).max() <= 1e-12, w
+    means = np.einsum("ij,ij->i", vals, probs)
+    assert np.abs(means - expand_in_basis(dm.matrix, basis, k)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
+def test_tomography_two_site_unbiased_and_variance(mode, basis2):
+    dm = _random_state(2, 2, seed=1)
+    exact = expand_in_basis(dm.matrix, basis2, 2)
+    elements = [block_element(basis2, multi_index(w, 2, 2)) for w in range(16)]
+    g_sq = np.array([np.trace(g @ g @ dm.matrix).real for g in elements])
+    shots = 64
+    reps = 1000
+    samples = np.array([
+        simulate_tomography(dm, basis2, shots=shots, rng=spawn_rng(43, i), mode=mode)
+        for i in range(reps)
+    ])
+    var = (g_sq - exact ** 2) / shots
+    nontrivial = var > 1e-18
+    assert np.all(samples[:, ~nontrivial] == exact[~nontrivial])
+    mean = samples.mean(axis=0)
+    se = np.sqrt(var / reps)
+    assert np.all(np.abs(mean - exact)[nontrivial] <= 5 * se[nontrivial])
+    ratio = samples.var(axis=0, ddof=1)[nontrivial] / var[nontrivial]
+    assert np.all((ratio > 0.85) & (ratio < 1.15))
+
+
+@pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tomography_identity_exact_at_three_sites(d, mode):
+    basis = gellmann(d)
+    dm = _random_state(d, 3, seed=5)
+    est = [simulate_tomography(dm, basis, shots=7, rng=make_rng(seed), mode=mode)[0]
+           for seed in (0, 1)]
+    assert est[0] == est[1]
+    assert est[0] == pytest.approx(d ** -1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
+def test_tomography_one_batched_draw_per_marginal(mode, basis2):
+    # the identity row has zero variance and draws nothing; every other
+    # element is drawn in one call, rows in flat block order
+    class Recorder:
+        def __init__(self):
+            self.rng, self.calls = make_rng(0), []
+
+        def multinomial(self, n, pvals):
+            self.calls.append(("multinomial", np.shape(pvals)))
+            return self.rng.multinomial(n, pvals)
+
+        def standard_normal(self, size):
+            self.calls.append(("standard_normal", size))
+            return self.rng.standard_normal(size)
+
+    rec = Recorder()
+    simulate_tomography(_random_state(2, 2, seed=3), basis2, shots=10, rng=rec, mode=mode)
+    expected = {"shot_multinomial": ("multinomial", (15, 4)),
+                "shot_gaussian": ("standard_normal", 15)}
+    assert rec.calls == [expected[mode]]
