@@ -40,7 +40,7 @@ from .linalg import (
     trace_norm_hermitian,
 )
 from .opbasis import assemble_from_coefficients
-from .spectral import OmegaData, empirical_realization, spectral_realization, truncate
+from .spectral import OmegaData, _realize, truncate
 
 __all__ = [
     "GOLDEN_PINV_CONSTANT",
@@ -429,8 +429,7 @@ def _flattened_k_norm(k_a: np.ndarray, k_b: np.ndarray) -> float:
     """2->2 norm of the difference of two transition-map stacks, computed as
     the top singular value of the (m, d^2 * m) flattening."""
     diff = k_a - k_b
-    flat = np.concatenate([diff[a] for a in range(diff.shape[0])], axis=1)
-    return operator_norm_2to2(flat)
+    return operator_norm_2to2(diff.transpose(1, 0, 2).reshape(diff.shape[1], -1))
 
 
 def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, rank: int,
@@ -449,20 +448,25 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, 
                              + ||dTauOmega||_2 / sigma_m(U'^T Omega')
         ||(U'^T U)^{-1}||_{2->2} <= 2 / sqrt(3)
     """
-    sig = sigma_m(od_exact.omega, rank)
+    # Omega, Omega', U'^T Omega and U'^T Omega' are each decomposed once
+    exact_svd = svd(od_exact.omega)
+    if not 1 <= rank <= exact_svd.s.size:
+        raise ValueError(f"m = {rank} out of range [1, {exact_svd.s.size}]")
+    sig = float(exact_svd.s[rank - 1])
     d_op = operator_norm_2to2(od_noisy.omega - od_exact.omega)
     if d_op > sig / 3.0:
         raise PreconditionError(
             f"||dOmega||_{{2->2}} = {d_op:.3e} exceeds sigma_m / 3 = {sig / 3:.3e}"
         )
     tr = truncate(od_noisy.omega, rank=rank)
-    hat = spectral_realization(od_noisy, tr, pinv_tol=pinv_tol)
-    tilde = empirical_realization(od_exact, tr.u_hat, pinv_tol=pinv_tol)
-    u_exact = svd(od_exact.omega).u[:, :rank]
+    hat, proj_hat_svd = _realize(od_noisy, tr.u_hat, pinv_tol)
+    # the empirical realization: exact data in the noisy frame
+    tilde, cross_svd = _realize(od_exact, tr.u_hat, pinv_tol)
+    u_exact = exact_svd.u[:, :rank]
 
-    sigma_hat = sigma_m(od_noisy.omega, rank)
-    sigma_cross = float(np.linalg.svd(tr.u_hat.T @ od_exact.omega, compute_uv=False)[rank - 1])
-    sigma_proj_hat = float(np.linalg.svd(tr.u_hat.T @ od_noisy.omega, compute_uv=False)[rank - 1])
+    sigma_hat = float(tr.retained[rank - 1])
+    sigma_cross = float(cross_svd.s[rank - 1])
+    sigma_proj_hat = float(proj_hat_svd.s[rank - 1])
     denom = min(sigma_hat, sigma_cross) ** 2
 
     d_dot_op = _flattened_k_norm(od_noisy.omega_dot, od_exact.omega_dot)

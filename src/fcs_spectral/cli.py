@@ -29,6 +29,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,79 +52,150 @@ RANK_CSV_COLUMNS = ("model", "left_block", "right_block", "rank")
 # config handling
 # ---------------------------------------------------------------------------
 
-def _load_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    return cfg
+REQUIRED = object()  # table default of a key that has no default
 
 
-def _check_keys(cfg: dict, required: set[str], optional: set[str], command: str):
-    keys = set(cfg)
-    missing = required - keys
-    if missing:
-        raise ValueError(f"{command}: missing config keys {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ValueError(f"{command}: unknown config keys {sorted(unknown)}")
+class Ints(NamedTuple):
+    """Type of an integer key with bounds ``low <= value <= high``."""
+
+    low: int
+    high: float = math.inf
+
+
+class Tagged(NamedTuple):
+    """Type of an object whose ``tag`` key picks the table of its other keys."""
+
+    tag: str
+    tables: dict
+
+
+def _read(value, kind, where: str):
+    """JSON ``value`` checked against the type ``kind`` and converted.
+
+    A type is ``int``, ``float``, ``bool``, ``str``, :class:`Ints`, ``[type]``
+    (a list), a table ``{key: (type, default)}`` or :class:`Tagged`.  ``int``
+    accepts integral numbers such as ``1e4``, ``float`` accepts integers, and
+    neither accepts booleans.  A table rejects unknown keys and requires the
+    keys whose default is ``REQUIRED``; other absent keys take their default
+    as is.  Errors name the path ``where``: a wrong JSON type raises
+    ``TypeError``; a missing or unknown key or a value out of range raises
+    ``ValueError``.
+    """
+    integer = kind is int or isinstance(kind, Ints)
+    if isinstance(kind, (dict, Tagged)):
+        want, ok = "an object", isinstance(value, dict)
+    elif isinstance(kind, list):
+        want, ok = "a list", isinstance(value, list)
+    elif integer:
+        want, ok = "an integer", isinstance(value, int) or (isinstance(value, float)
+                                                            and value.is_integer())
+    elif kind is float:
+        want, ok = "a number", isinstance(value, (int, float))
+    else:
+        want, ok = f"a {kind.__name__}", isinstance(value, kind)
+    if not ok or isinstance(value, bool) and kind is not bool:
+        raise TypeError(f"{where}: expected {want}, got {json.dumps(value)[:60]}")
+    if isinstance(kind, Tagged):
+        tag = value.get(kind.tag)
+        if not isinstance(tag, str) or tag not in kind.tables:
+            raise ValueError(f"{where}.{kind.tag}: expected one of {sorted(kind.tables)}, "
+                             f"got {json.dumps(tag)[:60]}")
+        kind, where = {kind.tag: (str, REQUIRED), **kind.tables[tag]}, f"{where}({tag})"
+    if isinstance(kind, dict):
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {unknown}")
+        out = {}
+        for key, (sub, default) in kind.items():
+            if key in value:
+                out[key] = _read(value[key], sub, f"{where}.{key}")
+            elif default is REQUIRED:
+                raise ValueError(f"{where}.{key}: required key is missing")
+            else:
+                out[key] = default
+        return out
+    if isinstance(kind, list):
+        return [_read(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind is float:
+        return float(value)
+    if isinstance(kind, Ints) and not kind.low <= value <= kind.high:
+        raise ValueError(f"{where}: {value} is outside [{kind.low}, {kind.high}]")
+    return int(value) if integer else value
+
+
+_VERSION = (Ints(1, 1), 1)
+_DENSE_CAP = (int, fcs.DEFAULT_DENSE_CAP)
+_MODEL = (Tagged("kind", {
+    "aklt": {"theta": (float, fcs.AKLT_THETA)},
+    "random": {"d_a": (int, REQUIRED), "d_b": (int, REQUIRED), "seed": (int, REQUIRED)},
+    "product": {"state": ([[float]], REQUIRED)},
+}), REQUIRED)
+_TRUNCATION = (Tagged("mode", {
+    "rank": {"value": (int, REQUIRED)}, "threshold": {"value": (float, REQUIRED)},
+}), REQUIRED)
+_TI = {
+    "version": _VERSION, "model": _MODEL, "truncation": _TRUNCATION,
+    "sites": ([Ints(1)], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": (int, REQUIRED),
+    "block_size": (Ints(1), 1),
+    # shot counts come from the top-level "shots_sweep" list
+    "noise": ({"mode": (str, noise.NoiseSpec.mode),
+               "epsilon_prime": (float, noise.NoiseSpec.epsilon_prime)}, {}),
+    "epsilons": ([float], None), "shots_sweep": ([int], None),
+    "dense_cap": _DENSE_CAP, "timing": (bool, False), "workers": (int, 1),
+    "bound_variant": (str, "general"), "svg": (str, None),
+}
+
+# The config schema of every command: key -> (type, default); see _read.
+TABLES = {
+    "aklt": {**_TI, "output": (str, "aklt.csv")},
+    "robustness": {**_TI, "output": (str, "robustness.csv"), "xis": ([float], REQUIRED)},
+    "rank-scan": {
+        "version": _VERSION, "model": _MODEL, "max_block": (Ints(1), REQUIRED),
+        "tol": (float, 1e-9), "output": (str, "rank_scan.csv"), "dense_cap": _DENSE_CAP,
+    },
+    "nonhomog": {
+        "version": _VERSION,
+        "chain": ({"n_sites": (int, REQUIRED), "d_a": (int, REQUIRED), "d_b": (int, REQUIRED),
+                   "seed": (int, REQUIRED), "stationary": (bool, False)}, REQUIRED),
+        "left_width": (Ints(1), REQUIRED), "right_width": (Ints(1), REQUIRED),
+        "epsilons": ([float], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": (int, REQUIRED),
+        "rank_tol": (float, 1e-9), "output": (str, "nonhomog.csv"), "dense_cap": _DENSE_CAP,
+        "timing": (bool, False),
+    },
+    "lemma-check": {
+        "version": _VERSION, "seed": (int, REQUIRED), "count": (int, 1000),
+        "max_dim": (int, 30), "slack": (float, 1e-9), "output": (str, "lemma_report.json"),
+        "models_seeds": (int, 20), "noise_factors": ([float], [0.01, 0.1, 0.9]),
+    },
+    "reconstruct": {
+        "version": _VERSION, "input": (str, REQUIRED), "block_size": (Ints(1), REQUIRED),
+        "truncation": _TRUNCATION, "sites": ([int], []), "output": (str, "realization.json"),
+        "marginals_output": (str, "reconstructed_marginals.json"), "dense_cap": _DENSE_CAP,
+        "pinv_tol": (float, 1e-12),
+    },
+}
+
+_MARGINALS = {
+    "version": (Ints(1, 1), REQUIRED),
+    "d": (int, REQUIRED),
+    "marginals": ([{"sites": (int, REQUIRED), "matrix": ([[[float]]], REQUIRED)}], REQUIRED),
+}
 
 
 def _build_model(spec: dict):
-    """Returns (model_id, Realization, info) for a TI model spec."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("model spec must be an object with a 'kind' key")
+    """Returns (model_id, Realization, d_b) for a read model spec."""
     kind = spec["kind"]
     if kind == "aklt":
-        theta = float(spec.get("theta", fcs.AKLT_THETA))
-        extra = set(spec) - {"kind", "theta"}
-        if extra:
-            raise ValueError(f"aklt model: unknown keys {sorted(extra)}")
-        cstar = fcs.aklt(theta)
-        r = fcs.from_cstar(cstar)
-        return f"aklt(theta={theta:.6g})", r, {"d_a": 3, "d_b": 2}
+        theta = spec["theta"]
+        return f"aklt(theta={theta:.6g})", fcs.from_cstar(fcs.aklt(theta)), 2
     if kind == "random":
-        extra = set(spec) - {"kind", "d_a", "d_b", "seed"}
-        if extra:
-            raise ValueError(f"random model: unknown keys {sorted(extra)}")
-        d_a, d_b, seed = int(spec["d_a"]), int(spec["d_b"]), int(spec["seed"])
-        cstar = fcs.random_cstar(d_a, d_b, seed)
-        r = fcs.from_cstar(cstar)
-        return f"random(d_a={d_a};d_b={d_b};seed={seed})", r, {"d_a": d_a, "d_b": d_b}
-    if kind == "product":
-        extra = set(spec) - {"kind", "state"}
-        if extra:
-            raise ValueError(f"product model: unknown keys {sorted(extra)}")
-        vec = np.array([complex(re, im) for re, im in spec["state"]])
-        vec = vec / np.linalg.norm(vec)
-        d = vec.size
-        r = fcs.product_realization(np.outer(vec, vec.conj()), gellmann(d))
-        return f"product(d={d})", r, {"d_a": d, "d_b": 1}
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _truncation_from_config(spec: dict):
-    if not isinstance(spec, dict) or spec.get("mode") not in ("rank", "threshold"):
-        raise ValueError("truncation must be {'mode': 'rank'|'threshold', 'value': ...}")
-    extra = set(spec) - {"mode", "value"}
-    if extra:
-        raise ValueError(f"truncation: unknown keys {sorted(extra)}")
-    if spec["mode"] == "rank":
-        return {"rank": int(spec["value"])}
-    return {"threshold": float(spec["value"])}
-
-
-def _noise_from_config(spec: dict | None) -> noise.NoiseSpec:
-    if spec is None:
-        return noise.NoiseSpec()
-    extra = set(spec) - {"mode", "epsilon_prime"}
-    if extra:
-        # shot counts come from the top-level "shots_sweep" list
-        raise ValueError(f"noise: unknown keys {sorted(extra)}")
-    return noise.NoiseSpec(
-        mode=spec.get("mode", "gaussian_matrix"),
-        epsilon_prime=spec.get("epsilon_prime"),
-    )
+        d_a, d_b, seed = spec["d_a"], spec["d_b"], spec["seed"]
+        r = fcs.from_cstar(fcs.random_cstar(d_a, d_b, seed))
+        return f"random(d_a={d_a};d_b={d_b};seed={seed})", r, d_b
+    vec = np.array([complex(re, im) for re, im in spec["state"]])
+    vec = vec / np.linalg.norm(vec)
+    d = vec.size
+    return f"product(d={d})", fcs.product_realization(np.outer(vec, vec.conj()), gellmann(d)), 1
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +289,6 @@ def _write_svg_scatter(path: Path, rows):
 # translation-invariant sweep (aklt, robustness)
 # ---------------------------------------------------------------------------
 
-_TI_REQUIRED = {"model", "truncation", "sites", "trials", "seed"}
-_TI_OPTIONAL = {"version", "block_size", "noise", "epsilons", "shots_sweep", "output",
-                "dense_cap", "timing", "workers", "bound_variant", "xis", "svg"}
-
 _WORKER_CTX: dict = {}
 
 
@@ -230,64 +298,41 @@ def _init_ti_worker(ctx: dict):
 
 
 def _prepare_ti_context(cfg: dict, command: str) -> dict:
-    _check_keys(cfg, _TI_REQUIRED, _TI_OPTIONAL, command)
-    model_id, r, info = _build_model(cfg["model"])
-    s = int(cfg.get("block_size", 1))
-    cap = int(cfg.get("dense_cap", fcs.DEFAULT_DENSE_CAP))
+    """The read config plus the model, its exact data and the resolved sweep."""
+    model_id, r, d_b = _build_model(cfg["model"])
+    s, cap, sites = cfg["block_size"], cfg["dense_cap"], cfg["sites"]
     basis = gellmann(r.d_a)
     od = spectral.build_omega(r, basis, s_left=s, s_right=s, cap=cap)
-    trunc = _truncation_from_config(cfg["truncation"])
-    nspec = _noise_from_config(cfg.get("noise"))
-    if nspec.mode == "gaussian_matrix":
-        if "epsilons" not in cfg:
-            raise ValueError(f"{command}: gaussian noise requires 'epsilons'")
-        sweep = [float(x) for x in cfg["epsilons"]]
-    else:
-        if command == "robustness":
-            raise ValueError("robustness: only gaussian_matrix noise is supported")
-        if "shots_sweep" not in cfg:
-            raise ValueError(f"{command}: shot noise requires 'shots_sweep'")
-        sweep = [int(x) for x in cfg["shots_sweep"]]
-    sites = [int(t) for t in cfg["sites"]]
+    trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
+    nspec = noise.NoiseSpec(**cfg["noise"])
+    sweep_key = "epsilons" if nspec.mode == "gaussian_matrix" else "shots_sweep"
+    if command == "robustness" and nspec.mode != "gaussian_matrix":
+        raise ValueError("robustness.noise.mode: only gaussian_matrix noise is supported")
+    if cfg[sweep_key] is None:
+        raise ValueError(f"{command}.{sweep_key}: required by {nspec.mode} noise")
     if any(r.d_a ** t > cap for t in sites):
-        raise ValueError(f"{command}: a requested size exceeds the dense cap {cap}")
+        raise ValueError(f"{command}.sites: a requested size exceeds the dense cap {cap}")
     # resolve the truncation rank on exact data (threshold mode varies per
     # trial; the exact rank still fixes the surrogate scale)
-    tr_exact = spectral.truncate(od.omega, **trunc)
-    exact_rank = tr_exact.rank
-    sigma_exact = analysis.sigma_m(od.omega, exact_rank)
-    variant = cfg.get("bound_variant", "general")
-    scale = info.get("d_b", exact_rank) if variant == "cstar" else exact_rank
-    exact_coeffs = {t: fcs.word_coefficient_tensor(r.rho, r.kappa, r.e, t) for t in sites}
-    xis = [float(x) for x in cfg.get("xis", [0.0])]
-    if command == "aklt" and "xis" in cfg:
-        raise ValueError("aklt: 'xis' is only valid for the robustness command")
-    # mixing target: the maximally mixed state, via Omega-data linearity
-    od_mm = _maximally_mixed_omega(r.d_a, s, basis) if command == "robustness" else None
+    exact_rank = spectral.truncate(od.omega, **trunc).rank
     return {
+        **cfg,
         "command": command,
         "model_id": model_id,
-        "d_a": r.d_a,
         "basis": basis,
         "od": od,
-        "od_mm": od_mm,
+        # mixing target: the maximally mixed state, via Omega-data linearity
+        "od_mm": _maximally_mixed_omega(r.d_a, s, basis) if command == "robustness" else None,
         "marginals": {
             k: fcs.marginal(r, k, basis, cap=cap)
             for k in ((s, 2 * s, 2 * s + 1) if nspec.mode != "gaussian_matrix" else ())
         },
-        "block_size": s,
         "trunc": trunc,
         "noise": nspec,
-        "sweep": sweep,
-        "sites": sites,
-        "trials": int(cfg["trials"]),
-        "seed": int(cfg["seed"]),
-        "sigma_exact": sigma_exact,
-        "scale": scale,
-        "variant": variant,
-        "exact_coeffs": exact_coeffs,
-        "timing": bool(cfg.get("timing", False)),
-        "xis": xis,
+        "sweep": cfg[sweep_key],
+        "sigma_exact": analysis.sigma_m(od.omega, exact_rank),
+        "scale": d_b if cfg["bound_variant"] == "cstar" else exact_rank,
+        "exact_coeffs": {t: fcs.word_coefficient_tensor(r.rho, r.kappa, r.e, t) for t in sites},
     }
 
 
@@ -326,17 +371,17 @@ def _run_ti_trial(task):
         basis = ctx["basis"]
         s = ctx["block_size"]
         ests = [
-            noise.simulate_tomography(ctx["marginals"][k], basis, int(value), rng, mode=nspec.mode)
+            noise.simulate_tomography(ctx["marginals"][k], basis, value, rng, mode=nspec.mode)
             for k in (s, 2 * s, 2 * s + 1)
         ]
-        od_hat = spectral.omega_data_from_coefficients(*ests, d_a=ctx["d_a"], s=s)
+        od_hat = spectral.omega_data_from_coefficients(*ests, d_a=basis.dim, s=s)
     tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
     sr = spectral.spectral_realization(od_hat, tr)
     # deviations are measured from the underlying exact model, so in the
     # robustness command they include the mixing contribution
     params = {
         t: analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"],
-                                         ctx["scale"], t, variant=ctx["variant"])
+                                         ctx["scale"], t, variant=ctx["bound_variant"])
         for t in ctx["sites"]
     }
     model_id = ctx["model_id"]
@@ -366,15 +411,14 @@ def _run_ti_trial(task):
 
 def _run_ti_sweep(cfg: dict, out_dir: Path, command: str) -> Path:
     ctx = _prepare_ti_context(cfg, command)
-    workers = int(cfg.get("workers", 1))
     tasks = [
         (xi_idx, sweep_idx, trial)
         for xi_idx in range(len(ctx["xis"]))
         for sweep_idx in range(len(ctx["sweep"]))
         for trial in range(ctx["trials"])
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_ti_worker,
+    if cfg["workers"] > 1:
+        with ProcessPoolExecutor(max_workers=cfg["workers"], initializer=_init_ti_worker,
                                  initargs=(ctx,)) as pool:
             chunks = list(pool.map(_run_ti_trial, tasks))
     else:
@@ -383,25 +427,24 @@ def _run_ti_sweep(cfg: dict, out_dir: Path, command: str) -> Path:
     keyed = [row for chunk in chunks for row in chunk]
     keyed.sort(key=lambda kr: kr[0])
     rows = [r for _, r in keyed]
-    out = out_dir / cfg.get("output", f"{command}.csv")
+    out = out_dir / cfg["output"]
     _write_csv(out, CSV_COLUMNS, rows)
-    if cfg.get("svg"):
-        _write_svg_scatter(out_dir / str(cfg["svg"]), rows)
+    if cfg["svg"]:
+        _write_svg_scatter(out_dir / cfg["svg"], rows)
     return out
 
 
 def cmd_aklt(cfg: dict, out_dir: Path) -> Path:
     """Noise sweep on a translation-invariant model; one perturbation per
     trial shared across all reconstruction sizes."""
-    return _run_ti_sweep(cfg, out_dir, "aklt")
+    cfg = _read(cfg, TABLES["aklt"], "aklt")
+    return _run_ti_sweep({**cfg, "xis": [0.0]}, out_dir, "aklt")
 
 
 def cmd_robustness(cfg: dict, out_dir: Path) -> Path:
     """Same sweep on the state mixed with the maximally mixed state at
     weights xi; xi = 0 reproduces the aklt command's numbers."""
-    if "xis" not in cfg:
-        raise ValueError("robustness: config must list 'xis'")
-    return _run_ti_sweep(cfg, out_dir, "robustness")
+    return _run_ti_sweep(_read(cfg, TABLES["robustness"], "robustness"), out_dir, "robustness")
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +452,10 @@ def cmd_robustness(cfg: dict, out_dir: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
-    _check_keys(cfg, {"model", "max_block"},
-                {"version", "tol", "output", "dense_cap"}, "rank-scan")
+    cfg = _read(cfg, TABLES["rank-scan"], "rank-scan")
     model_id, r, _ = _build_model(cfg["model"])
-    basis = gellmann(r.d_a)
-    cap = int(cfg.get("dense_cap", fcs.DEFAULT_DENSE_CAP))
-    profile = fcs.rank_profile(r, basis, int(cfg["max_block"]),
-                               tol=float(cfg.get("tol", 1e-9)), cap=cap)
+    profile = fcs.rank_profile(r, gellmann(r.d_a), cfg["max_block"], tol=cfg["tol"],
+                               cap=cfg["dense_cap"])
     t1, t2 = fcs.t_star(profile)
     log.info("rank profile stabilizes at rank %d; t* = (left %d, right %d)",
              profile[-1, -1], t1, t2)
@@ -423,7 +463,7 @@ def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
     for i in range(profile.shape[0]):
         for j in range(profile.shape[1]):
             rows.append([model_id, j + 1, i + 1, int(profile[i, j])])
-    out = out_dir / cfg.get("output", "rank_scan.csv")
+    out = out_dir / cfg["output"]
     _write_csv(out, RANK_CSV_COLUMNS, rows)
     return out
 
@@ -433,46 +473,32 @@ def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
-    _check_keys(
-        cfg,
-        {"chain", "left_width", "right_width", "epsilons", "trials", "seed"},
-        {"version", "rank_tol", "output", "dense_cap", "timing"},
-        "nonhomog",
-    )
-    chain_spec = cfg["chain"]
-    extra = set(chain_spec) - {"n_sites", "d_a", "d_b", "seed", "stationary"}
-    if extra:
-        raise ValueError(f"chain spec: unknown keys {sorted(extra)}")
-    n = int(chain_spec["n_sites"])
-    chain = fcs.random_chain(n, int(chain_spec["d_a"]), int(chain_spec["d_b"]),
-                             int(chain_spec["seed"]),
-                             stationary=bool(chain_spec.get("stationary", False)))
-    model_id = (f"chain(n={n};d_a={chain.d_a};d_b={chain.d_b};"
-                f"seed={int(chain_spec['seed'])})")
-    cap = int(cfg.get("dense_cap", fcs.DEFAULT_DENSE_CAP))
+    cfg = _read(cfg, TABLES["nonhomog"], "nonhomog")
+    spec = cfg["chain"]
+    n = spec["n_sites"]
+    chain = fcs.random_chain(n, spec["d_a"], spec["d_b"], spec["seed"],
+                             stationary=spec["stationary"])
+    model_id = f"chain(n={n};d_a={chain.d_a};d_b={chain.d_b};seed={spec['seed']})"
     basis = gellmann(chain.d_a)
-    state = fcs.chain_state(chain, cap=cap)
+    state = fcs.chain_state(chain, cap=cfg["dense_cap"])
     exact_coeffs = state.coefficients(basis)
-    lw, rw = int(cfg["left_width"]), int(cfg["right_width"])
-    cod = spectral.build_chain_omega(state, basis, lw, rw)
-    rank_tol = float(cfg.get("rank_tol", 1e-9))
+    cod = spectral.build_chain_omega(state, basis, cfg["left_width"], cfg["right_width"])
     # ranks[j-1] and sigmas[j-1]: numerical rank and smallest retained
     # singular value of the exact window form at site j
     ranks, sigmas = [], []
     for j in range(1, n):
         sv = np.linalg.svd(cod.omegas[j], compute_uv=False)
-        ranks.append(numerical_rank(sv, rank_tol))
+        ranks.append(numerical_rank(sv, cfg["rank_tol"]))
         if ranks[-1] == 0:
             raise ValueError(f"nonhomog: no singular value of the exact window form at "
                              f"site {j} exceeds rank_tol * sigma_1")
         sigmas.append(float(sv[ranks[-1] - 1]))
     log.info("exact window ranks: %s", ranks)
     sigma_min = min(sigmas)
-    timing = bool(cfg.get("timing", False))
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     rows = []
-    for eps_idx, eps in enumerate(float(x) for x in cfg["epsilons"]):
-        for trial in range(int(cfg["trials"])):
+    for eps_idx, eps in enumerate(cfg["epsilons"]):
+        for trial in range(cfg["trials"]):
             t0 = time.perf_counter()
             rng = noise.spawn_rng(seed, eps_idx, trial)
             cod_hat = noise.perturb_chain_omega(cod, eps, eps, rng) if eps else cod
@@ -481,10 +507,10 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
             td = analysis.trace_distance_from_coefficients(rec_coeffs, exact_coeffs, basis, n)
             hs = float(np.linalg.norm(rec_coeffs - exact_coeffs))
             bound = _nonhomog_bound(cod, cod_hat, ranks, sigmas, chain.d_a, n)
-            wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
+            wall = (time.perf_counter() - t0) * 1e3 if cfg["timing"] else 0.0
             rows.append([model_id, n, eps, seed, trial, td, hs, sigma_min,
                          max(ranks), bound, wall, td / n])
-    out = out_dir / cfg.get("output", "nonhomog.csv")
+    out = out_dir / cfg["output"]
     _write_csv(out, CSV_COLUMNS, rows)
     return out
 
@@ -522,17 +548,8 @@ def _nonhomog_bound(cod, cod_hat, ranks, sigmas, d_a: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_lemma_check(cfg: dict, out_dir: Path) -> Path:
-    _check_keys(
-        cfg,
-        {"seed"},
-        {"version", "count", "max_dim", "slack", "output", "models_seeds",
-         "noise_factors"},
-        "lemma-check",
-    )
-    seed = int(cfg["seed"])
-    count = int(cfg.get("count", 1000))
-    max_dim = int(cfg.get("max_dim", 30))
-    slack = float(cfg.get("slack", 1e-9))
+    cfg = _read(cfg, TABLES["lemma-check"], "lemma-check")
+    seed, count, max_dim, slack = cfg["seed"], cfg["count"], cfg["max_dim"], cfg["slack"]
     rng = noise.make_rng(seed)
     suites = {
         "singular_value_perturbation": _sweep_sv_perturbation(rng, count, max_dim, slack),
@@ -540,15 +557,11 @@ def cmd_lemma_check(cfg: dict, out_dir: Path) -> Path:
         "singular_subspace_stability": _sweep_subspace_stability(rng, count, max_dim, slack),
         "projected_sigma_stability": _sweep_projected_sigma(rng, count, max_dim, slack),
         "realization_estimate_bounds": _sweep_estimate_bounds(
-            seed,
-            int(cfg.get("models_seeds", 20)),
-            [float(x) for x in cfg.get("noise_factors", [0.01, 0.1, 0.9])],
-            slack,
-        ),
+            seed, cfg["models_seeds"], cfg["noise_factors"], slack),
     }
     doc = {"version": 1, "seed": seed, "count": count, "max_dim": max_dim,
            "slack": slack, "suites": suites}
-    out = out_dir / cfg.get("output", "lemma_report.json")
+    out = out_dir / cfg["output"]
     _write_json(out, doc)
     return out
 
@@ -647,13 +660,6 @@ def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
 # reconstruct from a marginals file
 # ---------------------------------------------------------------------------
 
-def _complex_matrix_from_json(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise ValueError("matrix must be a square grid of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def _complex_matrix_to_json(m: np.ndarray):
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
@@ -665,17 +671,15 @@ def load_marginals(path) -> tuple[int, dict[int, fcs.DensityMatrix]]:
      "marginals": [{"sites": k, "matrix": [[[re, im], ...], ...]}, ...]}
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported marginals document version {doc.get('version')!r}")
-    d = int(doc["d"])
+        doc = _read(json.load(fh), _MARGINALS, "marginals")
+    d = doc["d"]
     out = {}
-    for entry in doc["marginals"]:
-        k = int(entry["sites"])
-        m = _complex_matrix_from_json(entry["matrix"])
-        if m.shape != (d ** k, d ** k):
-            raise ValueError(f"marginal for {k} sites has shape {m.shape}")
-        out[k] = fcs.DensityMatrix(matrix=m, dim=d, sites=k)
+    for i, entry in enumerate(doc["marginals"]):
+        k, arr = entry["sites"], np.asarray(entry["matrix"], dtype=float)
+        if arr.shape != (d ** k, d ** k, 2):
+            raise ValueError(f"marginals.marginals[{i}].matrix: a {k}-site marginal must be "
+                             f"a {d ** k} x {d ** k} grid of [re, im] pairs")
+        out[k] = fcs.DensityMatrix(matrix=arr[..., 0] + 1j * arr[..., 1], dim=d, sites=k)
     return d, out
 
 
@@ -692,14 +696,9 @@ def save_marginals(path, d: int, marginals: dict[int, fcs.DensityMatrix]):
 
 
 def cmd_reconstruct(cfg: dict, out_dir: Path) -> Path:
-    _check_keys(
-        cfg,
-        {"input", "block_size", "truncation"},
-        {"version", "sites", "output", "marginals_output", "dense_cap", "pinv_tol"},
-        "reconstruct",
-    )
+    cfg = _read(cfg, TABLES["reconstruct"], "reconstruct")
     d, marginals = load_marginals(cfg["input"])
-    s = int(cfg["block_size"])
+    s = cfg["block_size"]
     for k in (s, 2 * s, 2 * s + 1):
         if k not in marginals:
             raise ValueError(f"reconstruct: input lacks the {k}-site marginal")
@@ -707,16 +706,13 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> Path:
     od = spectral.build_omega_from_marginals(
         marginals[s], marginals[2 * s], marginals[2 * s + 1], basis
     )
-    tr = spectral.truncate(od.omega, **_truncation_from_config(cfg["truncation"]))
-    sr = spectral.spectral_realization(od, tr, pinv_tol=float(cfg.get("pinv_tol", 1e-12)))
-    out = out_dir / cfg.get("output", "realization.json")
+    tr = spectral.truncate(od.omega, **{cfg["truncation"]["mode"]: cfg["truncation"]["value"]})
+    sr = spectral.spectral_realization(od, tr, pinv_tol=cfg["pinv_tol"])
+    out = out_dir / cfg["output"]
     _write_json(out, fcs.realization_to_dict(sr))
-    sites = [int(t) for t in cfg.get("sites", [])]
-    if sites:
-        cap = int(cfg.get("dense_cap", fcs.DEFAULT_DENSE_CAP))
-        recon = {t: fcs.marginal(sr, t, basis, cap=cap) for t in sites}
-        save_marginals(out_dir / cfg.get("marginals_output", "reconstructed_marginals.json"),
-                       d, recon)
+    if cfg["sites"]:
+        recon = {t: fcs.marginal(sr, t, basis, cap=cfg["dense_cap"]) for t in cfg["sites"]}
+        save_marginals(out_dir / cfg["marginals_output"], d, recon)
     return out
 
 
@@ -754,7 +750,8 @@ def main(argv=None) -> int:
     log.debug("%s: config %s, output directory %s", args.command, args.config, args.out)
     out_dir = Path(args.out)
     try:
-        cfg = _load_config(args.config)
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out_dir)
     except (ValueError, KeyError, TypeError, OSError) as exc:

@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,21 +229,77 @@ def test_cmd_robustness_xi_zero_matches_aklt(tmp_path):
         assert 1.6 <= ratio <= 2.4
 
 
-@pytest.mark.parametrize("content, message", [
-    (json.dumps(dict(AKLT_CFG, epsilons=1e-3)), "TypeError"),
-    (json.dumps(AKLT_CFG)[:40], "JSONDecodeError"),
-    (None, "FileNotFoundError"),
-], ids=["number-for-list", "truncated-json", "missing-file"])
-def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, content, message):
+def aklt_with(**changes):
+    return "aklt", json.dumps(dict(AKLT_CFG, **changes))
+
+
+# TMP in a config stands for the test's directory, which holds a marginals
+# file "list.json" whose document is a JSON list
+MARGINALS_LIST_CFG = json.dumps({"input": "TMP/list.json", "block_size": 1,
+                                 "truncation": {"mode": "rank", "value": 4}})
+
+
+@pytest.mark.parametrize("command, content, message", [
+    (*aklt_with(epsilons=1e-3), "TypeError"),
+    ("aklt", json.dumps(AKLT_CFG)[:40], "JSONDecodeError"),
+    ("aklt", None, "FileNotFoundError"),
+    (*aklt_with(sites="23"), "TypeError: aklt.sites: expected a list"),
+    (*aklt_with(trials=2.9), "TypeError: aklt.trials: expected an integer"),
+    (*aklt_with(trials=True), "TypeError: aklt.trials: expected an integer"),
+    (*aklt_with(timing="false"), "TypeError: aklt.timing: expected a bool"),
+    (*aklt_with(version=99), "ValueError: aklt.version: 99 is outside [1, 1]"),
+    (*aklt_with(model={"kind": "aklt", "theta": "0.5"}),
+     "TypeError: aklt.model(aklt).theta: expected a number"),
+    (*aklt_with(truncation={"mode": "rank", "value": [4]}),
+     "TypeError: aklt.truncation(rank).value: expected an integer"),
+    (*aklt_with(noise=["shot_gaussian"]), "TypeError: aklt.noise: expected an object"),
+    (*aklt_with(sites=[0]), "ValueError: aklt.sites[0]: 0 is outside [1, inf]"),
+    (*aklt_with(trials=-1), "ValueError: aklt.trials: -1 is outside [0, inf]"),
+    (*aklt_with(block_size=0), "ValueError: aklt.block_size: 0 is outside [1, inf]"),
+    ("reconstruct", MARGINALS_LIST_CFG, "TypeError: marginals: expected an object"),
+], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
+        "fractional-trials", "bool-trials", "string-timing", "unknown-version",
+        "string-theta", "list-truncation-value", "list-noise", "zero-site",
+        "negative-trials", "zero-block-size", "list-marginals-file"])
+def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
+                                                   message):
     # an exception escaping main would fail the test with its traceback
+    (tmp_path / "list.json").write_text("[]")
     cfg_path = tmp_path / "cfg.json"
     if content is not None:
-        cfg_path.write_text(content)
-    rc = cli.main(["aklt", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+        cfg_path.write_text(content.replace("TMP", str(tmp_path)))
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                    "--log-level", "error"])
     assert rc == 2
     assert [r.levelname for r in caplog.records] == ["ERROR"]
     assert message in caplog.records[0].getMessage()
+
+
+def test_zero_trials_writes_header_only(tmp_path):
+    out = run_cli(tmp_path, "aklt", dict(AKLT_CFG, trials=0))
+    assert (out / "aklt.csv").read_text() == ",".join(cli.CSV_COLUMNS) + "\n"
+
+
+def table_keys(kind):
+    """Every key of a config type, nested tables included."""
+    if isinstance(kind, cli.Tagged):
+        yield kind.tag
+        for table in kind.tables.values():
+            yield from table_keys(table)
+    elif isinstance(kind, dict):
+        for key, (sub, _) in kind.items():
+            yield key
+            yield from table_keys(sub)
+    elif isinstance(kind, list):
+        yield from table_keys(kind[0])
+
+
+@pytest.mark.parametrize("command", sorted(cli.TABLES))
+def test_readme_documents_every_config_key(command):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = sorted({key for key in table_keys(cli.TABLES[command])
+                      if f"`{key}`" not in readme})
+    assert not missing, f"README.md does not document {command} keys {missing}"
 
 
 def test_stationary_state_failure_exits_2(tmp_path, caplog, monkeypatch):

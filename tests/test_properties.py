@@ -1,6 +1,8 @@
 """Property tests of the word-contraction kernel and the realization maps
 built on it: gauge invariance, single words against the word tensor, and
-per-site chain maps against a brute-force matrix product."""
+per-site chain maps against a brute-force matrix product; exact round trips
+of the Hermitian basis expansion, and linearity of the Omega data in the
+marginals."""
 
 import itertools
 
@@ -8,8 +10,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcs_spectral.fcs import Realization, evaluate_word, word_coefficient_tensor, word_rows
-from fcs_spectral.spectral import NonhomogReconstruction
+from fcs_spectral.fcs import (DensityMatrix, Realization, evaluate_word,
+                              word_coefficient_tensor, word_rows)
+from fcs_spectral.opbasis import assemble_from_coefficients, expand_in_basis, gellmann
+from fcs_spectral.spectral import NonhomogReconstruction, build_omega_from_marginals
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -20,6 +24,11 @@ def random_realization(rng, d_a: int, m: int) -> Realization:
     """Random (not stationary, not normalized) real realization data."""
     return Realization(d_a=d_a, kappa=rng.standard_normal((d_a ** 2, m, m)) / m,
                        e=rng.standard_normal(m), rho=rng.standard_normal(m))
+
+
+def random_hermitian(rng, n: int) -> np.ndarray:
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
 
 
 def well_conditioned(rng, m: int) -> np.ndarray:
@@ -94,3 +103,40 @@ def test_word_rows_agree_from_either_end(seed, n_sites, nb, widths):
     a = from_left[-1] @ right
     b = from_right[-1] @ left
     assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(seed=seeds, d=st.integers(2, 3), sites=st.integers(1, 3))
+def test_basis_expansion_round_trips(seed, d, sites):
+    rng = np.random.default_rng(seed)
+    basis = gellmann(d)
+    h = random_hermitian(rng, d ** sites)
+    c = expand_in_basis(h, basis, sites)
+    assert np.abs(assemble_from_coefficients(c, basis, sites) - h).max() <= 1e-13 * np.abs(h).max()
+    coeffs = rng.standard_normal(basis.size ** sites)
+    back = expand_in_basis(assemble_from_coefficients(coeffs, basis, sites), basis, sites)
+    assert np.abs(back - coeffs).max() <= 1e-13 * np.abs(coeffs).max()
+
+
+@SETTINGS
+@given(seed=seeds, ds=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
+def test_omega_data_linear_in_marginals(seed, ds, a, b):
+    # the robustness command mixes Omega data instead of marginals
+    rng = np.random.default_rng(seed)
+    d, s = ds
+    basis = gellmann(d)
+    sizes = (s, 2 * s, 2 * s + 1)
+    first = [random_hermitian(rng, d ** k) for k in sizes]
+    second = [random_hermitian(rng, d ** k) for k in sizes]
+
+    def omega_data(mats):
+        return build_omega_from_marginals(
+            *(DensityMatrix(matrix=m, dim=d, sites=k) for m, k in zip(mats, sizes)), basis)
+
+    mixed = omega_data([a * x + b * y for x, y in zip(first, second)])
+    od_x, od_y = omega_data(first), omega_data(second)
+    for name in ("omega", "omega_dot", "omega_one", "tau_omega"):
+        x, y = getattr(od_x, name), getattr(od_y, name)
+        scale = abs(a) * np.abs(x).max() + abs(b) * np.abs(y).max()
+        assert np.abs(getattr(mixed, name) - (a * x + b * y)).max() <= 1e-13 * max(scale, 1.0)
