@@ -36,6 +36,7 @@ from .linalg import (
     numerical_rank,
     operator_norm_2to2,
     pseudoinverse,
+    singular_values,
     svd,
     trace_norm_hermitian,
 )
@@ -225,7 +226,7 @@ def precision_budget(target_epsilon: float, sigma: float, scale: int, d_a: int,
 
 def sigma_m(omega, m: int) -> float:
     """m-th singular value of an Omega matrix."""
-    s = np.linalg.svd(np.asarray(omega, dtype=float), compute_uv=False)
+    s = singular_values(np.asarray(omega, dtype=float))
     if not 1 <= m <= s.size:
         raise ValueError(f"m = {m} out of range [1, {s.size}]")
     return float(s[m - 1])
@@ -298,8 +299,8 @@ def check_singular_value_perturbation(a, e, slack: float = 1e-9) -> CheckReport:
     e = np.asarray(e, dtype=float)
     if a.shape != e.shape:
         raise PreconditionError(f"shape mismatch {a.shape} vs {e.shape}")
-    s = np.linalg.svd(a, compute_uv=False)
-    s_t = np.linalg.svd(a + e, compute_uv=False)
+    s = singular_values(a)
+    s_t = singular_values(a + e)
     bound = operator_norm_2to2(e)
     report = CheckReport(name="singular_value_perturbation",
                          precondition={"shape": list(a.shape)})
@@ -353,8 +354,7 @@ def check_singular_subspace_stability(a, e, epsilon: float, slack: float = 1e-9)
         raise PreconditionError(
             f"||E|| = {e_norm:.3e} exceeds epsilon * sigma_n = {epsilon * s[-1]:.3e}"
         )
-    u_full, s_t, _ = np.linalg.svd(a + e, full_matrices=True)
-    u_perp = u_full[:, cols:]
+    u_t, s_t, _ = svd(a + e)
     report = CheckReport(
         name="singular_subspace_stability",
         precondition={"shape": list(a.shape), "epsilon": epsilon,
@@ -365,8 +365,9 @@ def check_singular_subspace_stability(a, e, epsilon: float, slack: float = 1e-9)
                         lhs=(1 - epsilon) * float(s[-1]), rhs=float(s_t[cols - 1]),
                         slack=slack)
     )
-    if u_perp.shape[1]:
-        lhs2 = operator_norm_2to2(u_perp.T @ u)
+    if rows > cols:
+        # ||U_perp'^T U|| = ||(I - U' U'^T) U|| with the thin left frame U'
+        lhs2 = operator_norm_2to2(u - u_t @ (u_t.T @ u))
         rhs2 = e_norm / float(s_t[cols - 1])
         report.inequalities.append(
             InequalityCheck(name="||U_perp'^T U|| <= ||E|| / sigma_n'",
@@ -405,9 +406,9 @@ def check_projected_sigma_stability(omega, omega_hat, epsilon: float, m: int | N
     eps0 = d_norm ** 2 / ((1 - epsilon) * sig) ** 2
     u_hat = svd(omega_hat).u[:, :m]
     u_m = u[:, :m]
-    s_hat_m = float(np.linalg.svd(u_hat.T @ omega_hat, compute_uv=False)[m - 1])
-    s_overlap = float(np.linalg.svd(u_hat.T @ u_m, compute_uv=False)[m - 1])
-    s_cross = float(np.linalg.svd(u_hat.T @ omega, compute_uv=False)[m - 1])
+    s_hat_m = float(singular_values(u_hat.T @ omega_hat)[m - 1])
+    s_overlap = float(singular_values(u_hat.T @ u_m)[m - 1])
+    s_cross = float(singular_values(u_hat.T @ omega)[m - 1])
     report = CheckReport(
         name="projected_sigma_stability",
         precondition={"m": m, "epsilon": epsilon, "eps0": eps0,
@@ -480,8 +481,8 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, 
     rhs_rho = GOLDEN_PINV_CONSTANT * frobenius_norm(od_noisy.omega - od_exact.omega) / denom \
         + float(np.linalg.norm(od_noisy.tau_omega - od_exact.tau_omega)) / sigma_proj_hat
 
-    overlap = tr.u_hat.T @ u_exact
-    lhs_u = operator_norm_2to2(np.linalg.inv(overlap))
+    # ||(U'^T U)^{-1}|| = 1 / sigma_min(U'^T U) for the square overlap
+    lhs_u = 1.0 / float(singular_values(tr.u_hat.T @ u_exact)[-1])
 
     report = CheckReport(
         name="realization_estimate_bounds",

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, fcs, noise, spectral
-from .linalg import numerical_rank
+from .linalg import numerical_rank, singular_values
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
@@ -74,12 +74,12 @@ def _read(value, kind, where: str):
 
     A type is ``int``, ``float``, ``bool``, ``str``, :class:`Ints`, ``[type]``
     (a list), a table ``{key: (type, default)}`` or :class:`Tagged`.  ``int``
-    accepts integral numbers such as ``1e4``, ``float`` accepts integers, and
-    neither accepts booleans.  A table rejects unknown keys and requires the
-    keys whose default is ``REQUIRED``; other absent keys take their default
-    as is.  Errors name the path ``where``: a wrong JSON type raises
-    ``TypeError``; a missing or unknown key or a value out of range raises
-    ``ValueError``.
+    accepts integral numbers such as ``1e4``, ``float`` accepts integers but
+    not ``NaN`` or ``Infinity``, and neither accepts booleans.  A table
+    rejects unknown keys and requires the keys whose default is ``REQUIRED``;
+    other absent keys take their default as is.  Errors name the path
+    ``where``: a wrong JSON type raises ``TypeError``; a missing or unknown
+    key, a non-finite float or a value out of range raises ``ValueError``.
     """
     integer = kind is int or isinstance(kind, Ints)
     if isinstance(kind, (dict, Tagged)):
@@ -117,6 +117,8 @@ def _read(value, kind, where: str):
     if isinstance(kind, list):
         return [_read(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
     if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: expected a finite number, got {value}")
         return float(value)
     if isinstance(kind, Ints) and not kind.low <= value <= kind.high:
         raise ValueError(f"{where}: {value} is outside [{kind.low}, {kind.high}]")
@@ -304,6 +306,9 @@ def _prepare_ti_context(cfg: dict, command: str) -> dict:
     basis = gellmann(r.d_a)
     od = spectral.build_omega(r, basis, s_left=s, s_right=s, cap=cap)
     trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
+    if (mode := cfg["noise"].get("mode", noise.NoiseSpec.mode)) not in noise.NOISE_MODES:
+        raise ValueError(f"{command}.noise.mode: expected one of {list(noise.NOISE_MODES)}, "
+                         f"got {json.dumps(mode)[:60]}")
     nspec = noise.NoiseSpec(**cfg["noise"])
     sweep_key = "epsilons" if nspec.mode == "gaussian_matrix" else "shots_sweep"
     if command == "robustness" and nspec.mode != "gaussian_matrix":
@@ -365,8 +370,7 @@ def _run_ti_trial(task):
     rng = noise.spawn_rng(ctx["seed"], sweep_idx, trial)
     eps_col = float(value)
     if nspec.mode == "gaussian_matrix":
-        eps_p = nspec.epsilon_prime if nspec.epsilon_prime is not None else eps_col
-        od_hat = noise.perturb_omega_data(od, eps_col, eps_p, rng)
+        od_hat = noise.perturb_omega_data(od, eps_col, nspec.epsilon_prime, rng)
     else:
         basis = ctx["basis"]
         s = ctx["block_size"]
@@ -487,7 +491,7 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
     # singular value of the exact window form at site j
     ranks, sigmas = [], []
     for j in range(1, n):
-        sv = np.linalg.svd(cod.omegas[j], compute_uv=False)
+        sv = singular_values(cod.omegas[j])
         ranks.append(numerical_rank(sv, cfg["rank_tol"]))
         if ranks[-1] == 0:
             raise ValueError(f"nonhomog: no singular value of the exact window form at "
@@ -611,10 +615,9 @@ def _sweep_subspace_stability(rng, count, max_dim, slack) -> dict:
         rows = int(rng.integers(cols, max_dim + 1))
         a = rng.standard_normal((rows, cols))
         eps = float(rng.uniform(0.05, 0.95))
-        sig_n = float(np.linalg.svd(a, compute_uv=False)[-1])
+        sig_n = float(singular_values(a)[-1])
         e = rng.standard_normal((rows, cols))
-        e *= eps * sig_n * float(rng.uniform(0.1, 1.0)) / float(
-            np.linalg.svd(e, compute_uv=False)[0])
+        e *= eps * sig_n * float(rng.uniform(0.1, 1.0)) / float(singular_values(e)[0])
         reports.append(analysis.check_singular_subspace_stability(a, e, eps, slack=slack))
     return _suite_summary(reports)
 
@@ -630,8 +633,7 @@ def _sweep_projected_sigma(rng, count, max_dim, slack) -> dict:
         omega = (u * s) @ v.T
         eps = float(rng.uniform(0.01, 0.49))
         e = rng.standard_normal((rows, cols))
-        e *= eps * s[-1] * float(rng.uniform(0.1, 1.0)) / float(
-            np.linalg.svd(e, compute_uv=False)[0])
+        e *= eps * s[-1] * float(rng.uniform(0.1, 1.0)) / float(singular_values(e)[0])
         reports.append(analysis.check_projected_sigma_stability(omega, omega + e, eps, m=m, slack=slack))
     return _suite_summary(reports)
 
@@ -645,7 +647,7 @@ def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
         models.append((f"random-{k}", r, gellmann(2)))
     for idx, (name, r, basis) in enumerate(models):
         od = spectral.build_omega(r, basis)
-        sv = np.linalg.svd(od.omega, compute_uv=False)
+        sv = singular_values(od.omega)
         rank = numerical_rank(sv, 1e-9)
         sigma = float(sv[rank - 1])
         for f_idx, factor in enumerate(noise_factors):
@@ -660,10 +662,6 @@ def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
 # reconstruct from a marginals file
 # ---------------------------------------------------------------------------
 
-def _complex_matrix_to_json(m: np.ndarray):
-    return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
 def load_marginals(path) -> tuple[int, dict[int, fcs.DensityMatrix]]:
     """Documented marginal exchange format:
 
@@ -675,7 +673,11 @@ def load_marginals(path) -> tuple[int, dict[int, fcs.DensityMatrix]]:
     d = doc["d"]
     out = {}
     for i, entry in enumerate(doc["marginals"]):
-        k, arr = entry["sites"], np.asarray(entry["matrix"], dtype=float)
+        k = entry["sites"]
+        try:
+            arr = np.asarray(entry["matrix"], dtype=float)
+        except ValueError:  # a ragged grid
+            arr = np.empty(0)
         if arr.shape != (d ** k, d ** k, 2):
             raise ValueError(f"marginals.marginals[{i}].matrix: a {k}-site marginal must be "
                              f"a {d ** k} x {d ** k} grid of [re, im] pairs")
@@ -688,7 +690,7 @@ def save_marginals(path, d: int, marginals: dict[int, fcs.DensityMatrix]):
         "version": 1,
         "d": d,
         "marginals": [
-            {"sites": k, "matrix": _complex_matrix_to_json(dm.matrix)}
+            {"sites": k, "matrix": np.stack([dm.matrix.real, dm.matrix.imag], -1).tolist()}
             for k, dm in sorted(marginals.items())
         ],
     }

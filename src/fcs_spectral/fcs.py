@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import numerical_rank
+from .linalg import hermitian_eigenvalues, numerical_rank, singular_values
 from .opbasis import (
     HermitianBasis,
     _hermitian_basis,
@@ -90,14 +90,10 @@ class DensityMatrix:
         return self.coeffs
 
     def validate(self, trace_tol=1e-10, psd_tol=1e-9, herm_tol=1e-10):
-        m = self.matrix
-        herm = np.abs(m - m.conj().T).max()
-        if herm > herm_tol:
-            raise ValueError(f"not Hermitian: max deviation {herm:.3e}")
+        lo = float(hermitian_eigenvalues(self.matrix, herm_tol)[0])
         tr = self.trace()
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"trace {tr!r} differs from 1 beyond {trace_tol:.0e}")
-        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
         if lo < -psd_tol:
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
         return self
@@ -177,19 +173,8 @@ class CStarRealization:
     rho0: np.ndarray   # (d_b, d_b) density matrix
 
     def validate(self, tol=1e-10):
-        v = np.asarray(self.v)
-        if v.shape != (self.d_a * self.d_b, self.d_b):
-            raise ValueError(f"isometry has shape {v.shape}, expected ({self.d_a * self.d_b}, {self.d_b})")
-        dev = np.abs(v.conj().T @ v - np.eye(self.d_b)).max()
-        if dev > tol:
-            raise ValueError(f"V is not an isometry: max |V^dag V - I| = {dev:.3e}")
-        rho0 = np.asarray(self.rho0)
-        if np.abs(rho0 - rho0.conj().T).max() > tol:
-            raise ValueError("rho0 is not Hermitian")
-        if abs(np.trace(rho0).real - 1.0) > tol:
-            raise ValueError(f"rho0 has trace {np.trace(rho0).real!r}")
-        if float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min()) < -tol:
-            raise ValueError("rho0 is not positive semidefinite")
+        v = _check_isometry(self.v, self.d_a, self.d_b, tol, "V")
+        rho0 = DensityMatrix(np.asarray(self.rho0), self.d_b, 1).validate(tol, tol, tol).matrix
         res = np.abs(_dual_step(v, rho0, self.d_a, self.d_b) - rho0).max()
         if res > tol:
             raise ValueError(f"rho0 is not stationary: residual {res:.3e}")
@@ -211,15 +196,20 @@ class ChainRealization:
 
     def validate(self, tol=1e-10):
         for j, v in enumerate(self.isometries, start=1):
-            if v.shape != (self.d_a * self.d_b, self.d_b):
-                raise ValueError(f"isometry at site {j} has shape {v.shape}")
-            dev = np.abs(v.conj().T @ v - np.eye(self.d_b)).max()
-            if dev > tol:
-                raise ValueError(f"site {j}: V is not an isometry (max dev {dev:.3e})")
-        rho0 = np.asarray(self.rho0)
-        if abs(np.trace(rho0).real - 1.0) > tol or np.abs(rho0 - rho0.conj().T).max() > tol:
-            raise ValueError("rho0 is not a state")
+            _check_isometry(v, self.d_a, self.d_b, tol, f"site {j}: V")
+        DensityMatrix(np.asarray(self.rho0), self.d_b, 1).validate(tol, tol, tol)
         return self
+
+
+def _check_isometry(v, d_a: int, d_b: int, tol: float, name: str) -> np.ndarray:
+    """``v`` as an array, checked to be a (d_a d_b) x d_b isometry up to ``tol``."""
+    v = np.asarray(v)
+    if v.shape != (d_a * d_b, d_b):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({d_a * d_b}, {d_b})")
+    dev = np.abs(v.conj().T @ v - np.eye(d_b)).max()
+    if dev > tol:
+        raise ValueError(f"{name} is not an isometry: max |V^dag V - I| = {dev:.3e}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +484,7 @@ def rank_profile(r: Realization, basis: HermitianBasis, max_block: int,
     out = np.zeros((max_block, max_block), dtype=int)
     for i in range(1, max_block + 1):
         for j in range(1, max_block + 1):
-            s = np.linalg.svd(lefts[j] @ rights[i].T, compute_uv=False)
+            s = singular_values(lefts[j] @ rights[i].T)
             out[i - 1, j - 1] = numerical_rank(s, tol)
     return out
 

@@ -1,8 +1,17 @@
 """Dense matrix kernels: SVD, pseudoinverse, Hermitian eigensolves and norms.
 
-Everything here is a thin, defensive layer over LAPACK (through numpy).
-The SVD backend is deterministic for a fixed input, so downstream
-experiments are bit-reproducible per seed.
+Everything here is a thin, defensive layer over LAPACK (through numpy), and
+no other module of the package decomposes a matrix: one place rejects
+non-finite input, names a convergence failure with the matrix shape and holds
+the one Hermiticity rule (``_check_hermitian``).  The SVD backend is
+deterministic for a fixed input, so downstream experiments are
+bit-reproducible per seed.  Exempt from the rule:
+
+* ``np.linalg.qr`` where it draws Haar-random isometries and random
+  lemma instances (``fcs._haar_isometry``, ``cli._sweep_projected_sigma``);
+* the batched ``eigh`` of the d^2 package-built basis elements in
+  ``noise._product_outcomes``;
+* vector and Frobenius ``np.linalg.norm``, which is not a decomposition.
 
 Norm conventions used throughout the package:
 
@@ -23,11 +32,13 @@ import numpy as np
 __all__ = [
     "SvdResult",
     "svd",
+    "singular_values",
     "pseudoinverse",
     "numerical_rank",
     "operator_norm_2to2",
     "frobenius_norm",
     "trace_norm_hermitian",
+    "hermitian_eigenvalues",
     "hermitian_eigen",
 ]
 
@@ -57,23 +68,35 @@ class SvdResult(NamedTuple):
         return (vt.conj().T * inv) @ u.conj().T
 
 
-def _as_finite(a, name="matrix") -> np.ndarray:
+def _as_finite(a) -> np.ndarray:
     a = np.asarray(a)
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def _lapack(what: str, solver, a: np.ndarray, **kwargs):
+    """``solver(a, **kwargs)``, a convergence failure named with the shape."""
+    try:
+        return solver(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"{what} did not converge for {a.shape[0]}x{a.shape[1]} matrix"
+        ) from exc
 
 
 def svd(a) -> SvdResult:
     """Thin singular value decomposition of a real or complex matrix."""
-    a = _as_finite(a)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"SVD did not converge for {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
-    return SvdResult(u, s, vt)
+    return SvdResult(*_lapack("SVD", np.linalg.svd, _as_finite(a), full_matrices=False))
+
+
+def singular_values(a) -> np.ndarray:
+    """Singular values of a real or complex matrix, descending.
+
+    Values only: LAPACK's values-only driver gives other last bits than the
+    thin SVD, and these values feed sigma_m, the ranks and the bounds.
+    """
+    return _lapack("SVD", np.linalg.svd, _as_finite(a), compute_uv=False)
 
 
 def pseudoinverse(a, tol: float | None = None) -> np.ndarray:
@@ -89,10 +112,9 @@ def numerical_rank(s, rtol: float) -> int:
 
 def operator_norm_2to2(a) -> float:
     """Spectral norm (2->2 operator norm), i.e. the largest singular value."""
-    a = _as_finite(a)
-    if a.size == 0:
+    if np.size(a) == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(singular_values(a)[0])
 
 
 def frobenius_norm(a) -> float:
@@ -135,16 +157,16 @@ def trace_norm_hermitian(a, herm_tol=1e-8) -> float:
     The input must be Hermitian up to ``herm_tol`` (see ``_check_hermitian``);
     its Hermitian part is eigensolved.
     """
-    h = _check_hermitian(a, herm_tol)
-    return float(np.abs(np.linalg.eigvalsh(h)).sum())
+    return float(np.abs(hermitian_eigenvalues(a, herm_tol)).sum())
+
+
+def hermitian_eigenvalues(a, herm_tol=1e-8) -> np.ndarray:
+    """Eigenvalues (ascending) of a matrix that is Hermitian up to
+    ``herm_tol`` (see ``_check_hermitian``); its Hermitian part is
+    eigensolved."""
+    return _lapack("eigensolver", np.linalg.eigvalsh, _check_hermitian(a, herm_tol))
 
 
 def hermitian_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    h = _check_hermitian(a)
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigensolver did not converge for {h.shape[0]}x{h.shape[1]} matrix"
-        ) from exc
+    return _lapack("eigensolver", np.linalg.eigh, _check_hermitian(a))

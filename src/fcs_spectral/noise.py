@@ -2,10 +2,9 @@
 
 Two noise families:
 
-* Gaussian matrix perturbation ``a + epsilon * P / ||P||`` with P drawn
-  entrywise from N(0, 1).  The default normalization is Frobenius, so the
-  Schatten-2 distance of the perturbed object is exactly epsilon; spectral
-  normalization is available behind a flag.
+* Gaussian matrix perturbation ``a + epsilon * P / ||P||_F`` with P drawn
+  entrywise from N(0, 1), so the Schatten-2 distance of the perturbed
+  object is exactly epsilon.
 * A shot-noise tomography simulator that measures each block basis element
   on n copies, either by actual multinomial sampling of its eigenvalues or
   by a Gaussian surrogate with the exact single-shot variance.  It uses the
@@ -69,26 +68,16 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return make_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def perturb_matrix(a, epsilon: float, rng, norm: str = "fro") -> np.ndarray:
-    """a + epsilon * P/||P|| with standard normal entries of P.
-
-    With the default Frobenius normalization the output is exactly at
-    Frobenius distance epsilon from a; norm="spectral" normalizes by the
-    largest singular value instead.
-    """
+def perturb_matrix(a, epsilon: float, rng) -> np.ndarray:
+    """a + epsilon * P/||P||_F with standard normal entries of P: the output
+    is exactly at Frobenius distance epsilon from a."""
     a = np.asarray(a, dtype=float)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     if epsilon == 0:
         return a.copy()
     p = rng.standard_normal(a.shape)
-    if norm == "fro":
-        scale = np.linalg.norm(p)
-    elif norm == "spectral":
-        scale = np.linalg.svd(p, compute_uv=False)[0]
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    return a + (epsilon / scale) * p
+    return a + (epsilon / np.linalg.norm(p)) * p
 
 
 def perturb_vector(v, epsilon: float, rng) -> np.ndarray:
@@ -101,29 +90,29 @@ def perturb_vector(v, epsilon: float, rng) -> np.ndarray:
 
 
 def perturb_omega_data(od: OmegaData, epsilon: float, epsilon_prime: float | None,
-                       rng, norm: str = "fro") -> OmegaData:
+                       rng) -> OmegaData:
     """Independently perturb Omega at epsilon, each Omega_dot slice at
     epsilon', and the two vectors at epsilon (Euclidean normalization)."""
     eps_p = epsilon if epsilon_prime is None else epsilon_prime
     out = od.copy()
-    out.omega = perturb_matrix(od.omega, epsilon, rng, norm=norm)
+    out.omega = perturb_matrix(od.omega, epsilon, rng)
     for k in range(od.omega_dot.shape[0]):
-        out.omega_dot[k] = perturb_matrix(od.omega_dot[k], eps_p, rng, norm=norm)
+        out.omega_dot[k] = perturb_matrix(od.omega_dot[k], eps_p, rng)
     out.omega_one = perturb_vector(od.omega_one, epsilon, rng)
     out.tau_omega = perturb_vector(od.tau_omega, epsilon, rng)
     return out
 
 
 def perturb_chain_omega(cod: ChainOmegaData, epsilon: float, epsilon_prime: float | None,
-                        rng, norm: str = "fro") -> ChainOmegaData:
+                        rng) -> ChainOmegaData:
     """Perturb every window form at epsilon and every middle slice at epsilon'."""
     eps_p = epsilon if epsilon_prime is None else epsilon_prime
     out = cod.copy()
     for j in sorted(out.omegas):
-        out.omegas[j] = perturb_matrix(cod.omegas[j], epsilon, rng, norm=norm)
+        out.omegas[j] = perturb_matrix(cod.omegas[j], epsilon, rng)
     for j in sorted(out.omega_dots):
         for k in range(out.omega_dots[j].shape[0]):
-            out.omega_dots[j][k] = perturb_matrix(cod.omega_dots[j][k], eps_p, rng, norm=norm)
+            out.omega_dots[j][k] = perturb_matrix(cod.omega_dots[j][k], eps_p, rng)
     return out
 
 

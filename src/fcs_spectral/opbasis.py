@@ -41,9 +41,6 @@ class HermitianBasis:
     def size(self) -> int:
         return self.elements.shape[0]
 
-    def block_size(self, sites: int) -> int:
-        return self.size ** sites
-
 
 def gellmann(d: int) -> HermitianBasis:
     """Normalized Gell-Mann basis for local dimension d >= 2."""
@@ -113,9 +110,8 @@ def expand_in_basis(m, basis: HermitianBasis, sites: int, imag_tol=1e-10) -> np.
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for {sites} sites, got {m.shape}")
     x = _contract_sites(m, basis.elements, sites)
-    scale = max(np.linalg.norm(m), 1e-300)
     imag = np.abs(x.imag).max()
-    if imag > imag_tol * max(scale, 1.0):
+    if imag > imag_tol * max(np.linalg.norm(m), 1.0):
         raise ValueError(f"coefficients are not real: max imaginary part {imag:.3e}")
     return np.ascontiguousarray(x.real).reshape(-1)
 

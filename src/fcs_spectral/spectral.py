@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fcs
 from .fcs import DEFAULT_DENSE_CAP, DensityMatrix, Realization
-from .linalg import hermitian_eigen, svd
+from .linalg import hermitian_eigen, singular_values, svd
 from .opbasis import HermitianBasis, assemble_from_coefficients
 
 __all__ = [
@@ -235,7 +235,7 @@ def empirical_realization(od_exact: OmegaData, u_hat: np.ndarray,
     """
     m_hat = u_hat.shape[1]
     u_exact = svd(od_exact.omega).u[:, :m_hat]
-    overlap = np.linalg.svd(u_hat.T @ u_exact, compute_uv=False)
+    overlap = singular_values(u_hat.T @ u_exact)
     if overlap[-1] <= min_overlap:
         raise ValueError(
             f"u_hat^T u is numerically singular: sigma_min = {overlap[-1]:.3e}"

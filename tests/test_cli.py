@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -233,10 +234,22 @@ def aklt_with(**changes):
     return "aklt", json.dumps(dict(AKLT_CFG, **changes))
 
 
-# TMP in a config stands for the test's directory, which holds a marginals
-# file "list.json" whose document is a JSON list
-MARGINALS_LIST_CFG = json.dumps({"input": "TMP/list.json", "block_size": 1,
-                                 "truncation": {"mode": "rank", "value": 4}})
+# TMP in a config stands for the test's directory, which holds these
+# marginals files: a JSON list, a qubit marginal with a NaN entry, and one
+# whose second row is short
+MARGINALS_FILES = {
+    "list.json": [],
+    "nan.json": {"version": 1, "d": 2, "marginals": [
+        {"sites": 1, "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [0.5, 0]]]}]},
+    "ragged.json": {"version": 1, "d": 2, "marginals": [
+        {"sites": 1, "matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}]},
+}
+
+
+def reconstruct_with(marginals, **changes):
+    return "reconstruct", json.dumps(dict(
+        {"input": f"TMP/{marginals}", "block_size": 1,
+         "truncation": {"mode": "rank", "value": 4}}, **changes))
 
 
 @pytest.mark.parametrize("command, content, message", [
@@ -256,15 +269,33 @@ MARGINALS_LIST_CFG = json.dumps({"input": "TMP/list.json", "block_size": 1,
     (*aklt_with(sites=[0]), "ValueError: aklt.sites[0]: 0 is outside [1, inf]"),
     (*aklt_with(trials=-1), "ValueError: aklt.trials: -1 is outside [0, inf]"),
     (*aklt_with(block_size=0), "ValueError: aklt.block_size: 0 is outside [1, inf]"),
-    ("reconstruct", MARGINALS_LIST_CFG, "TypeError: marginals: expected an object"),
+    (*reconstruct_with("list.json"), "TypeError: marginals: expected an object"),
+    ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "tol": math.nan}),
+     "ValueError: rank-scan.tol: expected a finite number, got nan"),
+    ("lemma-check", json.dumps({"seed": 0, "slack": math.nan}),
+     "ValueError: lemma-check.slack: expected a finite number, got nan"),
+    (*reconstruct_with("list.json", pinv_tol=math.nan),
+     "ValueError: reconstruct.pinv_tol: expected a finite number, got nan"),
+    (*reconstruct_with("nan.json"),
+     "ValueError: marginals.marginals[0].matrix[0][0][0]: expected a finite number, got nan"),
+    (*aklt_with(noise={"epsilon_prime": math.inf}),
+     "ValueError: aklt.noise.epsilon_prime: expected a finite number, got inf"),
+    (*aklt_with(noise={"mode": "bogus"}),
+     "ValueError: aklt.noise.mode: expected one of ['gaussian_matrix', 'shot_gaussian', "
+     "'shot_multinomial'], got \"bogus\""),
+    (*reconstruct_with("ragged.json"),
+     "ValueError: marginals.marginals[0].matrix: a 1-site marginal must be a 2 x 2 grid"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
-        "negative-trials", "zero-block-size", "list-marginals-file"])
+        "negative-trials", "zero-block-size", "list-marginals-file", "nan-tol",
+        "nan-slack", "nan-pinv-tol", "nan-marginal-entry", "infinite-epsilon-prime",
+        "unknown-noise-mode", "ragged-marginal-matrix"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback
-    (tmp_path / "list.json").write_text("[]")
+    for name, doc in MARGINALS_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     cfg_path = tmp_path / "cfg.json"
     if content is not None:
         cfg_path.write_text(content.replace("TMP", str(tmp_path)))

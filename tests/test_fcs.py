@@ -262,6 +262,14 @@ def test_random_chain_state_is_valid():
     chain_state(chain).validate(psd_tol=1e-9)
 
 
+def test_chain_validate_rejects_non_psd_rho0():
+    chain = random_chain(3, 2, 2, 3)
+    # Hermitian and of trace one, but with eigenvalue -0.5
+    chain.rho0 = np.diag([1.5, -0.5]).astype(complex)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        chain.validate()
+
+
 # -- persistence ---------------------------------------------------------------
 
 def test_realization_json_roundtrip(tmp_path, aklt_realization):

@@ -1,11 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fcs_spectral import linalg
 from fcs_spectral.linalg import (
     frobenius_norm,
     hermitian_eigen,
     operator_norm_2to2,
     pseudoinverse,
+    singular_values,
     svd,
     trace_norm_hermitian,
 )
@@ -38,6 +43,40 @@ def test_svd_reconstruction_and_orthonormality(shape):
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_singular_values_rejects_nonfinite():
+    with pytest.raises(ValueError, match="non-finite"):
+        singular_values(np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (9, 9)])
+def test_singular_values_bits_match_values_only_svd(shape):
+    # the values-only LAPACK driver, not the thin SVD's values: these feed
+    # sigma_m, the ranks and the bounds, whose CSV bytes must not move
+    a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    for m in (a, a + 1j * a[::-1]):
+        assert np.array_equal(singular_values(m), np.linalg.svd(m, compute_uv=False))
+
+
+_DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "inv", "pinv", "solve", "lstsq"}
+# (module, top-level function, np.linalg routine) of each exemption that the
+# linalg module docstring states
+_EXEMPT = {("noise", "_product_outcomes", "eigh")}
+
+
+def test_decompositions_only_in_linalg():
+    calls = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute) and node.attr in _DECOMPOSITIONS
+                        and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
+                    calls.add((path.stem, owner, node.attr))
+    assert calls - _EXEMPT == set(), "decompose through fcs_spectral.linalg"
 
 
 def test_pseudoinverse_invertible_matches_inverse():

@@ -31,12 +31,6 @@ def test_perturb_exact_frobenius_distance():
     assert np.linalg.norm(out - a) == pytest.approx(0.01, abs=1e-14)
 
 
-def test_perturb_spectral_normalization():
-    a = np.zeros((5, 5))
-    out = perturb_matrix(a, 0.25, make_rng(4), norm="spectral")
-    assert np.linalg.svd(out, compute_uv=False)[0] == pytest.approx(0.25, abs=1e-12)
-
-
 def test_perturb_seeds_differ_norms_match():
     a = np.zeros((3, 3))
     o1 = perturb_matrix(a, 0.5, make_rng(1))
