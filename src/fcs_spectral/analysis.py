@@ -40,7 +40,6 @@ from .linalg import (
     svd,
     trace_norm_hermitian,
 )
-from .opbasis import assemble_from_coefficients
 from .spectral import OmegaData, _realize, truncate
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "CheckReport",
     "trace_distance",
     "hs_distance",
+    "difference_distances",
     "error_propagation_bound",
     "surrogate_parameters",
     "precision_budget",
@@ -99,14 +99,21 @@ def hs_distance(a, b) -> float:
     return float(np.linalg.norm(ma - mb))
 
 
-def trace_distance_from_coefficients(c_a, c_b, basis, sites: int) -> float:
-    """Trace distance evaluated from real block-basis coefficient vectors.
+def difference_distances(diff, herm_tol=1e-8) -> tuple[float, float]:
+    """Trace and Hilbert-Schmidt distance of two states from the dense
+    difference of their matrices: half its Schatten-1 norm, and its
+    Frobenius norm.
 
-    Assembles only the coefficient difference (the basis map is linear), so
-    one assembly and one eigensolve per call.
+    The Frobenius norm sums the squares in numpy's own einsum loop, not in
+    the BLAS dot behind ``np.linalg.norm``, whose partial sums follow the
+    BLAS thread count: a sweep writes the same bytes with any number of
+    workers.
     """
-    delta = np.asarray(c_a, dtype=float) - np.asarray(c_b, dtype=float)
-    return 0.5 * trace_norm_hermitian(assemble_from_coefficients(delta, basis, sites))
+    td = 0.5 * trace_norm_hermitian(diff, herm_tol)
+    v = np.ascontiguousarray(diff).reshape(-1)
+    if np.iscomplexobj(v):
+        v = v.view(v.real.dtype)
+    return td, math.sqrt(float(np.einsum("i,i->", v, v)))
 
 
 # ---------------------------------------------------------------------------

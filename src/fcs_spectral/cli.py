@@ -22,9 +22,13 @@ timings would break byte-identical reruns, which take precedence.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import logging
 import math
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -337,7 +341,7 @@ def _prepare_ti_context(cfg: dict, command: str) -> dict:
         "sweep": cfg[sweep_key],
         "sigma_exact": analysis.sigma_m(od.omega, exact_rank),
         "scale": d_b if cfg["bound_variant"] == "cstar" else exact_rank,
-        "exact_coeffs": {t: fcs.word_coefficient_tensor(r.rho, r.kappa, r.e, t) for t in sites},
+        "exact": r,
     }
 
 
@@ -382,22 +386,18 @@ def _run_ti_trial(task):
     tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
     sr = spectral.spectral_realization(od_hat, tr)
     # deviations are measured from the underlying exact model, so in the
-    # robustness command they include the mixing contribution
-    params = {
-        t: analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"],
-                                         ctx["scale"], t, variant=ctx["bound_variant"])
-        for t in ctx["sites"]
-    }
+    # robustness command they include the mixing contribution; only t
+    # varies with the size
+    params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"],
+                                           ctx["scale"], 0, variant=ctx["bound_variant"])
     model_id = ctx["model_id"]
     if ctx["command"] == "robustness":
         model_id = f"{model_id}+mix(xi={xi:g})"
     rows = []
     for t_idx, t in enumerate(ctx["sites"]):
-        rec = fcs.word_coefficient_tensor(sr.rho, sr.kappa, sr.e, t)
-        exact = ctx["exact_coeffs"][t]
-        td = analysis.trace_distance_from_coefficients(rec, exact, ctx["basis"], t)
-        hs = float(np.linalg.norm(rec - exact))
-        bound = analysis.error_propagation_bound(params[t])
+        td, hs = analysis.difference_distances(
+            fcs.marginal_difference(sr, ctx["exact"], t, ctx["basis"], ctx["dense_cap"]))
+        bound = analysis.error_propagation_bound(dataclasses.replace(params, t=t))
         if 2.0 * td > bound + 1e-12:
             log.warning(
                 "monitored bound exceeded: model=%s t=%d eps=%s trial=%d "
@@ -413,6 +413,30 @@ def _run_ti_trial(task):
     return rows
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _single_thread_blas_env():
+    """Environment under which spawned workers start with one BLAS thread.
+
+    A BLAS library reads its thread count when it loads, so the variables
+    must be set before a worker imports numpy; the caller's environment is
+    restored on exit.  One thread per worker keeps a pool from
+    oversubscribing the cores.
+    """
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def _run_ti_sweep(cfg: dict, out_dir: Path, command: str) -> Path:
     ctx = _prepare_ti_context(cfg, command)
     tasks = [
@@ -422,8 +446,9 @@ def _run_ti_sweep(cfg: dict, out_dir: Path, command: str) -> Path:
         for trial in range(ctx["trials"])
     ]
     if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"], initializer=_init_ti_worker,
-                                 initargs=(ctx,)) as pool:
+        with _single_thread_blas_env(), ProcessPoolExecutor(
+                max_workers=cfg["workers"], mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_ti_worker, initargs=(ctx,)) as pool:
             chunks = list(pool.map(_run_ti_trial, tasks))
     else:
         _init_ti_worker(ctx)
@@ -485,7 +510,9 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
     model_id = f"chain(n={n};d_a={chain.d_a};d_b={chain.d_b};seed={spec['seed']})"
     basis = gellmann(chain.d_a)
     state = fcs.chain_state(chain, cap=cfg["dense_cap"])
-    exact_coeffs = state.coefficients(basis)
+    # the exactly Hermitian part: each trial's difference to it is then
+    # exactly Hermitian, and the eigensolve makes no symmetrized copy
+    exact = 0.5 * (state.matrix + state.matrix.conj().T)
     cod = spectral.build_chain_omega(state, basis, cfg["left_width"], cfg["right_width"])
     # ranks[j-1] and sigmas[j-1]: numerical rank and smallest retained
     # singular value of the exact window form at site j
@@ -507,9 +534,9 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
             rng = noise.spawn_rng(seed, eps_idx, trial)
             cod_hat = noise.perturb_chain_omega(cod, eps, eps, rng) if eps else cod
             recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
-            rec_coeffs = recon.coefficients()
-            td = analysis.trace_distance_from_coefficients(rec_coeffs, exact_coeffs, basis, n)
-            hs = float(np.linalg.norm(rec_coeffs - exact_coeffs))
+            diff = recon.state(basis, cfg["dense_cap"]).matrix
+            diff -= exact
+            td, hs = analysis.difference_distances(diff)
             bound = _nonhomog_bound(cod, cod_hat, ranks, sigmas, chain.d_a, n)
             wall = (time.perf_counter() - t0) * 1e3 if cfg["timing"] else 0.0
             rows.append([model_id, n, eps, seed, trial, td, hs, sigma_min,

@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitian_eigenvalues, numerical_rank, singular_values
-from .opbasis import (
-    HermitianBasis,
-    _hermitian_basis,
-    assemble_from_coefficients,
-    expand_in_basis,
-    gellmann,
-)
+from .opbasis import HermitianBasis, _hermitian_basis, expand_in_basis, gellmann, matrix_units
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -43,7 +37,9 @@ __all__ = [
     "word_rows",
     "evaluate_word",
     "word_coefficient_tensor",
+    "dense_product",
     "marginal",
+    "marginal_difference",
     "from_cstar",
     "product_realization",
     "aklt",
@@ -72,8 +68,7 @@ class DensityMatrix:
     """Hermitian trace-one matrix on a block of `sites` qudits of dimension `dim`.
 
     `coeffs` caches the real expansion coefficients in the block Hermitian
-    basis when they are already known (reconstruction and marginals produce
-    them for free); use :meth:`coefficients` to compute them on demand.
+    basis; use :meth:`coefficients` to compute them on demand.
     """
 
     matrix: np.ndarray
@@ -228,9 +223,11 @@ def word_rows(boundary, maps, from_right: bool = False) -> list[np.ndarray]:
         from the left:   boundary . M_1[a_1] ... M_k[a_k]
         from the right:  (M_{N-k+1}[a_1] ... M_N[a_k] . boundary)^T
 
-    Entry 0 is the boundary as a single row.
+    Entry 0 is the boundary as a single row.  Real maps give real rows; the
+    letters may be complex, such as the matrix units of ``dense_product``.
     """
-    cur = np.asarray(boundary, dtype=float).reshape(1, -1)
+    cur = np.asarray(boundary)
+    cur = cur.astype(np.result_type(cur, float), copy=False).reshape(1, -1)
     rows = [cur]
     if from_right:
         for k in reversed(maps):
@@ -267,23 +264,70 @@ def word_coefficient_tensor(rho, kappa, e, t: int) -> np.ndarray:
     return (left @ right.T).reshape(-1)
 
 
+def dense_product(left, maps, right, basis: HermitianBasis,
+                  cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """Dense d^t x d^t matrix of the operator product over t = len(maps) sites,
+
+        sum_w (left . maps[0][w_1] ... maps[t-1][w_t] . right) g_{w_1} x ... x g_{w_t},
+
+    with ``maps[k]`` of shape (d^2, p_k, q_k) in the Hermitian basis.  The
+    letters of each distinct map are rotated to matrix units once, so a word
+    over them is one matrix entry; word rows grow from both ends, with their
+    row and column indices separated, and one matmul and one transpose give
+    the block matrix.  The correlation coefficients are never formed.
+    """
+    d, t = basis.dim, len(maps)
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if d ** t > cap:
+        raise ValueError(f"dense cap exceeded: {d}^{t} > {cap}")
+    distinct = {id(k): k for k in maps}
+    rotated = {i: matrix_units(k, basis) for i, k in distinct.items()}
+    units = [rotated[id(k)] for k in maps]
+    h = t // 2
+    lefts = _split_rows(word_rows(left, units[:h])[-1], d, h)
+    rights = _split_rows(word_rows(right, units[h:], from_right=True)[-1], d, t - h)
+    # x[I_L, J_L, I_R, J_R]: row and column multi-indices of the left h sites
+    # and of the right t - h sites
+    x = (lefts @ rights.T).reshape(d ** h, d ** h, d ** (t - h), d ** (t - h))
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(d ** t, d ** t)
+
+
+def _split_rows(rows: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Word rows over k matrix-unit letters, index (i_1, j_1, ..., i_k, j_k),
+    reordered to (i_1..i_k, j_1..j_k)."""
+    perm = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)) + [2 * k]
+    x = rows.reshape((d,) * (2 * k) + (rows.shape[1],)).transpose(perm)
+    return np.ascontiguousarray(x).reshape(d ** (2 * k), rows.shape[1])
+
+
 def marginal(r: Realization, t: int, basis: HermitianBasis | None = None,
              cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
-    """Dense t-site marginal assembled from all correlation words.
+    """Dense t-site marginal, the operator product of the realization.
 
     For a spectral estimate the result is Hermitian by construction; its
     trace is reported as computed (no renormalization, no positivity
     projection).
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if r.d_a ** t > cap:
-        raise ValueError(f"dense cap exceeded: {r.d_a}^{t} > {cap}")
     if basis is None:
         basis = gellmann(r.d_a)
-    coeffs = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
-    matrix = assemble_from_coefficients(coeffs, basis, t)
-    return DensityMatrix(matrix=matrix, dim=r.d_a, sites=t, coeffs=coeffs)
+    matrix = dense_product(r.rho, [r.kappa] * t, r.e, basis, cap)
+    return DensityMatrix(matrix=matrix, dim=r.d_a, sites=t)
+
+
+def marginal_difference(a: Realization, b: Realization, t: int, basis: HermitianBasis,
+                        cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """Dense difference of the t-site marginals of two realizations.
+
+    It is one operator product of memory m_a + m_b: boundary [rho_a, -rho_b],
+    letters blockdiag(kappa_a, kappa_b) and boundary [e_a; e_b].
+    """
+    ma = a.m
+    kappa = np.zeros((a.kappa.shape[0], ma + b.m, ma + b.m))
+    kappa[:, :ma, :ma] = a.kappa
+    kappa[:, ma:, ma:] = b.kappa
+    return dense_product(np.concatenate([a.rho, -b.rho]), [kappa] * t,
+                         np.concatenate([a.e, b.e]), basis, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "block_element",
     "expand_in_basis",
     "assemble_from_coefficients",
+    "matrix_units",
 ]
 
 
@@ -133,7 +134,11 @@ def _contract_sites(m, ops, sites: int) -> np.ndarray:
 
 
 def assemble_from_coefficients(coeffs, basis: HermitianBasis, sites: int) -> np.ndarray:
-    """Block matrix sum_w c[w] g_{w_1} x ... x g_{w_s} from real coefficients."""
+    """Block matrix sum_w c[w] g_{w_1} x ... x g_{w_s} from real coefficients.
+
+    The inverse of :func:`expand_in_basis`.  Dense marginals of a realization
+    are built by ``fcs.dense_product`` without forming the coefficients.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     d = basis.dim
     nb = basis.size
@@ -148,3 +153,21 @@ def assemble_from_coefficients(coeffs, basis: HermitianBasis, sites: int) -> np.
     perm = list(range(0, 2 * sites, 2)) + list(range(1, 2 * sites, 2))
     n = d ** sites
     return np.ascontiguousarray(x.transpose(perm)).reshape(n, n)
+
+
+def matrix_units(letters, basis: HermitianBasis) -> np.ndarray:
+    """Letters rotated from the Hermitian basis to matrix units.
+
+    ``letters`` has shape (d^2, p, q), one p x q matrix per basis element.
+    Entry i*d + j of the result is sum_a (g_a)_{ij} letters[a], so a word
+    over the rotated letters is one entry of the block matrix.  Entries
+    (i, j) and (j, i) are made exact complex conjugates, so the products
+    built from them are Hermitian to the last bit wherever the arithmetic
+    treats both signs alike, and the Hermiticity check before an eigensolve
+    then copies nothing.
+    """
+    letters = np.asarray(letters)
+    d = basis.dim
+    m = np.tensordot(basis.elements, letters, axes=(0, 0))
+    m = 0.5 * (m + m.transpose(1, 0, 2, 3).conj())
+    return m.reshape(d * d, *letters.shape[1:])

@@ -31,7 +31,7 @@ import numpy as np
 from . import fcs
 from .fcs import DEFAULT_DENSE_CAP, DensityMatrix, Realization
 from .linalg import hermitian_eigen, singular_values, svd
-from .opbasis import HermitianBasis, assemble_from_coefficients
+from .opbasis import HermitianBasis
 
 __all__ = [
     "OmegaData",
@@ -321,10 +321,11 @@ class NonhomogReconstruction:
     def coefficients(self) -> np.ndarray:
         return fcs.word_rows(np.ones(1), self.k_maps)[-1].reshape(-1)
 
-    def state(self, basis: HermitianBasis) -> DensityMatrix:
-        coeffs = self.coefficients()
-        matrix = assemble_from_coefficients(coeffs, basis, self.n_sites)
-        return DensityMatrix(matrix=matrix, dim=self.d_a, sites=self.n_sites, coeffs=coeffs)
+    def state(self, basis: HermitianBasis, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
+        """Dense reconstructed chain state, the operator product of the maps."""
+        one = np.ones(1)
+        matrix = fcs.dense_product(one, self.k_maps, one, basis, cap)
+        return DensityMatrix(matrix=matrix, dim=self.d_a, sites=self.n_sites)
 
 
 def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,

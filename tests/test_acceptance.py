@@ -19,6 +19,7 @@ from fcs_spectral.fcs import (
     chain_state,
     dense_state,
     from_cstar,
+    marginal_difference,
     random_cstar,
     random_chain,
     word_coefficient_tensor,
@@ -35,14 +36,6 @@ def _aklt_setup():
         od = spectral.build_omega(r, basis)
         _CACHE["aklt"] = (r, basis, od)
     return _CACHE["aklt"]
-
-
-def _aklt_exact_coeffs(t: int) -> np.ndarray:
-    key = ("exact", t)
-    if key not in _CACHE:
-        r, _, _ = _aklt_setup()
-        _CACHE[key] = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
-    return _CACHE[key]
 
 
 @pytest.fixture
@@ -64,9 +57,7 @@ def test_c1_aklt_exact_round_trip(report):
     sr = spectral.spectral_realization(od, tr)
     worst = 0.0
     for t in range(1, 8):
-        rec = word_coefficient_tensor(sr.rho, sr.kappa, sr.e, t)
-        exact = _aklt_exact_coeffs(t)
-        td = analysis.trace_distance_from_coefficients(rec, exact, basis, t)
+        td, _ = analysis.difference_distances(marginal_difference(sr, r, t, basis))
         assert td <= 1e-9, f"t={t}: trace distance {td:.3e} exceeds 1e-9"
         worst = max(worst, td)
     elapsed = time.perf_counter() - t0
@@ -107,9 +98,7 @@ def test_c3_oracle_equivalence_20_models(report):
             rank = int((sv > 1e-9 * sv[0]).sum())
             sr = spectral.spectral_realization(od, spectral.truncate(od.omega, rank=rank))
             for tt in range(1, 6):
-                rec = word_coefficient_tensor(sr.rho, sr.kappa, sr.e, tt)
-                exact = word_coefficient_tensor(r.rho, r.kappa, r.e, tt)
-                td = analysis.trace_distance_from_coefficients(rec, exact, basis, tt)
+                td, _ = analysis.difference_distances(marginal_difference(sr, r, tt, basis))
                 assert td <= 1e-8, f"model ({d_a},{d_b},{seed}) t={tt}: TD {td:.2e}"
                 worst_td = max(worst_td, td)
             n_models += 1
@@ -245,9 +234,7 @@ def test_c7_nonhomogeneous_chains(report):
         state = chain_state(chain)
         cod = spectral.build_chain_omega(state, basis2, 2, 2)
         recon = spectral.nonhomog_reconstruct(cod, threshold=1e-8)
-        exact = state.coefficients(basis2)
-        td = analysis.trace_distance_from_coefficients(
-            recon.coefficients(), exact, basis2, 5)
+        td, _ = analysis.difference_distances(recon.state(basis2).matrix - state.matrix)
         assert td <= 1e-8, f"chain seed {seed}: exact TD {td:.2e}"
         worst_exact = max(worst_exact, td)
     # noisy path: mean error monotone over three levels
@@ -258,15 +245,14 @@ def test_c7_nonhomogeneous_chains(report):
     for j in range(1, 5):
         sv = np.linalg.svd(cod.omegas[j], compute_uv=False)
         ranks.append(int((sv > 1e-9 * sv[0]).sum()))
-    exact = state.coefficients(basis2)
     means = []
     for lvl, eps in enumerate((1e-5, 1e-4, 1e-3)):
         tds = []
         for trial in range(10):
             cod_hat = noise.perturb_chain_omega(cod, eps, eps, noise.spawn_rng(13, lvl, trial))
             recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
-            tds.append(analysis.trace_distance_from_coefficients(
-                recon.coefficients(), exact, basis2, 5))
+            tds.append(analysis.difference_distances(
+                recon.state(basis2).matrix - state.matrix)[0])
         means.append(float(np.mean(tds)))
     assert means[0] < means[1] < means[2], f"means not monotone: {means}"
     report(f"criterion 7 chains: worst exact TD {worst_exact:.2e}, noisy "

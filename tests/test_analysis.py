@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fcs_spectral.analysis import (
     ErrorParameters,
     PreconditionError,
     check_singular_subspace_stability,
+    difference_distances,
     error_propagation_bound,
     hs_distance,
     check_realization_estimate_bounds,
@@ -20,7 +22,6 @@ from fcs_spectral.analysis import (
     sigma_m,
     surrogate_parameters,
     trace_distance,
-    trace_distance_from_coefficients,
 )
 from fcs_spectral.fcs import from_cstar, random_cstar
 from fcs_spectral.noise import make_rng, perturb_omega_data, spawn_rng
@@ -67,7 +68,7 @@ def test_hs_distance():
     assert hs_distance(np.zeros((2, 2)), np.eye(2)) == pytest.approx(math.sqrt(2.0))
 
 
-def test_trace_distance_from_coefficients_matches_dense(basis2):
+def test_difference_distances_match_pairwise(basis2):
     rng = np.random.default_rng(3)
     c1 = rng.standard_normal(16)
     c2 = rng.standard_normal(16)
@@ -75,8 +76,29 @@ def test_trace_distance_from_coefficients_matches_dense(basis2):
 
     a = assemble_from_coefficients(c1, basis2, 2)
     b = assemble_from_coefficients(c2, basis2, 2)
-    assert trace_distance_from_coefficients(c1, c2, basis2, 2) == pytest.approx(
-        trace_distance(a, b), abs=1e-12)
+    td, hs = difference_distances(a - b)
+    assert td == pytest.approx(trace_distance(a, b), abs=1e-12)
+    assert hs == pytest.approx(hs_distance(a, b), abs=1e-12)
+    # the basis is orthonormal: the HS distance is the coefficient 2-norm
+    assert hs == pytest.approx(np.linalg.norm(c1 - c2), rel=1e-13)
+
+
+def test_trial_evaluation_peak_memory(aklt_realization, aklt_omega, basis3):
+    # one trial's evaluation at t = 6 (TD and HS of a 729 x 729 difference)
+    # allocates at most 2.5 such matrices: the product and its transposed copy
+    from fcs_spectral.fcs import marginal_difference
+    from fcs_spectral.spectral import spectral_realization, truncate
+
+    od_hat = perturb_omega_data(aklt_omega, 1e-3, None, spawn_rng(5, 0))
+    sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
+    tracemalloc.start()
+    try:
+        td, hs = difference_distances(marginal_difference(sr, aklt_realization, 6, basis3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < hs <= 2.0 * td
+    assert peak <= 2.5 * 729 * 729 * 16, f"peak {peak / (729 * 729 * 16):.2f} matrices"
 
 
 # -- error propagation ------------------------------------------------------------

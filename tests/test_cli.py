@@ -3,6 +3,9 @@ import functools
 import json
 import logging
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +107,25 @@ def test_cmd_aklt_worker_pool_matches_sequential(tmp_path):
     seq = run_cli(tmp_path, "aklt", AKLT_CFG, out="seq")
     par = run_cli(tmp_path, "aklt", dict(AKLT_CFG, workers=2), out="par")
     assert (seq / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
+
+
+def test_cmd_aklt_workers_byte_identical_at_t7(tmp_path):
+    # the sequential run uses the inherited BLAS threads, each worker one
+    cfg = dict(AKLT_CFG, epsilons=[1e-4, 1e-2], sites=[2, 7], trials=1, seed=11)
+    env = dict(os.environ)
+    seq = run_cli(tmp_path, "aklt", cfg, out="seq")
+    par = run_cli(tmp_path, "aklt", dict(cfg, workers=2), out="par")
+    assert (seq / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
+    assert dict(os.environ) == env
+
+
+def test_blas_thread_env_reaches_spawned_workers_only():
+    env = dict(os.environ)
+    spawn = multiprocessing.get_context("spawn")
+    with cli._single_thread_blas_env(), ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        seen = list(pool.map(os.getenv, cli._BLAS_THREAD_VARS, timeout=60))
+    assert seen == ["1"] * len(cli._BLAS_THREAD_VARS)
+    assert dict(os.environ) == env
 
 
 def test_cmd_aklt_shot_noise_block_size_two(tmp_path):

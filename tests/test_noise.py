@@ -147,20 +147,18 @@ def test_tomography_rejects_bad_args(basis2):
 
 def test_reconstruction_error_monotone_in_epsilon(aklt_omega, basis3, aklt_realization):
     # mean trace distance over seeds grows with the perturbation scale
-    from fcs_spectral.analysis import trace_distance_from_coefficients
-    from fcs_spectral.fcs import word_coefficient_tensor
+    from fcs_spectral.analysis import difference_distances
+    from fcs_spectral.fcs import marginal_difference
     from fcs_spectral.spectral import spectral_realization, truncate
 
-    r = aklt_realization
-    exact = word_coefficient_tensor(r.rho, r.kappa, r.e, 3)
     means = []
     for eps in (1e-4, 1e-3, 1e-2, 1e-1):
         tds = []
         for trial in range(20):
             od_hat = perturb_omega_data(aklt_omega, eps, eps, spawn_rng(77, trial))
             sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
-            rec = word_coefficient_tensor(sr.rho, sr.kappa, sr.e, 3)
-            tds.append(trace_distance_from_coefficients(rec, exact, basis3, 3))
+            tds.append(difference_distances(
+                marginal_difference(sr, aklt_realization, 3, basis3))[0])
         means.append(np.mean(tds))
     assert all(a < b for a, b in zip(means, means[1:]))
 

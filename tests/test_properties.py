@@ -1,7 +1,8 @@
 """Property tests of the word-contraction kernel and the realization maps
 built on it: gauge invariance, single words against the word tensor, and
-per-site chain maps against a brute-force matrix product; exact round trips
-of the Hermitian basis expansion, and linearity of the Omega data in the
+per-site chain maps against a brute-force matrix product; the dense operator
+product against the assembled word coefficients; exact round trips of the
+Hermitian basis expansion, and linearity of the Omega data in the
 marginals."""
 
 import itertools
@@ -10,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcs_spectral.fcs import (DensityMatrix, Realization, evaluate_word,
-                              word_coefficient_tensor, word_rows)
+from fcs_spectral.fcs import (DensityMatrix, Realization, evaluate_word, marginal,
+                              marginal_difference, word_coefficient_tensor, word_rows)
 from fcs_spectral.opbasis import assemble_from_coefficients, expand_in_basis, gellmann
 from fcs_spectral.spectral import NonhomogReconstruction, build_omega_from_marginals
 
@@ -103,6 +104,54 @@ def test_word_rows_agree_from_either_end(seed, n_sites, nb, widths):
     a = from_left[-1] @ right
     b = from_right[-1] @ left
     assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def max_abs(x) -> float:
+    return float(np.abs(x).max())
+
+
+def assembled_marginal(r: Realization, t: int, basis) -> np.ndarray:
+    """The t-site marginal by the coefficient path, the kernel's oracle."""
+    return assemble_from_coefficients(word_coefficient_tensor(r.rho, r.kappa, r.e, t), basis, t)
+
+
+@SETTINGS
+@given(seed=seeds, d_a=st.integers(2, 3), m=st.integers(1, 4), t=st.integers(1, 5))
+def test_dense_product_matches_coefficient_assembly(seed, d_a, m, t):
+    rng = np.random.default_rng(seed)
+    r = random_realization(rng, d_a, m)
+    basis = gellmann(d_a)
+    want = assembled_marginal(r, t, basis)
+    got = marginal(r, t, basis).matrix
+    assert np.abs(got - want).max() <= 1e-13 * max_abs(want)
+
+
+@SETTINGS
+@given(seed=seeds, d_a=st.integers(2, 3), m_a=st.integers(1, 4), m_b=st.integers(1, 4),
+       t=st.integers(1, 5))
+def test_marginal_difference_is_difference_of_marginals(seed, d_a, m_a, m_b, t):
+    rng = np.random.default_rng(seed)
+    a, b = random_realization(rng, d_a, m_a), random_realization(rng, d_a, m_b)
+    basis = gellmann(d_a)
+    ma, mb = assembled_marginal(a, t, basis), assembled_marginal(b, t, basis)
+    got = marginal_difference(a, b, t, basis)
+    assert np.abs(got - (ma - mb)).max() <= 1e-13 * max(max_abs(ma), max_abs(mb))
+
+
+@SETTINGS
+@given(seed=seeds, d_a=st.integers(2, 3), n_sites=st.integers(1, 5),
+       widths=st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_chain_state_matches_coefficient_assembly(seed, d_a, n_sites, widths):
+    rng = np.random.default_rng(seed)
+    dims = [1] + widths[:n_sites - 1] + [1]
+    k_maps = [rng.standard_normal((d_a ** 2, dims[j], dims[j + 1])) / dims[j]
+              for j in range(n_sites)]
+    recon = NonhomogReconstruction(d_a=d_a, n_sites=n_sites, k_maps=k_maps,
+                                   ranks=dims[1:-1])
+    basis = gellmann(d_a)
+    want = assemble_from_coefficients(recon.coefficients(), basis, n_sites)
+    got = recon.state(basis).matrix
+    assert np.abs(got - want).max() <= 1e-13 * max_abs(want)
 
 
 @SETTINGS

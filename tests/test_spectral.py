@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fcs_spectral import fcs
-from fcs_spectral.analysis import trace_distance, trace_distance_from_coefficients
+from fcs_spectral.analysis import difference_distances, trace_distance
 from fcs_spectral.fcs import (
     chain_state,
     from_cstar,
@@ -144,7 +144,7 @@ def test_block_size_must_reach_stabilized_rank(basis2):
     # memory-3 qubit model: the bilinear form has rank 9, but single-site
     # blocks span only a 4-dimensional space; reconstruction is exact once
     # the blocks are wide enough and garbage below that
-    from fcs_spectral.fcs import rank_profile, t_star, word_coefficient_tensor
+    from fcs_spectral.fcs import marginal_difference, rank_profile, t_star
 
     r = from_cstar(random_cstar(2, 3, 42))
     profile = rank_profile(r, basis2, 3)
@@ -152,13 +152,10 @@ def test_block_size_must_reach_stabilized_rank(basis2):
     assert t_star(profile) == (2, 2)
     od2 = build_omega(r, basis2, 2, 2)
     sr = spectral_realization(od2, truncate(od2.omega, rank=9))
-    exact = word_coefficient_tensor(r.rho, r.kappa, r.e, 4)
-    rec = fcs.word_coefficient_tensor(sr.rho, sr.kappa, sr.e, 4)
-    assert trace_distance_from_coefficients(rec, exact, basis2, 4) <= 1e-9
+    assert difference_distances(marginal_difference(sr, r, 4, basis2))[0] <= 1e-9
     od1 = build_omega(r, basis2, 1, 1)
     sr1 = spectral_realization(od1, truncate(od1.omega, rank=4))
-    rec1 = fcs.word_coefficient_tensor(sr1.rho, sr1.kappa, sr1.e, 4)
-    assert trace_distance_from_coefficients(rec1, exact, basis2, 4) > 0.1
+    assert difference_distances(marginal_difference(sr1, r, 4, basis2))[0] > 0.1
 
 
 def test_asymmetric_blocks_still_exact(aklt_realization, basis3):
@@ -299,8 +296,7 @@ def test_nonhomog_exact_recovery(seed, basis2):
     state = chain_state(chain)
     cod = build_chain_omega(state, basis2, 2, 2)
     recon = nonhomog_reconstruct(cod, threshold=1e-8)
-    exact = state.coefficients(basis2)
-    td = trace_distance_from_coefficients(recon.coefficients(), exact, basis2, 5)
+    td, _ = difference_distances(recon.state(basis2).matrix - state.matrix)
     assert td <= 1e-8
 
 
@@ -312,9 +308,7 @@ def test_nonhomog_exact_equals_brute_force_all_lengths(n_sites, basis2):
         state = chain_state(chain)
         cod = build_chain_omega(state, basis2, 2, 2)
         recon = nonhomog_reconstruct(cod, threshold=1e-8)
-        exact = state.coefficients(basis2)
-        td = trace_distance_from_coefficients(
-            recon.coefficients(), exact, basis2, n_sites)
+        td, _ = difference_distances(recon.state(basis2).matrix - state.matrix)
         assert td <= 1e-8, f"N={n_sites} seed={seed}: TD {td:.2e}"
 
 
@@ -324,12 +318,11 @@ def test_nonhomog_noisy_regression(basis2):
     state = chain_state(chain)
     cod = build_chain_omega(state, basis2, 2, 2)
     ranks = [4, 4, 4, 4]
-    exact = state.coefficients(basis2)
     tds = []
     for trial in range(5):
         cod_hat = perturb_chain_omega(cod, 1e-4, 1e-4, spawn_rng(3, 0, trial))
         recon = nonhomog_reconstruct(cod_hat, ranks=ranks)
-        tds.append(trace_distance_from_coefficients(recon.coefficients(), exact, basis2, 5))
+        tds.append(difference_distances(recon.state(basis2).matrix - state.matrix)[0])
     assert max(tds) <= 1e-3
     assert min(tds) > 0
 
