@@ -99,7 +99,7 @@ def hs_distance(a, b) -> float:
     return float(np.linalg.norm(ma - mb))
 
 
-def difference_distances(diff, herm_tol=1e-8) -> tuple[float, float]:
+def difference_distances(diff) -> tuple[float, float]:
     """Trace and Hilbert-Schmidt distance of two states from the dense
     difference of their matrices: half its Schatten-1 norm, and its
     Frobenius norm.
@@ -109,7 +109,7 @@ def difference_distances(diff, herm_tol=1e-8) -> tuple[float, float]:
     BLAS thread count: a sweep writes the same bytes with any number of
     workers.
     """
-    td = 0.5 * trace_norm_hermitian(diff, herm_tol)
+    td = 0.5 * trace_norm_hermitian(diff)
     v = np.ascontiguousarray(diff).reshape(-1)
     if np.iscomplexobj(v):
         v = v.view(v.real.dtype)

@@ -42,6 +42,7 @@ from .linalg import numerical_rank, singular_values
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
+_LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 CSV_COLUMNS = (
     "model", "sites", "epsilon", "seed", "trial", "trace_distance",
@@ -303,6 +304,14 @@ def _init_ti_worker(ctx: dict):
     _WORKER_CTX.update(ctx)
 
 
+def _init_spawned_ti_worker(ctx: dict, level: int):
+    """Pool initializer: a spawned worker starts with unconfigured logging,
+    so it takes the parent's log format and effective level first."""
+    logging.basicConfig(stream=sys.stderr, level=level, format=_LOG_FORMAT)
+    log.setLevel(level)
+    _init_ti_worker(ctx)
+
+
 def _prepare_ti_context(cfg: dict, command: str) -> dict:
     """The read config plus the model, its exact data and the resolved sweep."""
     model_id, r, d_b = _build_model(cfg["model"])
@@ -385,11 +394,13 @@ def _run_ti_trial(task):
         od_hat = spectral.omega_data_from_coefficients(*ests, d_a=basis.dim, s=s)
     tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
     sr = spectral.spectral_realization(od_hat, tr)
+    if not ctx["sites"]:
+        return []
     # deviations are measured from the underlying exact model, so in the
     # robustness command they include the mixing contribution; only t
     # varies with the size
-    params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"],
-                                           ctx["scale"], 0, variant=ctx["bound_variant"])
+    params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"], ctx["scale"],
+                                           ctx["sites"][0], variant=ctx["bound_variant"])
     model_id = ctx["model_id"]
     if ctx["command"] == "robustness":
         model_id = f"{model_id}+mix(xi={xi:g})"
@@ -448,7 +459,8 @@ def _run_ti_sweep(cfg: dict, out_dir: Path, command: str) -> Path:
     if cfg["workers"] > 1:
         with _single_thread_blas_env(), ProcessPoolExecutor(
                 max_workers=cfg["workers"], mp_context=multiprocessing.get_context("spawn"),
-                initializer=_init_ti_worker, initargs=(ctx,)) as pool:
+                initializer=_init_spawned_ti_worker,
+                initargs=(ctx, log.getEffectiveLevel())) as pool:
             chunks = list(pool.map(_run_ti_trial, tasks))
     else:
         _init_ti_worker(ctx)
@@ -771,8 +783,7 @@ def main(argv=None) -> int:
                         choices=["debug", "info", "warning", "error"])
     args = parser.parse_args(argv)
     level = getattr(logging, args.log_level.upper())
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(stream=sys.stderr, level=level, format=_LOG_FORMAT)
     # basicConfig does nothing once the root logger has a handler, so a
     # later in-process call sets its level on the package logger
     log.setLevel(level)

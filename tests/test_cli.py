@@ -5,6 +5,8 @@ import logging
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -28,6 +30,19 @@ def run_cli(tmp_path, command, cfg, out="out"):
                    "--log-level", "warning"])
     assert rc == 0, f"{command} failed"
     return out_dir
+
+
+def run_cli_process(tmp_path, command, cfg, out="out", level="warning"):
+    """Run the CLI in a fresh interpreter, which reads the BLAS thread
+    variables of the current environment when it loads numpy."""
+    cfg_path = write_config(tmp_path, f"{command}-{out}.json", cfg)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "fcs_spectral.cli", command, "--config", str(cfg_path),
+         "--out", str(tmp_path / out), "--log-level", level],
+        env=env, capture_output=True, text=True, timeout=300)
 
 
 def read_rows(path):
@@ -110,13 +125,34 @@ def test_cmd_aklt_worker_pool_matches_sequential(tmp_path):
 
 
 def test_cmd_aklt_workers_byte_identical_at_t7(tmp_path):
-    # the sequential run uses the inherited BLAS threads, each worker one
+    # the eigensolve's last bits follow the BLAS thread count, so the
+    # sequential run gets the single BLAS thread each worker has
     cfg = dict(AKLT_CFG, epsilons=[1e-4, 1e-2], sites=[2, 7], trials=1, seed=11)
     env = dict(os.environ)
-    seq = run_cli(tmp_path, "aklt", cfg, out="seq")
+    with cli._single_thread_blas_env():
+        seq = run_cli_process(tmp_path, "aklt", cfg, out="seq")
+    assert seq.returncode == 0, seq.stderr
     par = run_cli(tmp_path, "aklt", dict(cfg, workers=2), out="par")
-    assert (seq / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
+    assert (tmp_path / "seq" / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
     assert dict(os.environ) == env
+
+
+def test_worker_log_messages_follow_log_level(tmp_path):
+    # rank 2 < 4 on exact data: zero deviations, a zero bound and 2*TD > 0
+    cfg = dict(AKLT_CFG, truncation={"mode": "rank", "value": 2}, epsilons=[0.0],
+               sites=[2], trials=2, workers=2)
+    quiet = run_cli_process(tmp_path, "aklt", cfg, out="quiet", level="error")
+    loud = run_cli_process(tmp_path, "aklt", cfg, out="loud", level="warning")
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    lines = loud.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(ln.startswith("WARNING fcs_spectral: monitored bound exceeded") for ln in lines)
+
+
+def test_cmd_aklt_without_sizes_writes_header_only(tmp_path):
+    out = run_cli(tmp_path, "aklt", dict(AKLT_CFG, sites=[]))
+    assert (out / "aklt.csv").read_text().splitlines() == [",".join(cli.CSV_COLUMNS)]
 
 
 def test_blas_thread_env_reaches_spawned_workers_only():
