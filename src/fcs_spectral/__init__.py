@@ -21,7 +21,6 @@ from .fcs import (
     aklt,
     chain_state,
     dense_state,
-    evaluate_word,
     from_cstar,
     load_realization,
     marginal,
@@ -33,7 +32,7 @@ from .fcs import (
     t_star,
 )
 from .noise import NoiseSpec, make_rng, perturb_matrix, perturb_omega_data, simulate_tomography, spawn_rng
-from .opbasis import HermitianBasis, assemble_from_coefficients, block_element, expand_in_basis, gellmann
+from .opbasis import HermitianBasis, expand_in_basis, gellmann
 from .spectral import (
     ChainOmegaData,
     OmegaData,
@@ -41,7 +40,6 @@ from .spectral import (
     build_chain_omega,
     build_omega,
     build_omega_from_marginals,
-    empirical_realization,
     nonhomog_reconstruct,
     spectral_realization,
     truncate,

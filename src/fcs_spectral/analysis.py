@@ -25,7 +25,6 @@ mistake vacuous cases for passes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -96,24 +95,15 @@ def trace_distance(a, b, herm_tol=1e-8) -> float:
 def hs_distance(a, b) -> float:
     """Hilbert-Schmidt (Frobenius) distance."""
     ma, mb = _pair(a, b)
-    return float(np.linalg.norm(ma - mb))
+    return frobenius_norm(ma - mb)
 
 
 def difference_distances(diff) -> tuple[float, float]:
     """Trace and Hilbert-Schmidt distance of two states from the dense
     difference of their matrices: half its Schatten-1 norm, and its
     Frobenius norm.
-
-    The Frobenius norm sums the squares in numpy's own einsum loop, not in
-    the BLAS dot behind ``np.linalg.norm``, whose partial sums follow the
-    BLAS thread count: a sweep writes the same bytes with any number of
-    workers.
     """
-    td = 0.5 * trace_norm_hermitian(diff)
-    v = np.ascontiguousarray(diff).reshape(-1)
-    if np.iscomplexobj(v):
-        v = v.view(v.real.dtype)
-    return td, math.sqrt(float(np.einsum("i,i->", v, v)))
+    return 0.5 * trace_norm_hermitian(diff), frobenius_norm(diff)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +145,8 @@ def surrogate_parameters(od_exact: OmegaData, od_noisy: OmegaData, sigma: float,
         raise ValueError("sigma must be positive")
     d_omega = frobenius_norm(od_noisy.omega - od_exact.omega)
     d_dot = frobenius_norm(od_noisy.omega_dot - od_exact.omega_dot)
-    d_one = float(np.linalg.norm(od_noisy.omega_one - od_exact.omega_one))
-    d_tau = float(np.linalg.norm(od_noisy.tau_omega - od_exact.tau_omega))
+    d_one = frobenius_norm(od_noisy.omega_one - od_exact.omega_one)
+    d_tau = frobenius_norm(od_noisy.tau_omega - od_exact.tau_omega)
     sqrt_da = math.sqrt(od_exact.d_a)
     delta_1 = 4.0 * (d_omega / sigma ** 2 + d_tau / (3.0 * sigma))
     delta_inf = 2.0 * d_one / (math.sqrt(3.0) * sigma)
@@ -280,9 +270,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.inequalities)
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def to_dict(self) -> dict:
         return {
             "version": 1,
@@ -291,9 +278,6 @@ class CheckReport:
             "precondition": self.precondition,
             "inequalities": [c.to_dict() for c in self.inequalities],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +465,12 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, 
     lhs_k = _flattened_k_norm(tilde.kappa, hat.kappa)
     rhs_k = GOLDEN_PINV_CONSTANT * d_op / denom + d_dot_op / sigma_proj_hat
 
-    lhs_e = float(np.linalg.norm(hat.e - tilde.e))
-    rhs_e = float(np.linalg.norm(od_noisy.omega_one - od_exact.omega_one))
+    lhs_e = frobenius_norm(hat.e - tilde.e)
+    rhs_e = frobenius_norm(od_noisy.omega_one - od_exact.omega_one)
 
-    lhs_rho = float(np.linalg.norm(hat.rho - tilde.rho))
+    lhs_rho = frobenius_norm(hat.rho - tilde.rho)
     rhs_rho = GOLDEN_PINV_CONSTANT * frobenius_norm(od_noisy.omega - od_exact.omega) / denom \
-        + float(np.linalg.norm(od_noisy.tau_omega - od_exact.tau_omega)) / sigma_proj_hat
+        + frobenius_norm(od_noisy.tau_omega - od_exact.tau_omega) / sigma_proj_hat
 
     # ||(U'^T U)^{-1}|| = 1 / sigma_min(U'^T U) for the square overlap
     lhs_u = 1.0 / float(singular_values(tr.u_hat.T @ u_exact)[-1])

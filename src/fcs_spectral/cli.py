@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, fcs, noise, spectral
-from .linalg import numerical_rank, singular_values
+from .linalg import frobenius_norm, numerical_rank, singular_values
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
@@ -149,7 +149,7 @@ _TI = {
                "epsilon_prime": (float, noise.NoiseSpec.epsilon_prime)}, {}),
     "epsilons": ([float], None), "shots_sweep": ([int], None),
     "dense_cap": _DENSE_CAP, "timing": (bool, False), "workers": (int, 1),
-    "bound_variant": (str, "general"), "svg": (str, None),
+    "bound_variant": (str, "general"),
 }
 
 # The config schema of every command: key -> (type, default); see _read.
@@ -229,66 +229,6 @@ def _write_json(path: Path, doc: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    log.info("wrote %s", path)
-
-
-_SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
-
-
-def _write_svg_scatter(path: Path, rows):
-    """Minimal self-contained scatter of trace distance vs block size on a
-    log axis, one color per noise level.  Quick-look only; real plotting is
-    expected to happen outside, from the CSV."""
-    points = [(int(r[1]), float(r[2]), max(float(r[5]), 1e-16)) for r in rows]
-    eps_levels = sorted({e for _, e, _ in points})
-    ts = sorted({t for t, _, _ in points})
-    w, h, ml, mb, mt, mr = 640, 440, 70, 50, 20, 20
-    y_vals = [math.log10(td) for _, _, td in points]
-    y_lo, y_hi = math.floor(min(y_vals)), math.ceil(max(y_vals) + 1e-9)
-    if y_hi == y_lo:
-        y_hi += 1
-    x_lo, x_hi = min(ts), max(ts)
-
-    def px(t):
-        span = max(x_hi - x_lo, 1)
-        return ml + (t - x_lo) / span * (w - ml - mr)
-
-    def py(logv):
-        return h - mb - (logv - y_lo) / (y_hi - y_lo) * (h - mb - mt)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<line x1="{ml}" y1="{h - mb}" x2="{w - mr}" y2="{h - mb}" stroke="black"/>',
-        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{h - mb}" stroke="black"/>',
-    ]
-    for t in ts:
-        parts.append(f'<text x="{px(t):.1f}" y="{h - mb + 18}" font-size="12" '
-                     f'text-anchor="middle">{t}</text>')
-    for dec in range(y_lo, y_hi + 1):
-        parts.append(f'<text x="{ml - 8}" y="{py(dec):.1f}" font-size="12" '
-                     f'text-anchor="end">1e{dec}</text>')
-        parts.append(f'<line x1="{ml - 4}" y1="{py(dec):.1f}" x2="{ml}" '
-                     f'y2="{py(dec):.1f}" stroke="black"/>')
-    parts.append(f'<text x="{(ml + w - mr) / 2:.1f}" y="{h - 12}" font-size="13" '
-                 f'text-anchor="middle">sites</text>')
-    parts.append(f'<text x="16" y="{(mt + h - mb) / 2:.1f}" font-size="13" '
-                 f'text-anchor="middle" transform="rotate(-90 16 '
-                 f'{(mt + h - mb) / 2:.1f})">trace distance</text>')
-    for idx, eps in enumerate(eps_levels):
-        color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-        for t, e, td in points:
-            if e == eps:
-                parts.append(f'<circle cx="{px(t):.1f}" cy="{py(math.log10(td)):.1f}" '
-                             f'r="3" fill="{color}" fill-opacity="0.6"/>')
-        parts.append(f'<circle cx="{w - 150}" cy="{mt + 14 + 16 * idx}" r="4" '
-                     f'fill="{color}"/>')
-        parts.append(f'<text x="{w - 140}" y="{mt + 18 + 16 * idx}" '
-                     f'font-size="12">eps = {eps:g}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
     log.info("wrote %s", path)
 
 
@@ -470,8 +410,6 @@ def _run_ti_sweep(cfg: dict, out_dir: Path, command: str) -> Path:
     rows = [r for _, r in keyed]
     out = out_dir / cfg["output"]
     _write_csv(out, CSV_COLUMNS, rows)
-    if cfg["svg"]:
-        _write_svg_scatter(out_dir / cfg["svg"], rows)
     return out
 
 
@@ -570,10 +508,10 @@ def _nonhomog_bound(cod, cod_hat, ranks, sigmas, d_a: int, n: int) -> float:
     sqd = math.sqrt(d_a)
     terms = []
     for j in range(1, n + 1):
-        d_dot = float(np.linalg.norm(cod_hat.omega_dots[j] - cod.omega_dots[j]))
+        d_dot = frobenius_norm(cod_hat.omega_dots[j] - cod.omega_dots[j])
         if j < n:
             sig_j = sigmas[j - 1]
-            d_om = float(np.linalg.norm(cod_hat.omegas[j] - cod.omegas[j]))
+            d_om = frobenius_norm(cod_hat.omegas[j] - cod.omegas[j])
             inner = d_om / sig_j ** 2 + d_dot / (3.0 * sig_j)
         else:
             inner = d_dot / (3.0 * sigmas[n - 2])

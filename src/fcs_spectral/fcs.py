@@ -35,8 +35,6 @@ __all__ = [
     "ChainRealization",
     "partial_trace_window",
     "word_rows",
-    "evaluate_word",
-    "word_coefficient_tensor",
     "dense_product",
     "marginal",
     "marginal_difference",
@@ -65,24 +63,14 @@ AKLT_THETA = math.acos(math.sqrt(2.0 / 3.0))
 
 @dataclass
 class DensityMatrix:
-    """Hermitian trace-one matrix on a block of `sites` qudits of dimension `dim`.
-
-    `coeffs` caches the real expansion coefficients in the block Hermitian
-    basis; use :meth:`coefficients` to compute them on demand.
-    """
+    """Hermitian trace-one matrix on a block of `sites` qudits of dimension `dim`."""
 
     matrix: np.ndarray
     dim: int
     sites: int
-    coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def coefficients(self, basis: HermitianBasis) -> np.ndarray:
-        if self.coeffs is None:
-            self.coeffs = expand_in_basis(self.matrix, basis, self.sites)
-        return self.coeffs
 
     def validate(self, trace_tol=1e-10, psd_tol=1e-9, herm_tol=1e-10):
         lo = float(hermitian_eigenvalues(self.matrix, herm_tol)[0])
@@ -238,30 +226,6 @@ def word_rows(boundary, maps, from_right: bool = False) -> list[np.ndarray]:
             cur = np.einsum("wi,aij->waj", cur, k).reshape(-1, k.shape[2])
             rows.append(cur)
     return rows
-
-
-def evaluate_word(r: Realization, word) -> float:
-    """Correlation value rho . K_{c_1} ... K_{c_t} . e for coefficient vectors c_k."""
-    n = r.kappa.shape[0]
-    maps = []
-    for c in word:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (n,):
-            raise ValueError(f"coefficient vector has shape {c.shape}, expected ({n},)")
-        maps.append(np.tensordot(c, r.kappa, axes=(0, 0))[None])
-    return float(word_rows(r.e, maps, from_right=True)[-1][0] @ np.asarray(r.rho, dtype=float))
-
-
-def word_coefficient_tensor(rho, kappa, e, t: int) -> np.ndarray:
-    """All correlation words of length t as a flat ((d^2)^t,) array.
-
-    Entry at flat index (i_1..i_t) is rho . kappa[i_1] ... kappa[i_t] . e.
-    Built from both ends so the large intermediate is a single matmul.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    left = word_rows(rho, [kappa] * (t // 2))[-1]
-    right = word_rows(e, [kappa] * (t - t // 2), from_right=True)[-1]
-    return (left @ right.T).reshape(-1)
 
 
 def dense_product(left, maps, right, basis: HermitianBasis,

@@ -11,11 +11,14 @@ bit-reproducible per seed.  Exempt from the rule:
   lemma instances (``fcs._haar_isometry``, ``cli._sweep_projected_sigma``);
 * the batched ``eigh`` of the d^2 package-built basis elements in
   ``noise._product_outcomes``;
-* vector and Frobenius ``np.linalg.norm``, which is not a decomposition.
+* ``np.linalg.norm`` where it scales a random draw or a state vector or
+  sets a tolerance (``noise``, ``cli._build_model``, ``expand_in_basis``);
+  it is not a decomposition, and no reported norm goes through it.
 
 Norm conventions used throughout the package:
 
-* ``frobenius_norm`` is the Schatten-2 norm (entrywise 2-norm),
+* ``frobenius_norm`` is the Schatten-2 norm (entrywise 2-norm; the 2-norm of
+  a vector), summed the same way at any BLAS thread count,
 * ``operator_norm_2to2`` is the spectral norm (largest singular value),
 * ``trace_norm_hermitian`` is the Schatten-1 norm of a Hermitian matrix.
 
@@ -25,6 +28,7 @@ perturbation statements under the name "2-norm" in the literature.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +43,6 @@ __all__ = [
     "frobenius_norm",
     "trace_norm_hermitian",
     "hermitian_eigenvalues",
-    "hermitian_eigen",
 ]
 
 
@@ -118,8 +121,17 @@ def operator_norm_2to2(a) -> float:
 
 
 def frobenius_norm(a) -> float:
-    """Schatten-2 (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Schatten-2 (Frobenius) norm: the 2-norm of the entries.
+
+    The squares are summed in numpy's own einsum loop, not in the BLAS dot
+    behind ``np.linalg.norm``, whose partial sums follow the BLAS thread
+    count: the norm has the same bits with any number of BLAS threads or
+    workers.
+    """
+    v = np.ascontiguousarray(a).reshape(-1)
+    if np.iscomplexobj(v):
+        v = v.view(v.real.dtype)
+    return math.sqrt(float(np.einsum("i,i->", v, v)))
 
 
 # Rows per pass of the Hermiticity check: its temporaries stay a few MB even
@@ -166,7 +178,3 @@ def hermitian_eigenvalues(a, herm_tol=1e-8) -> np.ndarray:
     eigensolved."""
     return _lapack("eigensolver", np.linalg.eigvalsh, _check_hermitian(a, herm_tol))
 
-
-def hermitian_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    return _lapack("eigensolver", np.linalg.eigh, _check_hermitian(a))

@@ -13,17 +13,13 @@ C-order value sum_k i_k * (d^2)^(s-k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "HermitianBasis",
     "gellmann",
-    "multi_index",
-    "block_element",
     "expand_in_basis",
-    "assemble_from_coefficients",
     "matrix_units",
 ]
 
@@ -72,32 +68,6 @@ def _hermitian_basis(d: int) -> HermitianBasis:
     return HermitianBasis(dim=d, elements=np.array(elements))
 
 
-def multi_index(flat: int, sites: int, d: int) -> tuple[int, ...]:
-    """Multi-index (i_1, ..., i_s) of a flat block index, first entry most
-    significant."""
-    n = d * d
-    if not 0 <= flat < n ** sites:
-        raise IndexError(f"flat index {flat} out of range for {sites} sites")
-    out = []
-    for _ in range(sites):
-        out.append(flat % n)
-        flat //= n
-    return tuple(reversed(out))
-
-
-def block_element(basis: HermitianBasis, multi: Iterable[int]) -> np.ndarray:
-    """Kronecker product of basis elements, leftmost site = leftmost factor."""
-    multi = tuple(multi)
-    if not multi:
-        raise IndexError("empty block index")
-    out = None
-    for i in multi:
-        if not 0 <= i < basis.size:
-            raise IndexError(f"basis index {i} out of range [0, {basis.size})")
-        out = basis.elements[i] if out is None else np.kron(out, basis.elements[i])
-    return out
-
-
 def expand_in_basis(m, basis: HermitianBasis, sites: int, imag_tol=1e-10) -> np.ndarray:
     """Real coefficient vector of a Hermitian block matrix.
 
@@ -131,28 +101,6 @@ def _contract_sites(m, ops, sites: int) -> np.ndarray:
         x = np.tensordot(x, ops, axes=([site, sites], [2, 1]))
         x = np.moveaxis(x, -1, site)
     return x
-
-
-def assemble_from_coefficients(coeffs, basis: HermitianBasis, sites: int) -> np.ndarray:
-    """Block matrix sum_w c[w] g_{w_1} x ... x g_{w_s} from real coefficients.
-
-    The inverse of :func:`expand_in_basis`.  Dense marginals of a realization
-    are built by ``fcs.dense_product`` without forming the coefficients.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    d = basis.dim
-    nb = basis.size
-    if coeffs.size != nb ** sites:
-        raise ValueError(
-            f"expected {nb ** sites} coefficients for {sites} sites, got {coeffs.size}"
-        )
-    x = coeffs.reshape((nb,) * sites).astype(complex)
-    for _ in range(sites):
-        x = np.tensordot(x, basis.elements, axes=([0], [0]))
-    # axes are now (r_1, c_1, ..., r_s, c_s); interleave back to block form
-    perm = list(range(0, 2 * sites, 2)) + list(range(1, 2 * sites, 2))
-    n = d ** sites
-    return np.ascontiguousarray(x.transpose(perm)).reshape(n, n)
 
 
 def matrix_units(letters, basis: HermitianBasis) -> np.ndarray:

@@ -16,22 +16,19 @@ Non-homogeneous path: per-site window forms Omega^{[i,j,k]} with the
 asymmetric boundary maps; see :func:`nonhomog_reconstruct`.
 
 Estimates are generally neither stationary nor positive semidefinite, so
-they are not validated; an optional projection to the nearest density
-matrix is provided for downstream consumers and is outside the error
-analysis.
+they are not validated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fcs
 from .fcs import DEFAULT_DENSE_CAP, DensityMatrix, Realization
-from .linalg import hermitian_eigen, singular_values, svd
-from .opbasis import HermitianBasis
+from .linalg import svd
+from .opbasis import HermitianBasis, expand_in_basis
 
 __all__ = [
     "OmegaData",
@@ -41,8 +38,6 @@ __all__ = [
     "omega_data_from_coefficients",
     "truncate",
     "spectral_realization",
-    "empirical_realization",
-    "project_to_density_matrix",
     "ChainOmegaData",
     "build_chain_omega",
     "NonhomogReconstruction",
@@ -71,30 +66,6 @@ class OmegaData:
     def copy(self) -> "OmegaData":
         return OmegaData(self.d_a, self.s_left, self.s_right, self.omega.copy(),
                          self.omega_dot.copy(), self.omega_one.copy(), self.tau_omega.copy())
-
-    def validate_exact(self, atol=1e-10):
-        """Marginal-compatibility identities that hold for exact data only.
-
-        Appending an identity site is invisible to the state, so entries
-        with trailing/leading identity indices must agree with the smaller
-        marginals after the 1/sqrt(d) basis normalization.
-        """
-        d = self.d_a
-        nb = d * d
-        # omega_one[j] = sqrt(d^s_right) * omega[j, all-identity right index]
-        dev1 = np.abs(self.omega_one - math.sqrt(float(d ** self.s_right)) * self.omega[:, 0]).max()
-        dev2 = np.abs(self.tau_omega - math.sqrt(float(d ** self.s_left)) * self.omega[0, :]).max()
-        # right index ending in the identity relates omega_dot to omega with
-        # the middle label shifted into the right block:
-        #   sqrt(d) * omega_dot[k, j, (i_1..i_{s-1}, 0)] = omega[j, (k, i_1..i_{s-1})]
-        dot = self.omega_dot.reshape(nb, self.omega.shape[0], nb ** (self.s_right - 1), nb)
-        lhs = math.sqrt(float(d)) * dot[..., 0]
-        rhs = self.omega.reshape(self.omega.shape[0], nb, nb ** (self.s_right - 1)).transpose(1, 0, 2)
-        dev3 = np.abs(lhs - rhs).max()
-        worst = max(dev1, dev2, dev3)
-        if worst > atol:
-            raise ValueError(f"exact-mode consistency violated: max deviation {worst:.3e}")
-        return self
 
 
 def build_omega(r: Realization, basis: HermitianBasis | None = None,
@@ -125,13 +96,8 @@ def build_omega_from_marginals(marg_s: DensityMatrix, marg_2s: DensityMatrix,
             f"marginal sizes ({marg_s.sites}, {marg_2s.sites}, {marg_2s1.sites}) "
             f"are not of the form (s, 2s, 2s+1)"
         )
-    return omega_data_from_coefficients(
-        marg_s.coefficients(basis),
-        marg_2s.coefficients(basis),
-        marg_2s1.coefficients(basis),
-        d_a=basis.dim,
-        s=s,
-    )
+    coeffs = (expand_in_basis(m.matrix, basis, m.sites) for m in (marg_s, marg_2s, marg_2s1))
+    return omega_data_from_coefficients(*coeffs, d_a=basis.dim, s=s)
 
 
 def omega_data_from_coefficients(c_s, c_2s, c_2s1, d_a: int, s: int) -> OmegaData:
@@ -223,40 +189,6 @@ def spectral_realization(od: OmegaData, tr: SvdTruncation,
     return r
 
 
-def empirical_realization(od_exact: OmegaData, u_hat: np.ndarray,
-                          min_overlap: float = 1e-8,
-                          pinv_tol: float = 1e-12) -> Realization:
-    """Exact-data realization in an estimated frame.
-
-    Uses the true Omega data with a (possibly noisy) left frame u_hat; as
-    long as u_hat^T u is invertible this is an exact realization of the
-    state.  The invertibility check sigma_min(u_hat^T u) > min_overlap
-    uses the exact rank-m frame u of Omega.
-    """
-    m_hat = u_hat.shape[1]
-    u_exact = svd(od_exact.omega).u[:, :m_hat]
-    overlap = singular_values(u_hat.T @ u_exact)
-    if overlap[-1] <= min_overlap:
-        raise ValueError(
-            f"u_hat^T u is numerically singular: sigma_min = {overlap[-1]:.3e}"
-        )
-    r, _ = _realize(od_exact, u_hat, pinv_tol)
-    r.diagnostics = {"u_overlap_sigma_min": float(overlap[-1])}
-    return r
-
-
-def project_to_density_matrix(dm: DensityMatrix) -> DensityMatrix:
-    """Nearest-density-matrix post-processing: clip negative eigenvalues and
-    renormalize the trace.  Outside the reconstruction error analysis."""
-    w, v = hermitian_eigen(dm.matrix)
-    w = np.clip(w, 0.0, None)
-    s = w.sum()
-    if s <= 0:
-        raise ValueError("projection failed: no positive spectral weight")
-    out = (v * (w / s)) @ v.conj().T
-    return DensityMatrix(matrix=out, dim=dm.dim, sites=dm.sites)
-
-
 # ---------------------------------------------------------------------------
 # non-homogeneous case
 # ---------------------------------------------------------------------------
@@ -317,9 +249,6 @@ class NonhomogReconstruction:
     n_sites: int
     k_maps: list[np.ndarray]   # k_maps[j-1] has shape (d^2, m_{j-1}, m_j); m_0 = m_N = 1
     ranks: list[int]
-
-    def coefficients(self) -> np.ndarray:
-        return fcs.word_rows(np.ones(1), self.k_maps)[-1].reshape(-1)
 
     def state(self, basis: HermitianBasis, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
         """Dense reconstructed chain state, the operator product of the maps."""

@@ -1,0 +1,116 @@
+"""Reference implementations that the tests check the package against.
+
+The package evaluates every marginal as one dense operator product
+(``fcs.dense_product``).  These are the slower, independent routes to the
+same numbers: single correlation words, the full word-coefficient tensor,
+per-element block basis matrices, block matrices assembled from their
+coefficients, and the exact-data identities of Omega.
+"""
+
+import math
+from typing import Iterable
+
+import numpy as np
+
+from fcs_spectral.fcs import Realization, word_rows
+from fcs_spectral.opbasis import HermitianBasis
+from fcs_spectral.spectral import OmegaData
+
+
+def evaluate_word(r: Realization, word) -> float:
+    """Correlation value rho . K_{c_1} ... K_{c_t} . e for coefficient vectors c_k."""
+    n = r.kappa.shape[0]
+    maps = []
+    for c in word:
+        c = np.asarray(c, dtype=float)
+        if c.shape != (n,):
+            raise ValueError(f"coefficient vector has shape {c.shape}, expected ({n},)")
+        maps.append(np.tensordot(c, r.kappa, axes=(0, 0))[None])
+    return float(word_rows(r.e, maps, from_right=True)[-1][0] @ np.asarray(r.rho, dtype=float))
+
+
+def word_coefficient_tensor(rho, kappa, e, t: int) -> np.ndarray:
+    """All correlation words of length t as a flat ((d^2)^t,) array.
+
+    Entry at flat index (i_1..i_t) is rho . kappa[i_1] ... kappa[i_t] . e.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    left = word_rows(rho, [kappa] * (t // 2))[-1]
+    right = word_rows(e, [kappa] * (t - t // 2), from_right=True)[-1]
+    return (left @ right.T).reshape(-1)
+
+
+def chain_coefficients(k_maps) -> np.ndarray:
+    """Word coefficients of a finite chain: the words over its per-site maps
+    between trivial boundaries, first site most significant."""
+    return word_rows(np.ones(1), k_maps)[-1].reshape(-1)
+
+
+def multi_index(flat: int, sites: int, d: int) -> tuple[int, ...]:
+    """Multi-index (i_1, ..., i_s) of a flat block index, first entry most
+    significant."""
+    n = d * d
+    if not 0 <= flat < n ** sites:
+        raise IndexError(f"flat index {flat} out of range for {sites} sites")
+    out = []
+    for _ in range(sites):
+        out.append(flat % n)
+        flat //= n
+    return tuple(reversed(out))
+
+
+def block_element(basis: HermitianBasis, multi: Iterable[int]) -> np.ndarray:
+    """Kronecker product of basis elements, leftmost site = leftmost factor."""
+    multi = tuple(multi)
+    if not multi:
+        raise IndexError("empty block index")
+    out = None
+    for i in multi:
+        if not 0 <= i < basis.size:
+            raise IndexError(f"basis index {i} out of range [0, {basis.size})")
+        out = basis.elements[i] if out is None else np.kron(out, basis.elements[i])
+    return out
+
+
+def assemble_from_coefficients(coeffs, basis: HermitianBasis, sites: int) -> np.ndarray:
+    """Block matrix sum_w c[w] g_{w_1} x ... x g_{w_s} from real coefficients,
+    the inverse of ``opbasis.expand_in_basis``."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    d = basis.dim
+    nb = basis.size
+    if coeffs.size != nb ** sites:
+        raise ValueError(
+            f"expected {nb ** sites} coefficients for {sites} sites, got {coeffs.size}"
+        )
+    x = coeffs.reshape((nb,) * sites).astype(complex)
+    for _ in range(sites):
+        x = np.tensordot(x, basis.elements, axes=([0], [0]))
+    # axes are now (r_1, c_1, ..., r_s, c_s); interleave back to block form
+    perm = list(range(0, 2 * sites, 2)) + list(range(1, 2 * sites, 2))
+    n = d ** sites
+    return np.ascontiguousarray(x.transpose(perm)).reshape(n, n)
+
+
+def validate_exact(od: OmegaData, atol=1e-10) -> OmegaData:
+    """Marginal-compatibility identities that hold for exact Omega data only.
+
+    Appending an identity site is invisible to the state, so entries with
+    trailing/leading identity indices must agree with the smaller marginals
+    after the 1/sqrt(d) basis normalization.
+    """
+    d = od.d_a
+    nb = d * d
+    # omega_one[j] = sqrt(d^s_right) * omega[j, all-identity right index]
+    dev1 = np.abs(od.omega_one - math.sqrt(float(d ** od.s_right)) * od.omega[:, 0]).max()
+    dev2 = np.abs(od.tau_omega - math.sqrt(float(d ** od.s_left)) * od.omega[0, :]).max()
+    # right index ending in the identity relates omega_dot to omega with the
+    # middle label shifted into the right block:
+    #   sqrt(d) * omega_dot[k, j, (i_1..i_{s-1}, 0)] = omega[j, (k, i_1..i_{s-1})]
+    dot = od.omega_dot.reshape(nb, od.omega.shape[0], nb ** (od.s_right - 1), nb)
+    lhs = math.sqrt(float(d)) * dot[..., 0]
+    rhs = od.omega.reshape(od.omega.shape[0], nb, nb ** (od.s_right - 1)).transpose(1, 0, 2)
+    dev3 = np.abs(lhs - rhs).max()
+    worst = max(dev1, dev2, dev3)
+    if worst > atol:
+        raise ValueError(f"exact-mode consistency violated: max deviation {worst:.3e}")
+    return od

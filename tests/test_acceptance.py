@@ -22,9 +22,9 @@ from fcs_spectral.fcs import (
     marginal_difference,
     random_cstar,
     random_chain,
-    word_coefficient_tensor,
 )
 from fcs_spectral.opbasis import expand_in_basis, gellmann
+from oracles import word_coefficient_tensor
 
 _CACHE: dict = {}
 

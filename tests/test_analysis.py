@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fcs_spectral import analysis
 from fcs_spectral.analysis import (
     GUARANTEE_CONSTANT,
     CheckReport,
@@ -26,6 +31,7 @@ from fcs_spectral.analysis import (
 from fcs_spectral.fcs import from_cstar, random_cstar
 from fcs_spectral.noise import make_rng, perturb_omega_data, spawn_rng
 from fcs_spectral.spectral import build_omega
+from oracles import assemble_from_coefficients
 
 
 # -- distances -----------------------------------------------------------------
@@ -72,8 +78,6 @@ def test_difference_distances_match_pairwise(basis2):
     rng = np.random.default_rng(3)
     c1 = rng.standard_normal(16)
     c2 = rng.standard_normal(16)
-    from fcs_spectral.opbasis import assemble_from_coefficients
-
     a = assemble_from_coefficients(c1, basis2, 2)
     b = assemble_from_coefficients(c2, basis2, 2)
     td, hs = difference_distances(a - b)
@@ -337,9 +341,37 @@ def test_surrogate_parameters_zero_noise(aklt_omega):
     assert ep_c.delta_cap == 0.0
 
 
+# float.hex of the surrogate parameters of 20 noisy block-size-2 AKLT
+# estimates; omega_dot has 9 x 81 x 81 entries there, enough for a BLAS dot
+# to split its sum across threads
+_SURROGATE_BITS = """
+from fcs_spectral import analysis, fcs, noise, spectral
+od = spectral.build_omega(fcs.from_cstar(fcs.aklt()), s_left=2, s_right=2)
+sigma = analysis.sigma_m(od.omega, 4)
+for trial in range(20):
+    od_hat = noise.perturb_omega_data(od, 1e-3, 1e-3, noise.spawn_rng(3, 0, trial))
+    p = analysis.surrogate_parameters(od, od_hat, sigma, 4, 3)
+    print(p.delta_1.hex(), p.delta_inf.hex(), p.delta_cap.hex())
+"""
+
+
+def test_surrogate_parameters_bits_independent_of_blas_threads():
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _SURROGATE_BITS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 20
+    assert outputs[0] == outputs[1]
+
+
 def test_report_serializes_to_json(aklt_omega):
     rep = check_realization_estimate_bounds(aklt_omega, aklt_omega.copy(), 4)
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["version"] == 1
     assert doc["passed"] is True
     for ineq in doc["inequalities"]:

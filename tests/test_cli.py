@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from fcs_spectral import cli, fcs
-from fcs_spectral.fcs import evaluate_word, load_realization, marginal, realization_from_dict
+from fcs_spectral.fcs import load_realization, marginal, realization_from_dict
+from oracles import assemble_from_coefficients, evaluate_word
 
 
 def write_config(tmp_path, name, cfg):
@@ -343,12 +344,13 @@ def reconstruct_with(marginals, **changes):
      "'shot_multinomial'], got \"bogus\""),
     (*reconstruct_with("ragged.json"),
      "ValueError: marginals.marginals[0].matrix: a 1-site marginal must be a 2 x 2 grid"),
+    (*aklt_with(svg="sweep.svg"), "ValueError: aklt: unknown keys ['svg']"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
         "negative-trials", "zero-block-size", "list-marginals-file", "nan-tol",
         "nan-slack", "nan-pinv-tol", "nan-marginal-entry", "infinite-epsilon-prime",
-        "unknown-noise-mode", "ragged-marginal-matrix"])
+        "unknown-noise-mode", "ragged-marginal-matrix", "unknown-svg-key"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback
@@ -454,7 +456,6 @@ def reconstruct_from_shots(tmp_path, aklt_realization, basis3):
     the marginals document and reconstruct from it via the CLI."""
     from fcs_spectral.fcs import DensityMatrix
     from fcs_spectral.noise import make_rng, simulate_tomography
-    from fcs_spectral.opbasis import assemble_from_coefficients
 
     rng = make_rng(12)
     marginals = {}
@@ -508,14 +509,6 @@ def test_cmd_reconstruct_missing_marginal(tmp_path, aklt_realization, basis3):
     rc = cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path),
                    "--log-level", "error"])
     assert rc == 2
-
-
-def test_svg_quick_look_output(tmp_path):
-    out1 = run_cli(tmp_path, "aklt", dict(AKLT_CFG, svg="sweep.svg"), out="s1")
-    out2 = run_cli(tmp_path, "aklt", dict(AKLT_CFG, svg="sweep.svg"), out="s2")
-    svg = (out1 / "sweep.svg").read_text()
-    assert svg.startswith("<svg") and "circle" in svg and "trace distance" in svg
-    assert (out1 / "sweep.svg").read_bytes() == (out2 / "sweep.svg").read_bytes()
 
 
 def test_chain_window_form_accessor(basis2):

@@ -9,7 +9,6 @@ from fcs_spectral.fcs import (
     aklt,
     chain_state,
     dense_state,
-    evaluate_word,
     from_cstar,
     load_realization,
     marginal,
@@ -24,6 +23,7 @@ from fcs_spectral.fcs import (
 )
 from fcs_spectral.opbasis import expand_in_basis, gellmann
 from fcs_spectral.spectral import build_chain_omega
+from oracles import evaluate_word, word_coefficient_tensor
 
 
 # -- AKLT family ------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_words_match_sequential_channel_oracle(d_a, d_b, seed):
     t = 6 if d_a == 2 else 4
     oracle = dense_state(model, t)
     oracle_coeffs = expand_in_basis(oracle.matrix, basis, t)
-    got = fcs.word_coefficient_tensor(r.rho, r.kappa, r.e, t)
+    got = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
     assert np.abs(got - oracle_coeffs).max() <= 1e-10
 
 

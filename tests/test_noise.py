@@ -12,7 +12,8 @@ from fcs_spectral.noise import (
     simulate_tomography,
     spawn_rng,
 )
-from fcs_spectral.opbasis import block_element, expand_in_basis, gellmann, multi_index
+from fcs_spectral.opbasis import expand_in_basis, gellmann
+from oracles import block_element, multi_index
 
 def test_noise_spec_validation():
     with pytest.raises(ValueError):

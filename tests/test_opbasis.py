@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from fcs_spectral.opbasis import (
-    assemble_from_coefficients,
-    block_element,
-    expand_in_basis,
-    gellmann,
-    multi_index,
-)
+from fcs_spectral.opbasis import expand_in_basis, gellmann
+from oracles import assemble_from_coefficients, block_element, multi_index
 
 
 def test_gellmann_rejects_small_dimension():

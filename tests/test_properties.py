@@ -11,10 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcs_spectral.fcs import (DensityMatrix, Realization, evaluate_word, marginal,
-                              marginal_difference, word_coefficient_tensor, word_rows)
-from fcs_spectral.opbasis import assemble_from_coefficients, expand_in_basis, gellmann
+from fcs_spectral.fcs import DensityMatrix, Realization, marginal, marginal_difference, word_rows
+from fcs_spectral.opbasis import expand_in_basis, gellmann
 from fcs_spectral.spectral import NonhomogReconstruction, build_omega_from_marginals
+from oracles import (assemble_from_coefficients, chain_coefficients, evaluate_word,
+                     word_coefficient_tensor)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -80,9 +81,7 @@ def test_chain_coefficients_match_brute_force(seed, n_sites, nb, widths):
     rng = np.random.default_rng(seed)
     dims = [1] + widths[:n_sites - 1] + [1]
     k_maps = [rng.standard_normal((nb, dims[j], dims[j + 1])) for j in range(n_sites)]
-    recon = NonhomogReconstruction(d_a=1, n_sites=n_sites, k_maps=k_maps,
-                                   ranks=dims[1:-1])
-    got = recon.coefficients()
+    got = chain_coefficients(k_maps)
     want = [np.linalg.multi_dot([np.eye(1)] + [k[a] for k, a in zip(k_maps, word)]
                                 + [np.eye(1)])[0, 0]
             for word in itertools.product(range(nb), repeat=n_sites)]
@@ -149,7 +148,7 @@ def test_chain_state_matches_coefficient_assembly(seed, d_a, n_sites, widths):
     recon = NonhomogReconstruction(d_a=d_a, n_sites=n_sites, k_maps=k_maps,
                                    ranks=dims[1:-1])
     basis = gellmann(d_a)
-    want = assemble_from_coefficients(recon.coefficients(), basis, n_sites)
+    want = assemble_from_coefficients(chain_coefficients(k_maps), basis, n_sites)
     got = recon.state(basis).matrix
     assert np.abs(got - want).max() <= 1e-13 * max_abs(want)
 

@@ -12,16 +12,16 @@ from fcs_spectral.fcs import (
     random_chain,
 )
 from fcs_spectral.noise import make_rng, perturb_chain_omega, perturb_omega_data, spawn_rng
+from fcs_spectral.opbasis import expand_in_basis
 from fcs_spectral.spectral import (
     build_chain_omega,
     build_omega,
     build_omega_from_marginals,
-    empirical_realization,
     nonhomog_reconstruct,
-    project_to_density_matrix,
     spectral_realization,
     truncate,
 )
+from oracles import validate_exact, word_coefficient_tensor
 
 
 # -- Omega assembly -----------------------------------------------------------
@@ -32,7 +32,7 @@ def test_product_state_omega_is_rank_one(basis2):
     s = np.linalg.svd(od.omega, compute_uv=False)
     assert s[0] > 0 and np.all(s[1:] <= 1e-12)
     # omega = xi xi^T with xi the 2-site coefficient vector
-    xi = marginal(r, 2, basis2).coefficients(basis2)
+    xi = expand_in_basis(marginal(r, 2, basis2).matrix, basis2, 2)
     assert np.abs(od.omega - np.outer(xi, xi)).max() <= 1e-12
 
 
@@ -46,7 +46,7 @@ def test_aklt_omega_rank_four(aklt_omega):
 
 
 def test_omega_exact_consistency(aklt_omega):
-    aklt_omega.validate_exact()
+    validate_exact(aklt_omega)
 
 
 def test_build_omega_matches_marginal_path(aklt_realization, basis3, aklt_omega):
@@ -162,7 +162,7 @@ def test_asymmetric_blocks_still_exact(aklt_realization, basis3):
     # left block of 2 sites, right block of 1: rank stays 4 and the
     # reconstruction is still exact
     od = build_omega(aklt_realization, basis3, s_left=2, s_right=1)
-    od.validate_exact()
+    validate_exact(od)
     assert od.omega.shape == (81, 9)
     sr = spectral_realization(od, truncate(od.omega, rank=4))
     for t in (1, 3, 4):
@@ -193,8 +193,8 @@ def test_gauge_invariance_of_reconstruction(aklt_omega, basis3, aklt_realization
     tr_rot.u_hat = tr.u_hat @ q
     sr_rot = spectral_realization(aklt_omega, tr_rot)
     for t in (1, 2, 3):
-        a = fcs.word_coefficient_tensor(sr.rho, sr.kappa, sr.e, t)
-        b = fcs.word_coefficient_tensor(sr_rot.rho, sr_rot.kappa, sr_rot.e, t)
+        a = word_coefficient_tensor(sr.rho, sr.kappa, sr.e, t)
+        b = word_coefficient_tensor(sr_rot.rho, sr_rot.kappa, sr_rot.e, t)
         assert np.abs(a - b).max() <= 1e-10
 
 
@@ -208,61 +208,42 @@ def test_noisy_reconstruction_regression(aklt_omega, basis3):
     assert rec.trace() == pytest.approx(0.9983678908710114, abs=1e-6)
 
 
-def test_projection_to_density_matrix(aklt_omega, basis3):
-    od_hat = perturb_omega_data(aklt_omega, 1e-2, 1e-2, make_rng(2))
-    sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
-    rec = marginal(sr, 3, basis3)
-    proj = project_to_density_matrix(rec)
-    proj.validate(psd_tol=1e-12, trace_tol=1e-12)
-
-
-# -- empirical realization ------------------------------------------------------
+# -- empirical realization: exact data in an estimated frame -------------------
 
 def test_empirical_realization_with_exact_frame(aklt_omega, aklt_realization):
-    from fcs_spectral.linalg import svd
-
-    u = svd(aklt_omega.omega).u[:, :4]
-    er = empirical_realization(aklt_omega, u)
+    er = spectral_realization(aklt_omega, truncate(aklt_omega.omega, rank=4))
+    r = aklt_realization
     for t in (1, 2, 3):
-        got = fcs.word_coefficient_tensor(er.rho, er.kappa, er.e, t)
-        want = fcs.word_coefficient_tensor(
-            aklt_realization.rho, aklt_realization.kappa, aklt_realization.e, t)
+        got = word_coefficient_tensor(er.rho, er.kappa, er.e, t)
+        want = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
         assert np.abs(got - want).max() <= 1e-10
 
 
 def test_empirical_realization_noisy_frame_still_exact(aklt_omega, aklt_realization):
+    # as long as U_hat^T U is invertible, the exact data in the noisy frame
+    # realize the state exactly
     od_hat = perturb_omega_data(aklt_omega, 1e-4, 1e-4, make_rng(4))
-    u_hat = truncate(od_hat.omega, rank=4).u_hat
-    er = empirical_realization(aklt_omega, u_hat)
+    er = spectral_realization(aklt_omega, truncate(od_hat.omega, rank=4))
+    r = aklt_realization
     for t in (1, 2, 4):
-        got = fcs.word_coefficient_tensor(er.rho, er.kappa, er.e, t)
-        want = fcs.word_coefficient_tensor(
-            aklt_realization.rho, aklt_realization.kappa, aklt_realization.e, t)
+        got = word_coefficient_tensor(er.rho, er.kappa, er.e, t)
+        want = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
         assert np.abs(got - want).max() <= 1e-8
 
 
 def test_empirical_realization_rotation_invariance(aklt_omega):
-    from fcs_spectral.linalg import svd
-
-    u = svd(aklt_omega.omega).u[:, :4]
+    tr = truncate(aklt_omega.omega, rank=4)
     rng = np.random.default_rng(0)
     skew = rng.standard_normal((4, 4)) * 0.05
     q = np.linalg.qr(np.eye(4) + skew - skew.T)[0]
-    er = empirical_realization(aklt_omega, u @ q)
-    base = empirical_realization(aklt_omega, u)
+    tr_rot = truncate(aklt_omega.omega, rank=4)
+    tr_rot.u_hat = tr.u_hat @ q
+    er = spectral_realization(aklt_omega, tr_rot)
+    base = spectral_realization(aklt_omega, tr)
     for t in (1, 3):
-        a = fcs.word_coefficient_tensor(er.rho, er.kappa, er.e, t)
-        b = fcs.word_coefficient_tensor(base.rho, base.kappa, base.e, t)
+        a = word_coefficient_tensor(er.rho, er.kappa, er.e, t)
+        b = word_coefficient_tensor(base.rho, base.kappa, base.e, t)
         assert np.abs(a - b).max() <= 1e-10
-
-
-def test_empirical_realization_rejects_orthogonal_frame(aklt_omega):
-    from fcs_spectral.linalg import svd
-
-    full = svd(aklt_omega.omega)
-    bad = full.u[:, 4:8]  # orthogonal complement of the range
-    with pytest.raises(ValueError, match="sigma_min"):
-        empirical_realization(aklt_omega, bad)
 
 
 # -- non-homogeneous --------------------------------------------------------------
