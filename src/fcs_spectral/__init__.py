@@ -31,7 +31,7 @@ from .fcs import (
     save_realization,
     t_star,
 )
-from .noise import NoiseSpec, make_rng, perturb_matrix, perturb_omega_data, simulate_tomography, spawn_rng
+from .noise import make_rng, perturb_matrix, perturb_omega_data, simulate_tomography, spawn_rng
 from .opbasis import HermitianBasis, expand_in_basis, gellmann
 from .spectral import (
     ChainOmegaData,

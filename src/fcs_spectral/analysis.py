@@ -39,9 +39,10 @@ from .linalg import (
     svd,
     trace_norm_hermitian,
 )
-from .spectral import OmegaData, _realize, truncate
+from .spectral import _PINV_TOL, OmegaData, _realize, truncate
 
 __all__ = [
+    "VARIANTS",
     "GOLDEN_PINV_CONSTANT",
     "GUARANTEE_CONSTANT",
     "PreconditionError",
@@ -68,6 +69,10 @@ GOLDEN_PINV_CONSTANT = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Final constant of the reconstruction guarantee.
 GUARANTEE_CONSTANT = 145.0 / 9.0
+
+# The bound's two variants: the general one scales with the rank m, the
+# quantum-channel one ("cstar") with the memory dimension d_b.
+VARIANTS = ("general", "cstar")
 
 
 class PreconditionError(ValueError):
@@ -117,29 +122,28 @@ class ErrorParameters:
     delta_1: float
     delta_inf: float
     delta_cap: float
-    t: int
 
     def __post_init__(self):
         if min(self.delta_1, self.delta_inf, self.delta_cap) < 0:
             raise ValueError("error parameters must be nonnegative")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
 
 
-def error_propagation_bound(ep: ErrorParameters) -> float:
-    """(1 + delta_1)(1 + delta_inf)(1 + Delta)^t - 1."""
-    return (1.0 + ep.delta_1) * (1.0 + ep.delta_inf) * (1.0 + ep.delta_cap) ** ep.t - 1.0
+def error_propagation_bound(ep: ErrorParameters, t: int) -> float:
+    """(1 + delta_1)(1 + delta_inf)(1 + Delta)^t - 1 for a t-site marginal."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return (1.0 + ep.delta_1) * (1.0 + ep.delta_inf) * (1.0 + ep.delta_cap) ** t - 1.0
 
 
 def surrogate_parameters(od_exact: OmegaData, od_noisy: OmegaData, sigma: float,
-                         scale: int, t: int, variant: str = "general") -> ErrorParameters:
+                         scale: int, variant: str = "general") -> ErrorParameters:
     """Computable 2-norm surrogates for the error parameters.
 
     ``sigma`` is the smallest retained singular value of the exact Omega,
     ``scale`` the rank m (variant "general") or the memory dimension d_b
     (variant "cstar").
     """
-    if variant not in ("general", "cstar"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -155,7 +159,7 @@ def surrogate_parameters(od_exact: OmegaData, od_noisy: OmegaData, sigma: float,
     delta_cap = (8.0 * scale * sqrt_da / (math.sqrt(3.0) * sigma)) * (
         d_omega / sigma ** 2 + d_dot / (3.0 * sigma)
     )
-    return ErrorParameters(delta_1=delta_1, delta_inf=delta_inf, delta_cap=delta_cap, t=t)
+    return ErrorParameters(delta_1=delta_1, delta_inf=delta_inf, delta_cap=delta_cap)
 
 
 @dataclass
@@ -193,7 +197,7 @@ def precision_budget(target_epsilon: float, sigma: float, scale: int, d_a: int,
     tol_dot   = 3 sqrt(3) sigma^2 eps / (8 t scale sqrt(d_a))
     eps_hs    = eps sigma^3 / (20 t scale sqrt(d_a))
     """
-    if variant not in ("general", "cstar"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not 0 < sigma <= 1:
         raise ValueError("sigma must lie in (0, 1]")
@@ -425,7 +429,7 @@ def _flattened_k_norm(k_a: np.ndarray, k_b: np.ndarray) -> float:
 
 
 def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, rank: int,
-                   slack: float = 1e-9, pinv_tol: float = 1e-12) -> CheckReport:
+                   slack: float = 1e-9) -> CheckReport:
     """Estimate-vs-empirical realization bounds at fixed truncation rank.
 
     Hypothesis: ||Omega - Omega_hat||_{2->2} <= sigma_m(Omega) / 3.  Builds
@@ -451,9 +455,9 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, 
             f"||dOmega||_{{2->2}} = {d_op:.3e} exceeds sigma_m / 3 = {sig / 3:.3e}"
         )
     tr = truncate(od_noisy.omega, rank=rank)
-    hat, proj_hat_svd = _realize(od_noisy, tr.u_hat, pinv_tol)
+    hat, proj_hat_svd = _realize(od_noisy, tr.u_hat, _PINV_TOL)
     # the empirical realization: exact data in the noisy frame
-    tilde, cross_svd = _realize(od_exact, tr.u_hat, pinv_tol)
+    tilde, cross_svd = _realize(od_exact, tr.u_hat, _PINV_TOL)
     u_exact = exact_svd.u[:, :rank]
 
     sigma_hat = float(tr.retained[rank - 1])

@@ -67,6 +67,12 @@ class Ints(NamedTuple):
     high: float = math.inf
 
 
+class OneOf(NamedTuple):
+    """Type of a key whose value is one of the listed ``choices``."""
+
+    choices: tuple
+
+
 class Tagged(NamedTuple):
     """Type of an object whose ``tag`` key picks the table of its other keys."""
 
@@ -77,15 +83,22 @@ class Tagged(NamedTuple):
 def _read(value, kind, where: str):
     """JSON ``value`` checked against the type ``kind`` and converted.
 
-    A type is ``int``, ``float``, ``bool``, ``str``, :class:`Ints`, ``[type]``
-    (a list), a table ``{key: (type, default)}`` or :class:`Tagged`.  ``int``
-    accepts integral numbers such as ``1e4``, ``float`` accepts integers but
-    not ``NaN`` or ``Infinity``, and neither accepts booleans.  A table
-    rejects unknown keys and requires the keys whose default is ``REQUIRED``;
-    other absent keys take their default as is.  Errors name the path
-    ``where``: a wrong JSON type raises ``TypeError``; a missing or unknown
-    key, a non-finite float or a value out of range raises ``ValueError``.
+    A type is ``int``, ``float``, ``bool``, ``str``, :class:`Ints`,
+    :class:`OneOf`, ``[type]`` (a list), a table ``{key: (type, default)}`` or
+    :class:`Tagged`.  ``int`` accepts integral numbers such as ``1e4``,
+    ``float`` accepts integers but not ``NaN`` or ``Infinity``, and neither
+    accepts booleans.  A table rejects unknown keys and requires the keys
+    whose default is ``REQUIRED``; other absent keys take their default as
+    is.  Errors name the path ``where``: a wrong JSON type raises
+    ``TypeError``; a missing or unknown key, a value not among a
+    :class:`OneOf`'s choices, a non-finite float or a value out of range
+    raises ``ValueError``.
     """
+    if isinstance(kind, OneOf):
+        if value not in kind.choices:
+            raise ValueError(f"{where}: expected one of {list(kind.choices)}, "
+                             f"got {json.dumps(value)[:60]}")
+        return value
     integer = kind is int or isinstance(kind, Ints)
     if isinstance(kind, (dict, Tagged)):
         want, ok = "an object", isinstance(value, dict)
@@ -101,10 +114,7 @@ def _read(value, kind, where: str):
     if not ok or isinstance(value, bool) and kind is not bool:
         raise TypeError(f"{where}: expected {want}, got {json.dumps(value)[:60]}")
     if isinstance(kind, Tagged):
-        tag = value.get(kind.tag)
-        if not isinstance(tag, str) or tag not in kind.tables:
-            raise ValueError(f"{where}.{kind.tag}: expected one of {sorted(kind.tables)}, "
-                             f"got {json.dumps(tag)[:60]}")
+        tag = _read(value.get(kind.tag), OneOf(tuple(sorted(kind.tables))), f"{where}.{kind.tag}")
         kind, where = {kind.tag: (str, REQUIRED), **kind.tables[tag]}, f"{where}({tag})"
     if isinstance(kind, dict):
         unknown = sorted(set(value) - set(kind))
@@ -132,9 +142,10 @@ def _read(value, kind, where: str):
 
 _VERSION = (Ints(1, 1), 1)
 _DENSE_CAP = (int, fcs.DEFAULT_DENSE_CAP)
+_SEED = (Ints(0), REQUIRED)
 _MODEL = (Tagged("kind", {
     "aklt": {"theta": (float, fcs.AKLT_THETA)},
-    "random": {"d_a": (int, REQUIRED), "d_b": (int, REQUIRED), "seed": (int, REQUIRED)},
+    "random": {"d_a": (Ints(2), REQUIRED), "d_b": (Ints(1), REQUIRED), "seed": _SEED},
     "product": {"state": ([[float]], REQUIRED)},
 }), REQUIRED)
 _TRUNCATION = (Tagged("mode", {
@@ -142,14 +153,16 @@ _TRUNCATION = (Tagged("mode", {
 }), REQUIRED)
 _TI = {
     "version": _VERSION, "model": _MODEL, "truncation": _TRUNCATION,
-    "sites": ([Ints(1)], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": (int, REQUIRED),
+    "sites": ([Ints(1)], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": _SEED,
     "block_size": (Ints(1), 1),
-    # shot counts come from the top-level "shots_sweep" list
-    "noise": ({"mode": (str, noise.NoiseSpec.mode),
-               "epsilon_prime": (float, noise.NoiseSpec.epsilon_prime)}, {}),
-    "epsilons": ([float], None), "shots_sweep": ([int], None),
-    "dense_cap": _DENSE_CAP, "timing": (bool, False), "workers": (int, 1),
-    "bound_variant": (str, "general"),
+    # shot counts come from the top-level "shots_sweep" list; epsilon_prime
+    # None perturbs Omega_dot at each sweep epsilon
+    "noise": ({"mode": (OneOf(noise.NOISE_MODES), "gaussian_matrix"),
+               "epsilon_prime": (float, None)},
+              {"mode": "gaussian_matrix", "epsilon_prime": None}),
+    "epsilons": ([float], None), "shots_sweep": ([Ints(1)], None),
+    "dense_cap": _DENSE_CAP, "timing": (bool, False), "workers": (Ints(1), 1),
+    "bound_variant": (OneOf(analysis.VARIANTS), "general"),
 }
 
 # The config schema of every command: key -> (type, default); see _read.
@@ -162,21 +175,22 @@ TABLES = {
     },
     "nonhomog": {
         "version": _VERSION,
-        "chain": ({"n_sites": (int, REQUIRED), "d_a": (int, REQUIRED), "d_b": (int, REQUIRED),
-                   "seed": (int, REQUIRED), "stationary": (bool, False)}, REQUIRED),
+        "chain": ({"n_sites": (Ints(2), REQUIRED), "d_a": (Ints(2), REQUIRED),
+                   "d_b": (Ints(1), REQUIRED), "seed": _SEED, "stationary": (bool, False)},
+                  REQUIRED),
         "left_width": (Ints(1), REQUIRED), "right_width": (Ints(1), REQUIRED),
-        "epsilons": ([float], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": (int, REQUIRED),
+        "epsilons": ([float], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": _SEED,
         "rank_tol": (float, 1e-9), "output": (str, "nonhomog.csv"), "dense_cap": _DENSE_CAP,
         "timing": (bool, False),
     },
     "lemma-check": {
-        "version": _VERSION, "seed": (int, REQUIRED), "count": (int, 1000),
-        "max_dim": (int, 30), "slack": (float, 1e-9), "output": (str, "lemma_report.json"),
-        "models_seeds": (int, 20), "noise_factors": ([float], [0.01, 0.1, 0.9]),
+        "version": _VERSION, "seed": _SEED, "count": (Ints(0), 1000),
+        "max_dim": (Ints(2), 30), "slack": (float, 1e-9), "output": (str, "lemma_report.json"),
+        "models_seeds": (Ints(0), 20), "noise_factors": ([float], [0.01, 0.1, 0.9]),
     },
     "reconstruct": {
         "version": _VERSION, "input": (str, REQUIRED), "block_size": (Ints(1), REQUIRED),
-        "truncation": _TRUNCATION, "sites": ([int], []), "output": (str, "realization.json"),
+        "truncation": _TRUNCATION, "sites": ([Ints(1)], []), "output": (str, "realization.json"),
         "marginals_output": (str, "reconstructed_marginals.json"), "dense_cap": _DENSE_CAP,
         "pinv_tol": (float, 1e-12),
     },
@@ -184,7 +198,7 @@ TABLES = {
 
 _MARGINALS = {
     "version": (Ints(1, 1), REQUIRED),
-    "d": (int, REQUIRED),
+    "d": (Ints(2), REQUIRED),
     "marginals": ([{"sites": (int, REQUIRED), "matrix": ([[[float]]], REQUIRED)}], REQUIRED),
 }
 
@@ -259,15 +273,12 @@ def _prepare_ti_context(cfg: dict, command: str) -> dict:
     basis = gellmann(r.d_a)
     od = spectral.build_omega(r, basis, s_left=s, s_right=s, cap=cap)
     trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
-    if (mode := cfg["noise"].get("mode", noise.NoiseSpec.mode)) not in noise.NOISE_MODES:
-        raise ValueError(f"{command}.noise.mode: expected one of {list(noise.NOISE_MODES)}, "
-                         f"got {json.dumps(mode)[:60]}")
-    nspec = noise.NoiseSpec(**cfg["noise"])
-    sweep_key = "epsilons" if nspec.mode == "gaussian_matrix" else "shots_sweep"
-    if command == "robustness" and nspec.mode != "gaussian_matrix":
+    mode = cfg["noise"]["mode"]
+    sweep_key = "epsilons" if mode == "gaussian_matrix" else "shots_sweep"
+    if command == "robustness" and mode != "gaussian_matrix":
         raise ValueError("robustness.noise.mode: only gaussian_matrix noise is supported")
     if cfg[sweep_key] is None:
-        raise ValueError(f"{command}.{sweep_key}: required by {nspec.mode} noise")
+        raise ValueError(f"{command}.{sweep_key}: required by {mode} noise")
     if any(r.d_a ** t > cap for t in sites):
         raise ValueError(f"{command}.sites: a requested size exceeds the dense cap {cap}")
     # resolve the truncation rank on exact data (threshold mode varies per
@@ -283,10 +294,9 @@ def _prepare_ti_context(cfg: dict, command: str) -> dict:
         "od_mm": _maximally_mixed_omega(r.d_a, s, basis) if command == "robustness" else None,
         "marginals": {
             k: fcs.marginal(r, k, basis, cap=cap)
-            for k in ((s, 2 * s, 2 * s + 1) if nspec.mode != "gaussian_matrix" else ())
+            for k in ((s, 2 * s, 2 * s + 1) if mode != "gaussian_matrix" else ())
         },
         "trunc": trunc,
-        "noise": nspec,
         "sweep": cfg[sweep_key],
         "sigma_exact": analysis.sigma_m(od.omega, exact_rank),
         "scale": d_b if cfg["bound_variant"] == "cstar" else exact_rank,
@@ -303,12 +313,13 @@ def _maximally_mixed_omega(d: int, s: int, basis) -> spectral.OmegaData:
 
 
 def _mix_omega(od, od_mm, xi: float) -> spectral.OmegaData:
-    out = od.copy()
-    out.omega = (1 - xi) * od.omega + xi * od_mm.omega
-    out.omega_dot = (1 - xi) * od.omega_dot + xi * od_mm.omega_dot
-    out.omega_one = (1 - xi) * od.omega_one + xi * od_mm.omega_one
-    out.tau_omega = (1 - xi) * od.tau_omega + xi * od_mm.tau_omega
-    return out
+    return dataclasses.replace(
+        od,
+        omega=(1 - xi) * od.omega + xi * od_mm.omega,
+        omega_dot=(1 - xi) * od.omega_dot + xi * od_mm.omega_dot,
+        omega_one=(1 - xi) * od.omega_one + xi * od_mm.omega_one,
+        tau_omega=(1 - xi) * od.tau_omega + xi * od_mm.tau_omega,
+    )
 
 
 def _run_ti_trial(task):
@@ -316,31 +327,28 @@ def _run_ti_trial(task):
     xi_idx, sweep_idx, trial = task
     ctx = _WORKER_CTX
     t0 = time.perf_counter()
-    nspec: noise.NoiseSpec = ctx["noise"]
+    mode = ctx["noise"]["mode"]
     value = ctx["sweep"][sweep_idx]
     xi = ctx["xis"][xi_idx]
     od = ctx["od"] if xi == 0.0 else _mix_omega(ctx["od"], ctx["od_mm"], xi)
     rng = noise.spawn_rng(ctx["seed"], sweep_idx, trial)
     eps_col = float(value)
-    if nspec.mode == "gaussian_matrix":
-        od_hat = noise.perturb_omega_data(od, eps_col, nspec.epsilon_prime, rng)
+    if mode == "gaussian_matrix":
+        od_hat = noise.perturb_omega_data(od, eps_col, ctx["noise"]["epsilon_prime"], rng)
     else:
         basis = ctx["basis"]
         s = ctx["block_size"]
         ests = [
-            noise.simulate_tomography(ctx["marginals"][k], basis, value, rng, mode=nspec.mode)
+            noise.simulate_tomography(ctx["marginals"][k], basis, value, rng, mode=mode)
             for k in (s, 2 * s, 2 * s + 1)
         ]
         od_hat = spectral.omega_data_from_coefficients(*ests, d_a=basis.dim, s=s)
     tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
     sr = spectral.spectral_realization(od_hat, tr)
-    if not ctx["sites"]:
-        return []
     # deviations are measured from the underlying exact model, so in the
-    # robustness command they include the mixing contribution; only t
-    # varies with the size
+    # robustness command they include the mixing contribution
     params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"], ctx["scale"],
-                                           ctx["sites"][0], variant=ctx["bound_variant"])
+                                           variant=ctx["bound_variant"])
     model_id = ctx["model_id"]
     if ctx["command"] == "robustness":
         model_id = f"{model_id}+mix(xi={xi:g})"
@@ -348,7 +356,7 @@ def _run_ti_trial(task):
     for t_idx, t in enumerate(ctx["sites"]):
         td, hs = analysis.difference_distances(
             fcs.marginal_difference(sr, ctx["exact"], t, ctx["basis"], ctx["dense_cap"]))
-        bound = analysis.error_propagation_bound(dataclasses.replace(params, t=t))
+        bound = analysis.error_propagation_bound(params, t)
         if 2.0 * td > bound + 1e-12:
             log.warning(
                 "monitored bound exceeded: model=%s t=%d eps=%s trial=%d "
@@ -396,9 +404,11 @@ def _run_ti_sweep(cfg: dict, out_dir: Path, command: str) -> Path:
         for sweep_idx in range(len(ctx["sweep"]))
         for trial in range(ctx["trials"])
     ]
-    if cfg["workers"] > 1:
+    # no more workers than tasks or cores: the CSV is the same for any count
+    workers = min(cfg["workers"], len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with _single_thread_blas_env(), ProcessPoolExecutor(
-                max_workers=cfg["workers"], mp_context=multiprocessing.get_context("spawn"),
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
                 initializer=_init_spawned_ti_worker,
                 initargs=(ctx, log.getEffectiveLevel())) as pool:
             chunks = list(pool.map(_run_ti_trial, tasks))
@@ -482,7 +492,7 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
         for trial in range(cfg["trials"]):
             t0 = time.perf_counter()
             rng = noise.spawn_rng(seed, eps_idx, trial)
-            cod_hat = noise.perturb_chain_omega(cod, eps, eps, rng) if eps else cod
+            cod_hat = noise.perturb_chain_omega(cod, eps, rng) if eps else cod
             recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
             diff = recon.state(basis, cfg["dense_cap"]).matrix
             diff -= exact

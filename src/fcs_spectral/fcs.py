@@ -60,6 +60,10 @@ DEFAULT_DENSE_CAP = 2187
 # cos(theta) = sqrt(2/3) reproduces the AKLT ground state.
 AKLT_THETA = math.acos(math.sqrt(2.0 / 3.0))
 
+# Tolerance of a model's exactness checks: isometry, stationarity and the
+# memory state's density matrix.
+_MODEL_TOL = 1e-10
+
 
 @dataclass
 class DensityMatrix:
@@ -123,7 +127,7 @@ class Realization:
     def transfer_identity(self) -> np.ndarray:
         return math.sqrt(self.d_a) * self.kappa[0]
 
-    def validate(self, stat_tol=1e-10, norm_tol=1e-12):
+    def validate(self):
         kappa = np.asarray(self.kappa, dtype=float)
         if kappa.ndim != 3 or kappa.shape[0] != self.d_a ** 2 or kappa.shape[1] != kappa.shape[2]:
             raise ValueError(f"kappa has shape {kappa.shape}, expected ({self.d_a ** 2}, m, m)")
@@ -132,12 +136,12 @@ class Realization:
         t = self.transfer_identity()
         left = np.abs(self.rho @ t - self.rho).max()
         right = np.abs(t @ self.e - self.e).max()
-        if max(left, right) > stat_tol:
+        if max(left, right) > _MODEL_TOL:
             raise ValueError(
                 f"stationarity violated: residuals left={left:.3e} right={right:.3e}"
             )
         norm = float(self.rho @ self.e)
-        if abs(norm - 1.0) > norm_tol:
+        if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"normalization rho(e) = {norm!r} differs from 1")
         return self
 
@@ -155,8 +159,9 @@ class CStarRealization:
     v: np.ndarray      # (d_a * d_b, d_b) complex isometry
     rho0: np.ndarray   # (d_b, d_b) density matrix
 
-    def validate(self, tol=1e-10):
-        v = _check_isometry(self.v, self.d_a, self.d_b, tol, "V")
+    def validate(self):
+        tol = _MODEL_TOL
+        v = _check_isometry(self.v, self.d_a, self.d_b, "V")
         rho0 = DensityMatrix(np.asarray(self.rho0), self.d_b, 1).validate(tol, tol, tol).matrix
         res = np.abs(_dual_step(v, rho0, self.d_a, self.d_b) - rho0).max()
         if res > tol:
@@ -177,20 +182,21 @@ class ChainRealization:
     def n_sites(self) -> int:
         return len(self.isometries)
 
-    def validate(self, tol=1e-10):
+    def validate(self):
+        tol = _MODEL_TOL
         for j, v in enumerate(self.isometries, start=1):
-            _check_isometry(v, self.d_a, self.d_b, tol, f"site {j}: V")
+            _check_isometry(v, self.d_a, self.d_b, f"site {j}: V")
         DensityMatrix(np.asarray(self.rho0), self.d_b, 1).validate(tol, tol, tol)
         return self
 
 
-def _check_isometry(v, d_a: int, d_b: int, tol: float, name: str) -> np.ndarray:
-    """``v`` as an array, checked to be a (d_a d_b) x d_b isometry up to ``tol``."""
+def _check_isometry(v, d_a: int, d_b: int, name: str) -> np.ndarray:
+    """``v`` as an array, checked to be a (d_a d_b) x d_b isometry."""
     v = np.asarray(v)
     if v.shape != (d_a * d_b, d_b):
         raise ValueError(f"{name} has shape {v.shape}, expected ({d_a * d_b}, {d_b})")
     dev = np.abs(v.conj().T @ v - np.eye(d_b)).max()
-    if dev > tol:
+    if dev > _MODEL_TOL:
         raise ValueError(f"{name} is not an isometry: max |V^dag V - I| = {dev:.3e}")
     return v
 
@@ -298,15 +304,14 @@ def marginal_difference(a: Realization, b: Realization, t: int, basis: Hermitian
 # constructors
 # ---------------------------------------------------------------------------
 
-def from_cstar(c: CStarRealization, site_basis: HermitianBasis | None = None) -> Realization:
+def from_cstar(c: CStarRealization) -> Realization:
     """Real-coordinate realization of a quantum-channel model.
 
     Memory coordinates are taken in the orthonormal Hermitian basis of the
     d_b x d_b memory algebra, so kappa, e and rho all come out real.
     """
     c.validate()
-    if site_basis is None:
-        site_basis = gellmann(c.d_a)
+    site_basis = gellmann(c.d_a)
     mem = _hermitian_basis(c.d_b)
     n_site = site_basis.size
     n_mem = mem.size
@@ -361,8 +366,9 @@ def _dual_step(v, rho, d_a, d_b):
     return np.einsum("aiaj->ij", w.reshape(d_a, d_b, d_a, d_b))
 
 
-def stationary_state(v, d_a: int, d_b: int, tol=1e-12, max_iter=100_000) -> np.ndarray:
-    """Fixed point of the memory channel by power iteration from 1/d_b.
+def stationary_state(v, d_a: int, d_b: int, max_iter=100_000) -> np.ndarray:
+    """Fixed point of the memory channel by power iteration from 1/d_b, to a
+    max-entry step below 1e-12.
 
     Raises ``numpy.linalg.LinAlgError`` if the iteration does not converge
     within ``max_iter`` steps.
@@ -372,7 +378,7 @@ def stationary_state(v, d_a: int, d_b: int, tol=1e-12, max_iter=100_000) -> np.n
         nxt = _dual_step(v, rho, d_a, d_b)
         nxt = 0.5 * (nxt + nxt.conj().T)
         nxt /= np.trace(nxt).real
-        if np.abs(nxt - rho).max() < tol:
+        if np.abs(nxt - rho).max() < 1e-12:
             return nxt
         rho = nxt
     raise np.linalg.LinAlgError(
@@ -411,14 +417,14 @@ def _apply_channels(rho0, isometries, d_a: int, d_b: int) -> np.ndarray:
     return np.einsum("ibjb->ij", sigma.reshape(n, d_b, n, d_b))
 
 
-def dense_state(c: CStarRealization, t: int, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
+def dense_state(c: CStarRealization, t: int) -> DensityMatrix:
     """Brute-force t-site marginal by sequential channel application.
 
     Independent oracle for :func:`marginal`: it never forms a correlation
     word.
     """
-    if c.d_a ** t > cap:
-        raise ValueError(f"dense cap exceeded: {c.d_a}^{t} > {cap}")
+    if c.d_a ** t > DEFAULT_DENSE_CAP:
+        raise ValueError(f"dense cap exceeded: {c.d_a}^{t} > {DEFAULT_DENSE_CAP}")
     out = _apply_channels(c.rho0, [c.v] * t, c.d_a, c.d_b)
     return DensityMatrix(matrix=out, dim=c.d_a, sites=t)
 

@@ -102,10 +102,10 @@ def singular_values(a) -> np.ndarray:
     return _lapack("SVD", np.linalg.svd, _as_finite(a), compute_uv=False)
 
 
-def pseudoinverse(a, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular value cutoff;
-    see :meth:`SvdResult.pinv`."""
-    return svd(a).pinv(tol)
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with the default relative singular value
+    cutoff of :meth:`SvdResult.pinv`."""
+    return svd(a).pinv()
 
 
 def numerical_rank(s, rtol: float) -> int:

@@ -24,8 +24,8 @@ per element), rows in flat block order; zero-variance elements draw nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,29 +33,15 @@ from .opbasis import HermitianBasis, _contract_sites
 from .spectral import ChainOmegaData, OmegaData
 
 __all__ = [
-    "NoiseSpec",
     "make_rng",
     "spawn_rng",
     "perturb_matrix",
-    "perturb_vector",
     "perturb_omega_data",
     "perturb_chain_omega",
     "simulate_tomography",
 ]
 
 NOISE_MODES = ("gaussian_matrix", "shot_gaussian", "shot_multinomial")
-
-
-@dataclass
-class NoiseSpec:
-    """Noise configuration for an experiment run."""
-
-    mode: str = "gaussian_matrix"
-    epsilon_prime: float | None = None  # defaults to each sweep epsilon
-
-    def __post_init__(self):
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"unknown noise mode {self.mode!r}")
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -70,7 +56,8 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
 
 def perturb_matrix(a, epsilon: float, rng) -> np.ndarray:
     """a + epsilon * P/||P||_F with standard normal entries of P: the output
-    is exactly at Frobenius distance epsilon from a."""
+    is exactly at Frobenius distance epsilon from a, an array of any shape
+    (for a vector, the Euclidean distance)."""
     a = np.asarray(a, dtype=float)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -80,40 +67,26 @@ def perturb_matrix(a, epsilon: float, rng) -> np.ndarray:
     return a + (epsilon / np.linalg.norm(p)) * p
 
 
-def perturb_vector(v, epsilon: float, rng) -> np.ndarray:
-    """v + epsilon * p/||p||_2 with standard normal p."""
-    v = np.asarray(v, dtype=float)
-    if epsilon == 0:
-        return v.copy()
-    p = rng.standard_normal(v.shape)
-    return v + (epsilon / np.linalg.norm(p)) * p
-
-
 def perturb_omega_data(od: OmegaData, epsilon: float, epsilon_prime: float | None,
                        rng) -> OmegaData:
     """Independently perturb Omega at epsilon, each Omega_dot slice at
-    epsilon', and the two vectors at epsilon (Euclidean normalization)."""
+    epsilon', and the two vectors at epsilon (Euclidean normalization), in
+    that order on ``rng``."""
     eps_p = epsilon if epsilon_prime is None else epsilon_prime
-    out = od.copy()
-    out.omega = perturb_matrix(od.omega, epsilon, rng)
-    for k in range(od.omega_dot.shape[0]):
-        out.omega_dot[k] = perturb_matrix(od.omega_dot[k], eps_p, rng)
-    out.omega_one = perturb_vector(od.omega_one, epsilon, rng)
-    out.tau_omega = perturb_vector(od.tau_omega, epsilon, rng)
-    return out
+    omega = perturb_matrix(od.omega, epsilon, rng)
+    omega_dot = np.stack([perturb_matrix(z, eps_p, rng) for z in od.omega_dot])
+    omega_one = perturb_matrix(od.omega_one, epsilon, rng)
+    tau_omega = perturb_matrix(od.tau_omega, epsilon, rng)
+    return dataclasses.replace(od, omega=omega, omega_dot=omega_dot, omega_one=omega_one,
+                               tau_omega=tau_omega)
 
 
-def perturb_chain_omega(cod: ChainOmegaData, epsilon: float, epsilon_prime: float | None,
-                        rng) -> ChainOmegaData:
-    """Perturb every window form at epsilon and every middle slice at epsilon'."""
-    eps_p = epsilon if epsilon_prime is None else epsilon_prime
-    out = cod.copy()
-    for j in sorted(out.omegas):
-        out.omegas[j] = perturb_matrix(cod.omegas[j], epsilon, rng)
-    for j in sorted(out.omega_dots):
-        for k in range(out.omega_dots[j].shape[0]):
-            out.omega_dots[j][k] = perturb_matrix(cod.omega_dots[j][k], eps_p, rng)
-    return out
+def perturb_chain_omega(cod: ChainOmegaData, epsilon: float, rng) -> ChainOmegaData:
+    """Perturb every window form, then every middle slice, at epsilon."""
+    omegas = {j: perturb_matrix(cod.omegas[j], epsilon, rng) for j in sorted(cod.omegas)}
+    omega_dots = {j: np.stack([perturb_matrix(z, epsilon, rng) for z in cod.omega_dots[j]])
+                  for j in sorted(cod.omega_dots)}
+    return dataclasses.replace(cod, omegas=omegas, omega_dots=omega_dots)
 
 
 def _product_outcomes(rho, basis: HermitianBasis, sites: int):

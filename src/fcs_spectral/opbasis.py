@@ -68,12 +68,12 @@ def _hermitian_basis(d: int) -> HermitianBasis:
     return HermitianBasis(dim=d, elements=np.array(elements))
 
 
-def expand_in_basis(m, basis: HermitianBasis, sites: int, imag_tol=1e-10) -> np.ndarray:
+def expand_in_basis(m, basis: HermitianBasis, sites: int) -> np.ndarray:
     """Real coefficient vector of a Hermitian block matrix.
 
     Returns c with c[flat(i_1..i_s)] = Tr(g_{i_1} x ... x g_{i_s} m).  The
     input must be Hermitian so the coefficients are real; imaginary parts
-    beyond ``imag_tol`` (relative to the matrix norm) raise.
+    beyond 1e-10 (relative to the matrix norm) raise.
     """
     m = np.asarray(m)
     d = basis.dim
@@ -82,7 +82,7 @@ def expand_in_basis(m, basis: HermitianBasis, sites: int, imag_tol=1e-10) -> np.
         raise ValueError(f"expected a {n}x{n} matrix for {sites} sites, got {m.shape}")
     x = _contract_sites(m, basis.elements, sites)
     imag = np.abs(x.imag).max()
-    if imag > imag_tol * max(np.linalg.norm(m), 1.0):
+    if imag > 1e-10 * max(np.linalg.norm(m), 1.0):
         raise ValueError(f"coefficients are not real: max imaginary part {imag:.3e}")
     return np.ascontiguousarray(x.real).reshape(-1)
 

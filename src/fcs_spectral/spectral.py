@@ -63,10 +63,6 @@ class OmegaData:
     omega_one: np.ndarray
     tau_omega: np.ndarray
 
-    def copy(self) -> "OmegaData":
-        return OmegaData(self.d_a, self.s_left, self.s_right, self.omega.copy(),
-                         self.omega_dot.copy(), self.omega_one.copy(), self.tau_omega.copy())
-
 
 def build_omega(r: Realization, basis: HermitianBasis | None = None,
                 s_left: int = 1, s_right: int = 1,
@@ -125,8 +121,6 @@ class SvdTruncation:
     u_hat: np.ndarray          # (nL, m_hat), orthonormal columns
     retained: np.ndarray       # singular values kept, descending
     discarded: np.ndarray      # singular values dropped
-    mode: str                  # "rank" or "threshold"
-    param: float
 
     @property
     def rank(self) -> int:
@@ -148,14 +142,12 @@ def truncate(omega, rank: int | None = None, threshold: float | None = None) -> 
         if s[rank - 1] <= 1e-14:
             raise ValueError(f"rank-deficient truncation: sigma_{rank} = {s[rank - 1]:.3e}")
         keep = rank
-        mode, param = "rank", float(rank)
     else:
         keep = int((s >= threshold).sum())
         if keep == 0:
             raise ValueError(f"threshold {threshold} discards every singular value")
-        mode, param = "threshold", float(threshold)
     return SvdTruncation(u_hat=u[:, :keep], retained=s[:keep].copy(),
-                         discarded=s[keep:].copy(), mode=mode, param=param)
+                         discarded=s[keep:].copy())
 
 
 def _realize(od: OmegaData, u_hat: np.ndarray, pinv_tol: float):
@@ -169,12 +161,16 @@ def _realize(od: OmegaData, u_hat: np.ndarray, pinv_tol: float):
     return r, b_svd
 
 
+# Relative pseudoinverse cutoff of the reconstruction maps: the truncation
+# already fixes the rank, so no second truncation happens there.
+_PINV_TOL = 1e-12
+
+
 def spectral_realization(od: OmegaData, tr: SvdTruncation,
-                         pinv_tol: float = 1e-12) -> Realization:
+                         pinv_tol: float = _PINV_TOL) -> Realization:
     """Estimated realization from Omega data and a truncated frame.
 
-    The pseudoinverse cutoff is relative (default 1e-12 * sigma_1): the
-    truncation already fixes the rank, so no second truncation happens here.
+    The pseudoinverse cutoff is relative to sigma_1 (default 1e-12).
     """
     if tr.u_hat.shape[0] != od.omega.shape[0]:
         raise ValueError("truncation frame does not match the Omega row space")
@@ -210,13 +206,6 @@ class ChainOmegaData:
     omegas: dict[int, np.ndarray]       # j = 1..N-1
     omega_dots: dict[int, np.ndarray]   # j = 1..N, shape (d^2, nL_j, nR_j)
 
-    def copy(self) -> "ChainOmegaData":
-        return ChainOmegaData(
-            self.d_a, self.n_sites, self.left_width, self.right_width,
-            {j: m.copy() for j, m in self.omegas.items()},
-            {j: m.copy() for j, m in self.omega_dots.items()},
-        )
-
 
 def build_chain_omega(state: DensityMatrix, basis: HermitianBasis,
                       left_width: int, right_width: int) -> ChainOmegaData:
@@ -248,7 +237,6 @@ class NonhomogReconstruction:
     d_a: int
     n_sites: int
     k_maps: list[np.ndarray]   # k_maps[j-1] has shape (d^2, m_{j-1}, m_j); m_0 = m_N = 1
-    ranks: list[int]
 
     def state(self, basis: HermitianBasis, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
         """Dense reconstructed chain state, the operator product of the maps."""
@@ -258,8 +246,7 @@ class NonhomogReconstruction:
 
 
 def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
-                         threshold: float | None = None,
-                         pinv_tol: float = 1e-12) -> NonhomogReconstruction:
+                         threshold: float | None = None) -> NonhomogReconstruction:
     """Spectral reconstruction of a finite chain from window form estimates.
 
     Per-site ranks are either given (list of length N-1 for sites 1..N-1)
@@ -272,7 +259,6 @@ def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
     if (ranks is None) == (threshold is None):
         raise ValueError("specify exactly one of ranks or threshold")
     frames: dict[int, np.ndarray] = {}
-    out_ranks: list[int] = []
     for j in range(1, n):
         try:
             if ranks is not None:
@@ -282,13 +268,12 @@ def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
         except ValueError as exc:
             raise ValueError(f"truncation failed at site {j}: {exc}") from exc
         frames[j] = tr.u_hat
-        out_ranks.append(tr.rank)
 
     def projected_pinv(j: int) -> np.ndarray:
         b_svd = svd(frames[j].T @ cod.omegas[j])
         if b_svd.s[-1] <= 1e-14 * max(b_svd.s[0], 1e-300):
             raise ValueError(f"rank-deficient projected Omega at site {j}")
-        return b_svd.pinv(pinv_tol)
+        return b_svd.pinv(_PINV_TOL)
 
     k_maps: list[np.ndarray] = []
     # site 1: (d^2, 1, m_1)
@@ -302,4 +287,4 @@ def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
     # site N: (d^2, m_{N-1}, 1)
     kn = np.einsum("lp,alr->apr", frames[n - 1], cod.omega_dots[n])
     k_maps.append(kn)
-    return NonhomogReconstruction(d_a=cod.d_a, n_sites=n, k_maps=k_maps, ranks=out_ranks)
+    return NonhomogReconstruction(d_a=cod.d_a, n_sites=n, k_maps=k_maps)

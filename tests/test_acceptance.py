@@ -249,7 +249,7 @@ def test_c7_nonhomogeneous_chains(report):
     for lvl, eps in enumerate((1e-5, 1e-4, 1e-3)):
         tds = []
         for trial in range(10):
-            cod_hat = noise.perturb_chain_omega(cod, eps, eps, noise.spawn_rng(13, lvl, trial))
+            cod_hat = noise.perturb_chain_omega(cod, eps, noise.spawn_rng(13, lvl, trial))
             recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
             tds.append(analysis.difference_distances(
                 recon.state(basis2).matrix - state.matrix)[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -108,11 +109,11 @@ def test_trial_evaluation_peak_memory(aklt_realization, aklt_omega, basis3):
 # -- error propagation ------------------------------------------------------------
 
 def test_error_propagation_zero():
-    assert error_propagation_bound(ErrorParameters(0, 0, 0, 5)) == 0.0
+    assert error_propagation_bound(ErrorParameters(0, 0, 0), 5) == 0.0
 
 
 def test_error_propagation_all_ones():
-    assert error_propagation_bound(ErrorParameters(1, 1, 1, 1)) == pytest.approx(7.0)
+    assert error_propagation_bound(ErrorParameters(1, 1, 1), 1) == pytest.approx(7.0)
 
 
 def test_error_propagation_monotone_and_proof_step():
@@ -120,19 +121,21 @@ def test_error_propagation_monotone_and_proof_step():
     # (1+a)^2 (1+2a) - 1 via (1 + a/t)^t <= 1 + 2a for a in [0, 1]
     for a in np.linspace(0.01, 1.0, 12):
         for t in (1, 2, 5, 17):
-            val = error_propagation_bound(ErrorParameters(a, a, a / t, t))
+            val = error_propagation_bound(ErrorParameters(a, a, a / t), t)
             cap = (1 + a) ** 2 * (1 + 2 * a) - 1
             assert val <= cap + 1e-12
-    base = error_propagation_bound(ErrorParameters(0.1, 0.1, 0.1, 3))
-    assert error_propagation_bound(ErrorParameters(0.2, 0.1, 0.1, 3)) > base
-    assert error_propagation_bound(ErrorParameters(0.1, 0.2, 0.1, 3)) > base
-    assert error_propagation_bound(ErrorParameters(0.1, 0.1, 0.2, 3)) > base
-    assert error_propagation_bound(ErrorParameters(0.1, 0.1, 0.1, 4)) > base
+    base = error_propagation_bound(ErrorParameters(0.1, 0.1, 0.1), 3)
+    assert error_propagation_bound(ErrorParameters(0.2, 0.1, 0.1), 3) > base
+    assert error_propagation_bound(ErrorParameters(0.1, 0.2, 0.1), 3) > base
+    assert error_propagation_bound(ErrorParameters(0.1, 0.1, 0.2), 3) > base
+    assert error_propagation_bound(ErrorParameters(0.1, 0.1, 0.1), 4) > base
 
 
 def test_error_parameters_reject_negative():
     with pytest.raises(ValueError):
-        ErrorParameters(-0.1, 0, 0, 1)
+        ErrorParameters(-0.1, 0, 0)
+    with pytest.raises(ValueError):
+        error_propagation_bound(ErrorParameters(0, 0, 0), -1)
 
 
 # -- precision budget --------------------------------------------------------------
@@ -303,7 +306,7 @@ def test_projected_sigma_random_sweep(seed):
 # -- realization estimate bounds -------------------------------------------------------
 
 def test_estimate_bounds_zero_noise_left_sides_vanish(aklt_omega):
-    rep = check_realization_estimate_bounds(aklt_omega, aklt_omega.copy(), 4)
+    rep = check_realization_estimate_bounds(aklt_omega, aklt_omega, 4)
     assert rep.passed
     by_name = {c.name: c for c in rep.inequalities}
     assert by_name["||e^ - e~||_2 <= ||dOmega(1)||_2"].lhs <= 1e-12
@@ -311,8 +314,8 @@ def test_estimate_bounds_zero_noise_left_sides_vanish(aklt_omega):
 
 
 def test_estimate_bounds_hypothesis_violation_raises(aklt_omega):
-    noisy = aklt_omega.copy()
-    noisy.omega = noisy.omega + 0.5  # way beyond sigma_m / 3
+    # way beyond sigma_m / 3
+    noisy = dataclasses.replace(aklt_omega, omega=aklt_omega.omega + 0.5)
     with pytest.raises(PreconditionError):
         check_realization_estimate_bounds(aklt_omega, noisy, 4)
 
@@ -334,10 +337,9 @@ def test_estimate_bounds_random_model_sweep(seed, basis2):
 
 
 def test_surrogate_parameters_zero_noise(aklt_omega):
-    ep = surrogate_parameters(aklt_omega, aklt_omega.copy(), 2.0 / 9.0, 4, 5)
+    ep = surrogate_parameters(aklt_omega, aklt_omega, 2.0 / 9.0, 4)
     assert ep.delta_1 == 0.0 and ep.delta_inf == 0.0 and ep.delta_cap == 0.0
-    ep_c = surrogate_parameters(aklt_omega, aklt_omega.copy(), 2.0 / 9.0, 2, 5,
-                                variant="cstar")
+    ep_c = surrogate_parameters(aklt_omega, aklt_omega, 2.0 / 9.0, 2, variant="cstar")
     assert ep_c.delta_cap == 0.0
 
 
@@ -350,7 +352,7 @@ od = spectral.build_omega(fcs.from_cstar(fcs.aklt()), s_left=2, s_right=2)
 sigma = analysis.sigma_m(od.omega, 4)
 for trial in range(20):
     od_hat = noise.perturb_omega_data(od, 1e-3, 1e-3, noise.spawn_rng(3, 0, trial))
-    p = analysis.surrogate_parameters(od, od_hat, sigma, 4, 3)
+    p = analysis.surrogate_parameters(od, od_hat, sigma, 4)
     print(p.delta_1.hex(), p.delta_inf.hex(), p.delta_cap.hex())
 """
 
@@ -370,7 +372,7 @@ def test_surrogate_parameters_bits_independent_of_blas_threads():
 
 
 def test_report_serializes_to_json(aklt_omega):
-    rep = check_realization_estimate_bounds(aklt_omega, aklt_omega.copy(), 4)
+    rep = check_realization_estimate_bounds(aklt_omega, aklt_omega, 4)
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["version"] == 1
     assert doc["passed"] is True

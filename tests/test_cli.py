@@ -138,6 +138,43 @@ def test_cmd_aklt_workers_byte_identical_at_t7(tmp_path):
     assert dict(os.environ) == env
 
 
+class RecordingPool:
+    """In-process stand-in for the worker pool that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cores", [None, 64])
+def test_worker_pool_is_no_larger_than_cores_or_tasks(tmp_path, monkeypatch, cores):
+    # 2 x trials tasks: the pool gets os.cpu_count() workers when a task is
+    # left over for each, and one worker per task when cores are left over
+    if cores is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    n = os.cpu_count()
+    trials = n + 1 if cores is None else 2
+    cfg = dict(AKLT_CFG, sites=[2], trials=trials)
+    seq = run_cli(tmp_path, "aklt", cfg, out="seq")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    par = run_cli(tmp_path, "aklt", dict(cfg, workers=n + 1), out="par")
+    size = min(n, 2 * trials)
+    assert RecordingPool.sizes == ([size] if size > 1 else [])
+    assert (seq / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
+
+
 def test_worker_log_messages_follow_log_level(tmp_path):
     # rank 2 < 4 on exact data: zero deviations, a zero bound and 2*TD > 0
     cfg = dict(AKLT_CFG, truncation={"mode": "rank", "value": 2}, epsilons=[0.0],
@@ -293,11 +330,28 @@ def aklt_with(**changes):
     return "aklt", json.dumps(dict(AKLT_CFG, **changes))
 
 
+def random_model_with(**changes):
+    return aklt_with(model=dict({"kind": "random", "d_a": 2, "d_b": 2, "seed": 1}, **changes))
+
+
+def nonhomog_with(**changes):
+    return "nonhomog", json.dumps(dict(NONHOMOG_CFG, **changes))
+
+
+def chain_with(**changes):
+    return nonhomog_with(chain=dict(NONHOMOG_CFG["chain"], **changes))
+
+
+def lemma_with(**changes):
+    return "lemma-check", json.dumps(dict({"seed": 0}, **changes))
+
+
 # TMP in a config stands for the test's directory, which holds these
-# marginals files: a JSON list, a qubit marginal with a NaN entry, and one
-# whose second row is short
+# marginals files: a JSON list, a qubit marginal with a NaN entry, one whose
+# second row is short, and one of local dimension 1
 MARGINALS_FILES = {
     "list.json": [],
+    "dim1.json": {"version": 1, "d": 1, "marginals": []},
     "nan.json": {"version": 1, "d": 2, "marginals": [
         {"sites": 1, "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [0.5, 0]]]}]},
     "ragged.json": {"version": 1, "d": 2, "marginals": [
@@ -345,12 +399,44 @@ def reconstruct_with(marginals, **changes):
     (*reconstruct_with("ragged.json"),
      "ValueError: marginals.marginals[0].matrix: a 1-site marginal must be a 2 x 2 grid"),
     (*aklt_with(svg="sweep.svg"), "ValueError: aklt: unknown keys ['svg']"),
+    (*aklt_with(bound_variant="cstr"),
+     "ValueError: aklt.bound_variant: expected one of ['general', 'cstar'], got \"cstr\""),
+    ("robustness", json.dumps(dict(AKLT_CFG, xis=[0.0], bound_variant="cstr")),
+     "ValueError: robustness.bound_variant: expected one of ['general', 'cstar'], "
+     "got \"cstr\""),
+    (*chain_with(n_sites=1), "ValueError: nonhomog.chain.n_sites: 1 is outside [2, inf]"),
+    (*chain_with(d_a=1), "ValueError: nonhomog.chain.d_a: 1 is outside [2, inf]"),
+    (*chain_with(d_b=0), "ValueError: nonhomog.chain.d_b: 0 is outside [1, inf]"),
+    (*chain_with(seed=-1), "ValueError: nonhomog.chain.seed: -1 is outside [0, inf]"),
+    (*nonhomog_with(seed=-1), "ValueError: nonhomog.seed: -1 is outside [0, inf]"),
+    (*random_model_with(d_a=1), "ValueError: aklt.model(random).d_a: 1 is outside [2, inf]"),
+    (*random_model_with(d_b=0), "ValueError: aklt.model(random).d_b: 0 is outside [1, inf]"),
+    (*random_model_with(seed=-1),
+     "ValueError: aklt.model(random).seed: -1 is outside [0, inf]"),
+    (*aklt_with(seed=-1), "ValueError: aklt.seed: -1 is outside [0, inf]"),
+    (*aklt_with(noise={"mode": "shot_gaussian"}, shots_sweep=[1000, 0]),
+     "ValueError: aklt.shots_sweep[1]: 0 is outside [1, inf]"),
+    (*aklt_with(workers=0), "ValueError: aklt.workers: 0 is outside [1, inf]"),
+    (*lemma_with(seed=-1), "ValueError: lemma-check.seed: -1 is outside [0, inf]"),
+    (*lemma_with(max_dim=1), "ValueError: lemma-check.max_dim: 1 is outside [2, inf]"),
+    (*lemma_with(count=-1), "ValueError: lemma-check.count: -1 is outside [0, inf]"),
+    (*lemma_with(models_seeds=-1),
+     "ValueError: lemma-check.models_seeds: -1 is outside [0, inf]"),
+    (*reconstruct_with("list.json", sites=[2, 0]),
+     "ValueError: reconstruct.sites[1]: 0 is outside [1, inf]"),
+    (*reconstruct_with("dim1.json"), "ValueError: marginals.d: 1 is outside [2, inf]"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
         "negative-trials", "zero-block-size", "list-marginals-file", "nan-tol",
         "nan-slack", "nan-pinv-tol", "nan-marginal-entry", "infinite-epsilon-prime",
-        "unknown-noise-mode", "ragged-marginal-matrix", "unknown-svg-key"])
+        "unknown-noise-mode", "ragged-marginal-matrix", "unknown-svg-key",
+        "unknown-bound-variant", "unknown-robustness-bound-variant", "one-site-chain",
+        "chain-site-dim-1", "chain-memory-dim-0", "negative-chain-seed",
+        "negative-nonhomog-seed", "random-site-dim-1", "random-memory-dim-0",
+        "negative-random-seed", "negative-seed", "zero-shots", "zero-workers",
+        "negative-lemma-seed", "lemma-max-dim-1", "negative-lemma-count",
+        "negative-models-seeds", "zero-reconstruct-site", "marginals-dim-1"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback

@@ -3,22 +3,15 @@ import pytest
 
 from fcs_spectral.fcs import DensityMatrix, marginal
 from fcs_spectral.noise import (
-    NoiseSpec,
     _product_outcomes,
     make_rng,
     perturb_matrix,
     perturb_omega_data,
-    perturb_vector,
     simulate_tomography,
     spawn_rng,
 )
 from fcs_spectral.opbasis import expand_in_basis, gellmann
 from oracles import block_element, multi_index
-
-def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(mode="bogus")
-
 
 def test_perturb_zero_epsilon_is_identity():
     a = np.arange(12.0).reshape(3, 4)
@@ -44,8 +37,8 @@ def test_perturb_deterministic_per_seed():
     a = np.zeros((3, 3))
     assert np.array_equal(perturb_matrix(a, 0.5, make_rng(9)),
                           perturb_matrix(a, 0.5, make_rng(9)))
-    assert np.array_equal(perturb_vector(np.zeros(5), 0.3, spawn_rng(9, 1, 2)),
-                          perturb_vector(np.zeros(5), 0.3, spawn_rng(9, 1, 2)))
+    assert np.array_equal(perturb_matrix(np.zeros(5), 0.3, spawn_rng(9, 1, 2)),
+                          perturb_matrix(np.zeros(5), 0.3, spawn_rng(9, 1, 2)))
 
 
 def test_perturb_omega_data_zero_is_copy(aklt_omega):
@@ -54,6 +47,20 @@ def test_perturb_omega_data_zero_is_copy(aklt_omega):
     assert np.array_equal(out.omega_dot, aklt_omega.omega_dot)
     out.omega[0, 0] += 1.0  # and it is a copy, not a view
     assert aklt_omega.omega[0, 0] != out.omega[0, 0]
+
+
+def test_perturb_omega_data_draw_order(aklt_omega):
+    # one stream: omega, each omega_dot slice at epsilon', omega_one, tau_omega
+    rng = make_rng(4)
+    omega = perturb_matrix(aklt_omega.omega, 1e-3, rng)
+    dots = [perturb_matrix(z, 2e-3, rng) for z in aklt_omega.omega_dot]
+    one = perturb_matrix(aklt_omega.omega_one, 1e-3, rng)
+    tau = perturb_matrix(aklt_omega.tau_omega, 1e-3, rng)
+    out = perturb_omega_data(aklt_omega, 1e-3, 2e-3, make_rng(4))
+    assert np.array_equal(out.omega, omega)
+    assert np.array_equal(out.omega_dot, np.stack(dots))
+    assert np.array_equal(out.omega_one, one)
+    assert np.array_equal(out.tau_omega, tau)
 
 
 def test_perturb_omega_data_per_slice_distance(aklt_omega):

@@ -42,3 +42,59 @@ def test_every_public_name_is_used_or_exported():
             if all(id(node) in own for node in uses.get(name, [])):
                 unused.append(f"{module}.{qual}")
     assert not unused, f"no package path or __init__ export uses {unused}"
+
+
+def _defaulted_parameters(tree: ast.AST, in_class: bool = False):
+    """(function name, parameter name, position) of each defaulted parameter
+    of each function and method, nested ones included.  The position counts
+    the arguments a call passes, so a method's ``self`` is not counted; a
+    keyword-only parameter has position None."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            skip = 1 if in_class else 0
+            for k in range(first, len(positional)):
+                yield node.name, positional[k].arg, k - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+        yield from _defaulted_parameters(node, isinstance(node, ast.ClassDef))
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every defaulted parameter of a package function or method is passed
+    by some call in the package or its tests: by keyword, by position or
+    through a *args or **kwargs splat.
+
+    Calls are matched by the callee's name alone, as in the rule above, so a
+    call to any function or method of that name counts.  That cannot see
+    Realization.validate's tolerances: the positional tolerances that
+    CStarRealization.validate passes to DensityMatrix.validate would count
+    for them too.
+    """
+    root = PACKAGE.parents[1]
+    files = sorted(PACKAGE.glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    calls: dict[str, list[ast.Call]] = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, param: str, position) -> bool:
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if position is None:
+            return False
+        return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, param, position in _defaulted_parameters(tree):
+            if not any(passes(c, param, position) for c in calls.get(func, [])):
+                unset.append(f"{path.stem}.{func}({param})")
+    assert not unset, f"no call in the package or its tests sets {unset}"

@@ -145,8 +145,7 @@ def test_chain_state_matches_coefficient_assembly(seed, d_a, n_sites, widths):
     dims = [1] + widths[:n_sites - 1] + [1]
     k_maps = [rng.standard_normal((d_a ** 2, dims[j], dims[j + 1])) / dims[j]
               for j in range(n_sites)]
-    recon = NonhomogReconstruction(d_a=d_a, n_sites=n_sites, k_maps=k_maps,
-                                   ranks=dims[1:-1])
+    recon = NonhomogReconstruction(d_a=d_a, n_sites=n_sites, k_maps=k_maps)
     basis = gellmann(d_a)
     want = assemble_from_coefficients(chain_coefficients(k_maps), basis, n_sites)
     got = recon.state(basis).matrix

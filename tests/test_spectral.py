@@ -301,7 +301,7 @@ def test_nonhomog_noisy_regression(basis2):
     ranks = [4, 4, 4, 4]
     tds = []
     for trial in range(5):
-        cod_hat = perturb_chain_omega(cod, 1e-4, 1e-4, spawn_rng(3, 0, trial))
+        cod_hat = perturb_chain_omega(cod, 1e-4, spawn_rng(3, 0, trial))
         recon = nonhomog_reconstruct(cod_hat, ranks=ranks)
         tds.append(difference_distances(recon.state(basis2).matrix - state.matrix)[0])
     assert max(tds) <= 1e-3
