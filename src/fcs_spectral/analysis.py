@@ -107,8 +107,13 @@ def difference_distances(diff) -> tuple[float, float]:
     """Trace and Hilbert-Schmidt distance of two states from the dense
     difference of their matrices: half its Schatten-1 norm, and its
     Frobenius norm.
+
+    It takes ``diff`` over: the Frobenius norm is taken first, and the
+    eigensolve may then overwrite the matrix (see ``trace_norm_hermitian``),
+    so the dense difference is never copied.
     """
-    return 0.5 * trace_norm_hermitian(diff), frobenius_norm(diff)
+    hs = frobenius_norm(diff)
+    return 0.5 * trace_norm_hermitian(diff), hs
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,14 @@ class Ints(NamedTuple):
     high: float = math.inf
 
 
+class Floats(NamedTuple):
+    """Type of a finite number key with ``low <= value``, or ``low < value``
+    if ``strict``."""
+
+    low: float
+    strict: bool = False
+
+
 class OneOf(NamedTuple):
     """Type of a key whose value is one of the listed ``choices``."""
 
@@ -84,15 +92,15 @@ def _read(value, kind, where: str):
     """JSON ``value`` checked against the type ``kind`` and converted.
 
     A type is ``int``, ``float``, ``bool``, ``str``, :class:`Ints`,
-    :class:`OneOf`, ``[type]`` (a list), a table ``{key: (type, default)}`` or
-    :class:`Tagged`.  ``int`` accepts integral numbers such as ``1e4``,
-    ``float`` accepts integers but not ``NaN`` or ``Infinity``, and neither
-    accepts booleans.  A table rejects unknown keys and requires the keys
-    whose default is ``REQUIRED``; other absent keys take their default as
-    is.  Errors name the path ``where``: a wrong JSON type raises
-    ``TypeError``; a missing or unknown key, a value not among a
-    :class:`OneOf`'s choices, a non-finite float or a value out of range
-    raises ``ValueError``.
+    :class:`Floats`, :class:`OneOf`, ``[type]`` (a list), a table
+    ``{key: (type, default)}`` or :class:`Tagged`.  ``int`` accepts integral
+    numbers such as ``1e4``, ``float`` and :class:`Floats` accept integers
+    but not ``NaN`` or ``Infinity``, and neither accepts booleans.  A table
+    rejects unknown keys and requires the keys whose default is
+    ``REQUIRED``; other absent keys take their default as is.  Errors name
+    the path ``where``: a wrong JSON type raises ``TypeError``; a missing or
+    unknown key, a value not among a :class:`OneOf`'s choices, a non-finite
+    float or a value out of range raises ``ValueError``.
     """
     if isinstance(kind, OneOf):
         if value not in kind.choices:
@@ -107,7 +115,7 @@ def _read(value, kind, where: str):
     elif integer:
         want, ok = "an integer", isinstance(value, int) or (isinstance(value, float)
                                                             and value.is_integer())
-    elif kind is float:
+    elif kind is float or isinstance(kind, Floats):
         want, ok = "a number", isinstance(value, (int, float))
     else:
         want, ok = f"a {kind.__name__}", isinstance(value, kind)
@@ -131,9 +139,12 @@ def _read(value, kind, where: str):
         return out
     if isinstance(kind, list):
         return [_read(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
-    if kind is float:
+    if kind is float or isinstance(kind, Floats):
         if not math.isfinite(value):
             raise ValueError(f"{where}: expected a finite number, got {value}")
+        if isinstance(kind, Floats) and (value < kind.low or kind.strict and value == kind.low):
+            raise ValueError(f"{where}: {value} is outside "
+                             f"{'(' if kind.strict else '['}{kind.low:g}, inf]")
         return float(value)
     if isinstance(kind, Ints) and not kind.low <= value <= kind.high:
         raise ValueError(f"{where}: {value} is outside [{kind.low}, {kind.high}]")
@@ -149,7 +160,8 @@ _MODEL = (Tagged("kind", {
     "product": {"state": ([[float]], REQUIRED)},
 }), REQUIRED)
 _TRUNCATION = (Tagged("mode", {
-    "rank": {"value": (int, REQUIRED)}, "threshold": {"value": (float, REQUIRED)},
+    "rank": {"value": (Ints(1), REQUIRED)},
+    "threshold": {"value": (Floats(0.0, strict=True), REQUIRED)},
 }), REQUIRED)
 _TI = {
     "version": _VERSION, "model": _MODEL, "truncation": _TRUNCATION,
@@ -158,9 +170,9 @@ _TI = {
     # shot counts come from the top-level "shots_sweep" list; epsilon_prime
     # None perturbs Omega_dot at each sweep epsilon
     "noise": ({"mode": (OneOf(noise.NOISE_MODES), "gaussian_matrix"),
-               "epsilon_prime": (float, None)},
+               "epsilon_prime": (Floats(0.0), None)},
               {"mode": "gaussian_matrix", "epsilon_prime": None}),
-    "epsilons": ([float], None), "shots_sweep": ([Ints(1)], None),
+    "epsilons": ([Floats(0.0)], None), "shots_sweep": ([Ints(1)], None),
     "dense_cap": _DENSE_CAP, "timing": (bool, False), "workers": (Ints(1), 1),
     "bound_variant": (OneOf(analysis.VARIANTS), "general"),
 }
@@ -171,7 +183,7 @@ TABLES = {
     "robustness": {**_TI, "output": (str, "robustness.csv"), "xis": ([float], REQUIRED)},
     "rank-scan": {
         "version": _VERSION, "model": _MODEL, "max_block": (Ints(1), REQUIRED),
-        "tol": (float, 1e-9), "output": (str, "rank_scan.csv"), "dense_cap": _DENSE_CAP,
+        "tol": (Floats(0.0), 1e-9), "output": (str, "rank_scan.csv"), "dense_cap": _DENSE_CAP,
     },
     "nonhomog": {
         "version": _VERSION,
@@ -179,8 +191,8 @@ TABLES = {
                    "d_b": (Ints(1), REQUIRED), "seed": _SEED, "stationary": (bool, False)},
                   REQUIRED),
         "left_width": (Ints(1), REQUIRED), "right_width": (Ints(1), REQUIRED),
-        "epsilons": ([float], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": _SEED,
-        "rank_tol": (float, 1e-9), "output": (str, "nonhomog.csv"), "dense_cap": _DENSE_CAP,
+        "epsilons": ([Floats(0.0)], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": _SEED,
+        "rank_tol": (Floats(0.0), 1e-9), "output": (str, "nonhomog.csv"), "dense_cap": _DENSE_CAP,
         "timing": (bool, False),
     },
     "lemma-check": {

@@ -57,6 +57,11 @@ __all__ = [
 # Largest dense Hilbert dimension we assemble/eigensolve by default (3^7).
 DEFAULT_DENSE_CAP = 2187
 
+# Bytes of the matmul block in ``dense_product``: a product of up to 1024 x
+# 1024 complex entries (t <= 6 sites of a qutrit, chains of <= 10 qubits) is
+# one matmul; a 3^7 one runs in blocks of 5 of its 27 left row indices.
+_PRODUCT_CHUNK_BYTES = 1 << 24
+
 # cos(theta) = sqrt(2/3) reproduces the AKLT ground state.
 AKLT_THETA = math.acos(math.sqrt(2.0 / 3.0))
 
@@ -243,8 +248,11 @@ def dense_product(left, maps, right, basis: HermitianBasis,
     with ``maps[k]`` of shape (d^2, p_k, q_k) in the Hermitian basis.  The
     letters of each distinct map are rotated to matrix units once, so a word
     over them is one matrix entry; word rows grow from both ends, with their
-    row and column indices separated, and one matmul and one transpose give
-    the block matrix.  The correlation coefficients are never formed.
+    row and column indices separated, and a matmul and a transpose give the
+    block matrix.  The correlation coefficients are never formed.  The matmul
+    runs over blocks of the left row index of at most ``_PRODUCT_CHUNK_BYTES``
+    each, written straight into the output, so the output is the one
+    full-size array.
     """
     d, t = basis.dim, len(maps)
     if t < 1:
@@ -257,10 +265,17 @@ def dense_product(left, maps, right, basis: HermitianBasis,
     h = t // 2
     lefts = _split_rows(word_rows(left, units[:h])[-1], d, h)
     rights = _split_rows(word_rows(right, units[h:], from_right=True)[-1], d, t - h)
-    # x[I_L, J_L, I_R, J_R]: row and column multi-indices of the left h sites
-    # and of the right t - h sites
-    x = (lefts @ rights.T).reshape(d ** h, d ** h, d ** (t - h), d ** (t - h))
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(d ** t, d ** t)
+    # x[I_L, J_L, I_R, J_R] = lefts @ rights.T: row and column multi-indices
+    # of the left h sites and of the right t - h sites; out[I_L, I_R, J_L, J_R].
+    # The order lefts @ rights.T keeps the result exactly Hermitian.
+    dl, dr = d ** h, d ** (t - h)
+    out = np.empty((dl, dr, dl, dr), dtype=np.result_type(lefts, rights))
+    step = max(1, _PRODUCT_CHUNK_BYTES // out[0].nbytes)
+    for i in range(0, dl, step):
+        # one expression: each block is freed before the next one is made
+        out[i:i + step] = ((lefts[i * dl:(i + step) * dl] @ rights.T)
+                           .reshape(-1, dl, dr, dr).transpose(0, 2, 1, 3))
+    return out.reshape(d ** t, d ** t)
 
 
 def _split_rows(rows: np.ndarray, d: int, k: int) -> np.ndarray:

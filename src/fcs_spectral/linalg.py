@@ -1,11 +1,11 @@
 """Dense matrix kernels: SVD, pseudoinverse, Hermitian eigensolves and norms.
 
-Everything here is a thin, defensive layer over LAPACK (through numpy), and
-no other module of the package decomposes a matrix: one place rejects
+Everything here is a thin, defensive layer over LAPACK through numpy, and no
+other module of the package decomposes a matrix: one place rejects
 non-finite input, names a convergence failure with the matrix shape and holds
 the one Hermiticity rule (``_check_hermitian``).  The SVD backend is
 deterministic for a fixed input, so downstream experiments are
-bit-reproducible per seed.  Exempt from the rule:
+bit-reproducible per seed.  Exempt from these rules:
 
 * ``np.linalg.qr`` where it draws Haar-random isometries and random
   lemma instances (``fcs._haar_isometry``, ``cli._sweep_projected_sigma``);
@@ -13,7 +13,11 @@ bit-reproducible per seed.  Exempt from the rule:
   ``noise._product_outcomes``;
 * ``np.linalg.norm`` where it scales a random draw or a state vector or
   sets a tolerance (``noise``, ``cli._build_model``, ``expand_in_basis``);
-  it is not a decomposition, and no reported norm goes through it.
+  it is not a decomposition, and no reported norm goes through it;
+* ``_ZHEEVD_2STAGE``, the ctypes binding of LAPACKE's two-stage Hermitian
+  eigenvalue driver ``zheevd_2stage`` in the LAPACK that numpy's own
+  ``_umath_linalg`` extension links.  numpy offers no two-stage driver;
+  ``_eigvalsh`` calls it from ``_TWO_STAGE_MIN_DIM`` rows on.
 
 Norm conventions used throughout the package:
 
@@ -28,6 +32,7 @@ perturbation statements under the name "2-norm" in the literature.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import NamedTuple
 
@@ -163,18 +168,71 @@ def _check_hermitian(a, herm_tol=1e-8) -> np.ndarray:
     return a if dev == 0.0 else 0.5 * (a + a.conj().T)
 
 
+# Rows from which ``_eigvalsh`` uses the two-stage driver.  Against numpy's
+# ``eigvalsh`` (zheevd) at 2 BLAS threads it was 8-26% slower at n = 243-256
+# and 16-22% and 40-43% faster at n = 1024 and 2048 in every series
+# measured; in between the series disagreed (n = 512: +13% and -16%).
+_TWO_STAGE_MIN_DIM = 1024
+
+# matrix_layout argument of the LAPACKE interface
+_LAPACK_COL_MAJOR = 102
+
+
+def _bind_zheevd_2stage():
+    """``LAPACKE_zheevd_2stage`` of the LAPACK that numpy's linalg extension
+    links (ILP64 integers), or None where that LAPACK does not export it."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        fn = lib.scipy_LAPACKE_zheevd_2stage64_
+    except (AttributeError, OSError):
+        return None
+    # (matrix_layout, jobz, uplo, n, a, lda, w) -> info
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+_ZHEEVD_2STAGE = _bind_zheevd_2stage()
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a matrix that passed ``_check_hermitian``.
+
+    From ``_TWO_STAGE_MIN_DIM`` rows on, LAPACK's two-stage driver solves it
+    in place: a writeable C-ordered complex ``h`` is overwritten, any other
+    ``h`` is converted to one first.  The driver reads the array as
+    column-major, that is as the transpose of ``h``, which for a Hermitian
+    matrix is its conjugate and has the same eigenvalues.  Below that size,
+    or where numpy's LAPACK lacks the driver, numpy's ``eigvalsh`` solves it
+    and ``h`` is kept.
+    """
+    n = h.shape[0]
+    if n < _TWO_STAGE_MIN_DIM or _ZHEEVD_2STAGE is None:
+        return _lapack("eigensolver", np.linalg.eigvalsh, h)
+    a = np.require(h, np.complex128, ["C", "A", "W"])
+    w = np.empty(n)
+    info = _ZHEEVD_2STAGE(_LAPACK_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"eigensolver did not converge for {n}x{n} matrix (zheevd_2stage info {info})")
+    return w
+
+
 def trace_norm_hermitian(a, herm_tol=1e-8) -> float:
     """Schatten-1 norm of a Hermitian matrix, as the sum of |eigenvalues|.
 
     The input must be Hermitian up to ``herm_tol`` (see ``_check_hermitian``);
-    its Hermitian part is eigensolved.
+    its Hermitian part is eigensolved.  The norm takes ``a`` over: from
+    ``_TWO_STAGE_MIN_DIM`` rows on the solve overwrites it, so a caller that
+    still needs the matrix passes a copy.
     """
-    return float(np.abs(hermitian_eigenvalues(a, herm_tol)).sum())
+    return float(np.abs(_eigvalsh(_check_hermitian(a, herm_tol))).sum())
 
 
 def hermitian_eigenvalues(a, herm_tol=1e-8) -> np.ndarray:
     """Eigenvalues (ascending) of a matrix that is Hermitian up to
     ``herm_tol`` (see ``_check_hermitian``); its Hermitian part is
-    eigensolved."""
-    return _lapack("eigensolver", np.linalg.eigvalsh, _check_hermitian(a, herm_tol))
-
+    eigensolved, and ``a`` is kept."""
+    h = _check_hermitian(a, herm_tol)
+    return _eigvalsh(h.copy() if h is a else h)

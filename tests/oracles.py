@@ -4,7 +4,8 @@ The package evaluates every marginal as one dense operator product
 (``fcs.dense_product``).  These are the slower, independent routes to the
 same numbers: single correlation words, the full word-coefficient tensor,
 per-element block basis matrices, block matrices assembled from their
-coefficients, and the exact-data identities of Omega.
+coefficients, the exact-data identities of Omega, and the dense product as
+one unblocked matmul.
 """
 
 import math
@@ -12,8 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
-from fcs_spectral.fcs import Realization, word_rows
-from fcs_spectral.opbasis import HermitianBasis
+from fcs_spectral.fcs import Realization, _split_rows, word_rows
+from fcs_spectral.opbasis import HermitianBasis, matrix_units
 from fcs_spectral.spectral import OmegaData
 
 
@@ -114,3 +115,15 @@ def validate_exact(od: OmegaData, atol=1e-10) -> OmegaData:
     if worst > atol:
         raise ValueError(f"exact-mode consistency violated: max deviation {worst:.3e}")
     return od
+
+
+def single_matmul_product(left, maps, right, basis: HermitianBasis) -> np.ndarray:
+    """``fcs.dense_product`` as one matmul of the full word rows and one
+    contiguous copy of its transpose, without blocks."""
+    d, t = basis.dim, len(maps)
+    units = [matrix_units(k, basis) for k in maps]
+    h = t // 2
+    lefts = _split_rows(word_rows(left, units[:h])[-1], d, h)
+    rights = _split_rows(word_rows(right, units[h:], from_right=True)[-1], d, t - h)
+    x = (lefts @ rights.T).reshape(d ** h, d ** h, d ** (t - h), d ** (t - h))
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(d ** t, d ** t)

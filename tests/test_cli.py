@@ -425,6 +425,21 @@ def reconstruct_with(marginals, **changes):
     (*reconstruct_with("list.json", sites=[2, 0]),
      "ValueError: reconstruct.sites[1]: 0 is outside [1, inf]"),
     (*reconstruct_with("dim1.json"), "ValueError: marginals.d: 1 is outside [2, inf]"),
+    (*aklt_with(epsilons=[0.0, -1e-3]),
+     "ValueError: aklt.epsilons[1]: -0.001 is outside [0, inf]"),
+    (*aklt_with(noise={"epsilon_prime": -1e-3}),
+     "ValueError: aklt.noise.epsilon_prime: -0.001 is outside [0, inf]"),
+    (*nonhomog_with(epsilons=[-1e-4]),
+     "ValueError: nonhomog.epsilons[0]: -0.0001 is outside [0, inf]"),
+    (*aklt_with(truncation={"mode": "rank", "value": 0}),
+     "ValueError: aklt.truncation(rank).value: 0 is outside [1, inf]"),
+    (*aklt_with(truncation={"mode": "threshold", "value": 0}),
+     "ValueError: aklt.truncation(threshold).value: 0 is outside (0, inf]"),
+    (*aklt_with(truncation={"mode": "threshold", "value": -1e-6}),
+     "ValueError: aklt.truncation(threshold).value: -1e-06 is outside (0, inf]"),
+    (*nonhomog_with(rank_tol=-1), "ValueError: nonhomog.rank_tol: -1 is outside [0, inf]"),
+    ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "tol": -1e-9}),
+     "ValueError: rank-scan.tol: -1e-09 is outside [0, inf]"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
@@ -436,7 +451,10 @@ def reconstruct_with(marginals, **changes):
         "negative-nonhomog-seed", "random-site-dim-1", "random-memory-dim-0",
         "negative-random-seed", "negative-seed", "zero-shots", "zero-workers",
         "negative-lemma-seed", "lemma-max-dim-1", "negative-lemma-count",
-        "negative-models-seeds", "zero-reconstruct-site", "marginals-dim-1"])
+        "negative-models-seeds", "zero-reconstruct-site", "marginals-dim-1",
+        "negative-epsilon", "negative-epsilon-prime", "negative-nonhomog-epsilon",
+        "zero-truncation-rank", "zero-threshold", "negative-threshold",
+        "negative-rank-tol", "negative-rank-scan-tol"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback

@@ -23,7 +23,7 @@ from fcs_spectral.fcs import (
 )
 from fcs_spectral.opbasis import expand_in_basis, gellmann
 from fcs_spectral.spectral import build_chain_omega
-from oracles import evaluate_word, word_coefficient_tensor
+from oracles import evaluate_word, single_matmul_product, word_coefficient_tensor
 
 
 # -- AKLT family ------------------------------------------------------------
@@ -190,6 +190,17 @@ def test_marginal_partial_trace_consistency(seed):
         small = marginal(r, t)
         assert np.abs(reduced - small.matrix).max() <= 1e-10
         assert small.trace() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_dense_product_blocks_equal_single_matmul(aklt_realization, basis3, t):
+    # at t = 7 the product runs in blocks of the left row index, below it in
+    # one matmul; either way the bits are the unblocked formula's, and the
+    # marginal is exactly Hermitian, so the eigensolve makes no symmetrized copy
+    r = aklt_realization
+    got = fcs.dense_product(r.rho, [r.kappa] * t, r.e, basis3)
+    assert np.array_equal(got, single_matmul_product(r.rho, [r.kappa] * t, r.e, basis3))
+    assert np.array_equal(got, got.conj().T)
 
 
 def test_marginal_cap_enforced(aklt_realization):

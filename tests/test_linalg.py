@@ -181,6 +181,90 @@ def test_trace_norm_rejects_non_hermitian():
         trace_norm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _random_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g + g.conj().T
+
+
+class _FakeDriver:
+    """Stand-in for the two-stage binding: records the n of each call and
+    returns ``info``."""
+
+    def __init__(self, info):
+        self.info, self.calls = info, []
+
+    def __call__(self, layout, jobz, uplo, n, a, lda, w):
+        self.calls.append(n)
+        return self.info
+
+
+two_stage = pytest.mark.skipif(linalg._ZHEEVD_2STAGE is None,
+                               reason="numpy's LAPACK has no zheevd_2stage")
+
+
+def test_two_stage_binding_resolves_on_scipy_openblas():
+    # a numpy whose LAPACK renamed the symbol would otherwise fall back to
+    # eigvalsh silently and lose the two-stage speed
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"]
+    if lapack != "scipy-openblas":
+        pytest.skip(f"numpy links {lapack}, not scipy-openblas")
+    assert linalg._ZHEEVD_2STAGE is not None
+
+
+@two_stage
+def test_two_stage_eigenvalues_match_eigvalsh():
+    a = _random_hermitian(linalg._TWO_STAGE_MIN_DIM, 0)
+    kept = a.copy()
+    ref = np.linalg.eigvalsh(a)
+    got = linalg.hermitian_eigenvalues(a)
+    assert np.array_equal(a, kept)
+    assert np.all(np.diff(got) >= 0)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@two_stage
+def test_trace_norm_falls_back_without_two_stage_binding(monkeypatch):
+    a = _random_hermitian(1100, 1)
+    two_stage_norm = trace_norm_hermitian(a.copy())
+    monkeypatch.setattr(linalg, "_ZHEEVD_2STAGE", None)
+    fallback = trace_norm_hermitian(a)
+    assert fallback == pytest.approx(two_stage_norm, rel=1e-12)
+
+
+def test_two_stage_driver_runs_from_cutoff_and_names_failure(monkeypatch):
+    fake = _FakeDriver(info=3)
+    monkeypatch.setattr(linalg, "_ZHEEVD_2STAGE", fake)
+    n = linalg._TWO_STAGE_MIN_DIM
+    assert trace_norm_hermitian(np.eye(n - 1)) == pytest.approx(n - 1)
+    with pytest.raises(np.linalg.LinAlgError, match=f"{n}x{n} matrix"):
+        trace_norm_hermitian(np.eye(n))
+    assert fake.calls == [n]
+
+
+def test_nan_rejected_before_two_stage_solve(monkeypatch):
+    fake = _FakeDriver(info=0)
+    monkeypatch.setattr(linalg, "_ZHEEVD_2STAGE", fake)
+    a = np.eye(linalg._TWO_STAGE_MIN_DIM, dtype=complex)
+    a[3, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        trace_norm_hermitian(a)
+    assert fake.calls == []
+
+
+def test_difference_distances_frobenius_of_original_difference():
+    from fcs_spectral.analysis import difference_distances
+
+    diff = _random_hermitian(linalg._TWO_STAGE_MIN_DIM, 2)
+    kept = diff.copy()
+    td, hs = difference_distances(diff)
+    assert hs == frobenius_norm(kept)
+    assert td == 0.5 * trace_norm_hermitian(kept.copy())
+    if linalg._ZHEEVD_2STAGE is not None:
+        # the solve took the matrix over
+        assert not np.array_equal(diff, kept)
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_weyl_singular_value_perturbation(seed):
     rng = np.random.default_rng(seed)
