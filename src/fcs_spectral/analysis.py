@@ -39,7 +39,7 @@ from .linalg import (
     svd,
     trace_norm_hermitian,
 )
-from .spectral import _PINV_TOL, OmegaData, _realize, truncate
+from .spectral import _PINV_TOL, OmegaData, SvdTruncation, _realize, truncate
 
 __all__ = [
     "VARIANTS",
@@ -433,9 +433,13 @@ def _flattened_k_norm(k_a: np.ndarray, k_b: np.ndarray) -> float:
     return operator_norm_2to2(diff.transpose(1, 0, 2).reshape(diff.shape[1], -1))
 
 
-def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, rank: int,
-                   slack: float = 1e-9) -> CheckReport:
+def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData,
+                                      exact: SvdTruncation, slack: float = 1e-9) -> CheckReport:
     """Estimate-vs-empirical realization bounds at fixed truncation rank.
+
+    ``exact`` is the exact Omega's frame at the rank m checked,
+    ``truncate(od_exact.omega, rank=m)``, so a sweep over noisy estimates of
+    one model decomposes the exact Omega once.
 
     Hypothesis: ||Omega - Omega_hat||_{2->2} <= sigma_m(Omega) / 3.  Builds
     the estimated triple from the noisy data and the empirical triple from
@@ -449,11 +453,9 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, 
                              + ||dTauOmega||_2 / sigma_m(U'^T Omega')
         ||(U'^T U)^{-1}||_{2->2} <= 2 / sqrt(3)
     """
-    # Omega, Omega', U'^T Omega and U'^T Omega' are each decomposed once
-    exact_svd = svd(od_exact.omega)
-    if not 1 <= rank <= exact_svd.s.size:
-        raise ValueError(f"m = {rank} out of range [1, {exact_svd.s.size}]")
-    sig = float(exact_svd.s[rank - 1])
+    # Omega', U'^T Omega and U'^T Omega' are each decomposed once
+    rank = exact.rank
+    sig = float(exact.retained[-1])
     d_op = operator_norm_2to2(od_noisy.omega - od_exact.omega)
     if d_op > sig / 3.0:
         raise PreconditionError(
@@ -463,7 +465,7 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData, 
     hat, proj_hat_svd = _realize(od_noisy, tr.u_hat, _PINV_TOL)
     # the empirical realization: exact data in the noisy frame
     tilde, cross_svd = _realize(od_exact, tr.u_hat, _PINV_TOL)
-    u_exact = exact_svd.u[:, :rank]
+    u_exact = exact.u_hat
 
     sigma_hat = float(tr.retained[rank - 1])
     sigma_cross = float(cross_svd.s[rank - 1])

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, fcs, noise, spectral
-from .linalg import frobenius_norm, numerical_rank, singular_values
+from .linalg import blas_threads, frobenius_norm, numerical_rank, singular_values
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
@@ -649,11 +649,12 @@ def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
         sv = singular_values(od.omega)
         rank = numerical_rank(sv, 1e-9)
         sigma = float(sv[rank - 1])
+        exact = spectral.truncate(od.omega, rank=rank)
         for f_idx, factor in enumerate(noise_factors):
             eps = factor * sigma / 3.0
             rng = noise.spawn_rng(seed, idx, f_idx)
             od_hat = noise.perturb_omega_data(od, eps, eps, rng)
-            reports.append(analysis.check_realization_estimate_bounds(od, od_hat, rank, slack=slack))
+            reports.append(analysis.check_realization_estimate_bounds(od, od_hat, exact, slack=slack))
     return _suite_summary(reports)
 
 
@@ -753,7 +754,10 @@ def main(argv=None) -> int:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out_dir)
+        # a command's matrices are small: a second BLAS thread would only
+        # spin, and the large solves and products take the inherited count
+        with blas_threads(1):
+            _COMMANDS[args.command](cfg, out_dir)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         # OSError: unreadable config or output; ValueError includes a config
         # that is not JSON; TypeError: a config value of the wrong JSON type,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, numerical_rank, singular_values
+from .linalg import blas_threads_for, hermitian_eigenvalues, numerical_rank, singular_values
 from .opbasis import HermitianBasis, _hermitian_basis, expand_in_basis, gellmann, matrix_units
 
 __all__ = [
@@ -252,7 +252,8 @@ def dense_product(left, maps, right, basis: HermitianBasis,
     block matrix.  The correlation coefficients are never formed.  The matmul
     runs over blocks of the left row index of at most ``_PRODUCT_CHUNK_BYTES``
     each, written straight into the output, so the output is the one
-    full-size array.
+    full-size array; from ``linalg._THREADED_MIN_DIM`` output rows on it runs
+    at the inherited BLAS thread count (``blas_threads_for``).
     """
     d, t = basis.dim, len(maps)
     if t < 1:
@@ -271,10 +272,11 @@ def dense_product(left, maps, right, basis: HermitianBasis,
     dl, dr = d ** h, d ** (t - h)
     out = np.empty((dl, dr, dl, dr), dtype=np.result_type(lefts, rights))
     step = max(1, _PRODUCT_CHUNK_BYTES // out[0].nbytes)
-    for i in range(0, dl, step):
-        # one expression: each block is freed before the next one is made
-        out[i:i + step] = ((lefts[i * dl:(i + step) * dl] @ rights.T)
-                           .reshape(-1, dl, dr, dr).transpose(0, 2, 1, 3))
+    with blas_threads_for(d ** t):
+        for i in range(0, dl, step):
+            # one expression: each block is freed before the next one is made
+            out[i:i + step] = ((lefts[i * dl:(i + step) * dl] @ rights.T)
+                               .reshape(-1, dl, dr, dr).transpose(0, 2, 1, 3))
     return out.reshape(d ** t, d ** t)
 
 

@@ -17,7 +17,12 @@ bit-reproducible per seed.  Exempt from these rules:
 * ``_ZHEEVD_2STAGE``, the ctypes binding of LAPACKE's two-stage Hermitian
   eigenvalue driver ``zheevd_2stage`` in the LAPACK that numpy's own
   ``_umath_linalg`` extension links.  numpy offers no two-stage driver;
-  ``_eigvalsh`` calls it from ``_TWO_STAGE_MIN_DIM`` rows on.
+  ``_eigvalsh`` calls it from ``_TWO_STAGE_MIN_DIM`` rows on;
+* ``_GET_THREADS`` and ``_SET_THREADS``, the ctypes bindings of OpenBLAS's
+  thread count in the same library, behind ``blas_threads``.  numpy offers
+  no runtime thread control.  The CLI runs its commands at one BLAS thread,
+  and ``blas_threads_for`` gives work on matrices of ``_THREADED_MIN_DIM``
+  rows or more the count the process started with.
 
 Norm conventions used throughout the package:
 
@@ -32,6 +37,7 @@ perturbation statements under the name "2-norm" in the literature.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 from typing import NamedTuple
@@ -48,6 +54,8 @@ __all__ = [
     "frobenius_norm",
     "trace_norm_hermitian",
     "hermitian_eigenvalues",
+    "blas_threads",
+    "blas_threads_for",
 ]
 
 
@@ -178,22 +186,60 @@ _TWO_STAGE_MIN_DIM = 1024
 _LAPACK_COL_MAJOR = 102
 
 
-def _bind_zheevd_2stage():
-    """``LAPACKE_zheevd_2stage`` of the LAPACK that numpy's linalg extension
-    links (ILP64 integers), or None where that LAPACK does not export it."""
+def _bind(name: str, argtypes, restype):
+    """Function ``name`` of the BLAS/LAPACK library that numpy's linalg
+    extension links (scipy-openblas, ILP64 integers), or None where that
+    library does not export it."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        fn = lib.scipy_LAPACKE_zheevd_2stage64_
+        fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
     except (AttributeError, OSError):
         return None
-    # (matrix_layout, jobz, uplo, n, a, lda, w) -> info
-    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    fn.restype = ctypes.c_int64
+    fn.argtypes = argtypes
+    fn.restype = restype
     return fn
 
 
-_ZHEEVD_2STAGE = _bind_zheevd_2stage()
+# (matrix_layout, jobz, uplo, n, a, lda, w) -> info
+_ZHEEVD_2STAGE = _bind("scipy_LAPACKE_zheevd_2stage64_",
+                       [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p], ctypes.c_int64)
+_GET_THREADS = _bind("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+_SET_THREADS = _bind("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
+
+# The BLAS thread count the process started with, which
+# OPENBLAS_NUM_THREADS or a worker pool's one-thread environment set; no
+# rule here goes above it.  None where the pair is not bound.
+_INHERITED = None if _GET_THREADS is None or _SET_THREADS is None else _GET_THREADS()
+
+# Rows from which a matrix gets the inherited BLAS threads under
+# ``blas_threads_for``.  On the AKLT differences (12 alternating series, 2
+# against 1 thread) the second thread made eigvalsh faster in 4/12 series at
+# 243 rows and in 12/12 at 729 (-20%) and 2187 (-35%); at 243 it only spins.
+_THREADED_MIN_DIM = 729
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the block at ``min(n, inherited)`` BLAS threads and restore the
+    count it found on exit.  Where numpy's BLAS exports no thread control
+    (MKL, Accelerate, another BLAS) the count is left alone."""
+    if _INHERITED is None:
+        yield
+        return
+    before = _GET_THREADS()
+    _SET_THREADS(min(n, _INHERITED))
+    try:
+        yield
+    finally:
+        _SET_THREADS(before)
+
+
+def blas_threads_for(rows: int):
+    """Context for work on a matrix of ``rows`` rows: the inherited BLAS
+    threads from ``_THREADED_MIN_DIM`` rows on, else the current count."""
+    if rows < _THREADED_MIN_DIM:
+        return contextlib.nullcontext()
+    return blas_threads(_INHERITED)
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
@@ -208,11 +254,12 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     and ``h`` is kept.
     """
     n = h.shape[0]
-    if n < _TWO_STAGE_MIN_DIM or _ZHEEVD_2STAGE is None:
-        return _lapack("eigensolver", np.linalg.eigvalsh, h)
-    a = np.require(h, np.complex128, ["C", "A", "W"])
-    w = np.empty(n)
-    info = _ZHEEVD_2STAGE(_LAPACK_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
+    with blas_threads_for(n):
+        if n < _TWO_STAGE_MIN_DIM or _ZHEEVD_2STAGE is None:
+            return _lapack("eigensolver", np.linalg.eigvalsh, h)
+        a = np.require(h, np.complex128, ["C", "A", "W"])
+        w = np.empty(n)
+        info = _ZHEEVD_2STAGE(_LAPACK_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"eigensolver did not converge for {n}x{n} matrix (zheevd_2stage info {info})")

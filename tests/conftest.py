@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fcs_spectral import aklt, build_omega, from_cstar
+from fcs_spectral import aklt, build_omega, from_cstar, linalg
 from fcs_spectral.opbasis import gellmann
 
 
@@ -47,3 +47,28 @@ def aklt_bond_projector():
     sx, sy, sz = spin1_matrices()
     ss = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     return 0.5 * ss + (ss @ ss) / 6.0 + np.eye(9) / 3.0
+
+
+class FakeBlasThreads:
+    """Stand-in for OpenBLAS's thread count: ``get`` and ``set`` act on
+    ``count``, and ``calls`` records each count set."""
+
+    def __init__(self, count):
+        self.count, self.calls = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.calls.append(n)
+        self.count = n
+
+
+@pytest.fixture
+def fake_blas_threads(monkeypatch):
+    """A process that started at 2 BLAS threads, now at 2."""
+    fake = FakeBlasThreads(2)
+    monkeypatch.setattr(linalg, "_GET_THREADS", fake.get)
+    monkeypatch.setattr(linalg, "_SET_THREADS", fake.set)
+    monkeypatch.setattr(linalg, "_INHERITED", 2)
+    return fake

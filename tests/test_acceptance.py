@@ -212,12 +212,13 @@ def test_c6_realization_estimate_bounds(report):
         configs.append((od, rank))
     for idx, (od, rank) in enumerate(configs):
         sig = analysis.sigma_m(od.omega, rank)
+        exact = spectral.truncate(od.omega, rank=rank)
         for lvl, factor in enumerate((0.01, 0.1, 0.9)):
             eps = factor * sig / 3.0
             rng = noise.spawn_rng(77, idx, lvl)
             for _ in range(1 if idx else 20):  # 20 seeds on the spin-1 model
                 od_hat = noise.perturb_omega_data(od, eps, eps, rng)
-                rep = analysis.check_realization_estimate_bounds(od, od_hat, rank)
+                rep = analysis.check_realization_estimate_bounds(od, od_hat, exact)
                 assert rep.passed, [c.to_dict() for c in rep.inequalities if not c.ok]
                 worst = min(worst, min(c.margin for c in rep.inequalities))
                 checks += 1

@@ -31,7 +31,7 @@ from fcs_spectral.analysis import (
 )
 from fcs_spectral.fcs import from_cstar, random_cstar
 from fcs_spectral.noise import make_rng, perturb_omega_data, spawn_rng
-from fcs_spectral.spectral import build_omega
+from fcs_spectral.spectral import build_omega, truncate
 from oracles import assemble_from_coefficients
 
 
@@ -305,25 +305,30 @@ def test_projected_sigma_random_sweep(seed):
 
 # -- realization estimate bounds -------------------------------------------------------
 
-def test_estimate_bounds_zero_noise_left_sides_vanish(aklt_omega):
-    rep = check_realization_estimate_bounds(aklt_omega, aklt_omega, 4)
+@pytest.fixture(scope="module")
+def aklt_frame(aklt_omega):
+    return truncate(aklt_omega.omega, rank=4)
+
+
+def test_estimate_bounds_zero_noise_left_sides_vanish(aklt_omega, aklt_frame):
+    rep = check_realization_estimate_bounds(aklt_omega, aklt_omega, aklt_frame)
     assert rep.passed
     by_name = {c.name: c for c in rep.inequalities}
     assert by_name["||e^ - e~||_2 <= ||dOmega(1)||_2"].lhs <= 1e-12
     assert by_name["||K~ - K^||_2->2 bound"].lhs <= 1e-10
 
 
-def test_estimate_bounds_hypothesis_violation_raises(aklt_omega):
+def test_estimate_bounds_hypothesis_violation_raises(aklt_omega, aklt_frame):
     # way beyond sigma_m / 3
     noisy = dataclasses.replace(aklt_omega, omega=aklt_omega.omega + 0.5)
     with pytest.raises(PreconditionError):
-        check_realization_estimate_bounds(aklt_omega, noisy, 4)
+        check_realization_estimate_bounds(aklt_omega, noisy, aklt_frame)
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_estimate_bounds_aklt_sweep(seed, aklt_omega):
+def test_estimate_bounds_aklt_sweep(seed, aklt_omega, aklt_frame):
     od_hat = perturb_omega_data(aklt_omega, 1e-3, 1e-3, make_rng(2000 + seed))
-    assert check_realization_estimate_bounds(aklt_omega, od_hat, 4).passed
+    assert check_realization_estimate_bounds(aklt_omega, od_hat, aklt_frame).passed
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -333,7 +338,7 @@ def test_estimate_bounds_random_model_sweep(seed, basis2):
     sv = np.linalg.svd(od.omega, compute_uv=False)
     rank = int((sv > 1e-9 * sv[0]).sum())
     od_hat = perturb_omega_data(od, 1e-4, 1e-4, spawn_rng(31, seed))
-    assert check_realization_estimate_bounds(od, od_hat, rank).passed
+    assert check_realization_estimate_bounds(od, od_hat, truncate(od.omega, rank=rank)).passed
 
 
 def test_surrogate_parameters_zero_noise(aklt_omega):
@@ -371,8 +376,8 @@ def test_surrogate_parameters_bits_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_report_serializes_to_json(aklt_omega):
-    rep = check_realization_estimate_bounds(aklt_omega, aklt_omega, 4)
+def test_report_serializes_to_json(aklt_omega, aklt_frame):
+    rep = check_realization_estimate_bounds(aklt_omega, aklt_omega, aklt_frame)
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["version"] == 1
     assert doc["passed"] is True

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcs_spectral import cli, fcs
+from fcs_spectral import cli, fcs, linalg
 from fcs_spectral.fcs import load_realization, marginal, realization_from_dict
 from oracles import assemble_from_coefficients, evaluate_word
 
@@ -193,6 +193,38 @@ def test_cmd_aklt_without_sizes_writes_header_only(tmp_path):
     assert (out / "aklt.csv").read_text().splitlines() == [",".join(cli.CSV_COLUMNS)]
 
 
+@pytest.mark.parametrize("exc", [None, ValueError("bad value"), RuntimeError("bug")])
+def test_main_runs_command_at_one_blas_thread(tmp_path, monkeypatch, fake_blas_threads, exc):
+    seen = []
+
+    def command(cfg, out_dir):
+        seen.append(fake_blas_threads.count)
+        if exc is not None:
+            raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "aklt", command)
+    argv = ["aklt", "--config", str(write_config(tmp_path, "cfg.json", {})),
+            "--out", str(tmp_path), "--log-level", "error"]
+    if isinstance(exc, RuntimeError):
+        with pytest.raises(RuntimeError):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == (0 if exc is None else 2)
+    assert seen == [1]
+    assert fake_blas_threads.calls == [1, 2] and fake_blas_threads.count == 2
+
+
+@pytest.mark.skipif(linalg._INHERITED is None, reason="numpy's BLAS has no thread control")
+def test_main_restores_process_blas_threads(tmp_path):
+    before = linalg._GET_THREADS()
+    run_cli(tmp_path, "aklt", dict(AKLT_CFG, sites=[2]))
+    assert linalg._GET_THREADS() == before
+    cfg_path = write_config(tmp_path, "bad.json", dict(AKLT_CFG, trials=-1))
+    assert cli.main(["aklt", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--log-level", "error"]) == 2
+    assert linalg._GET_THREADS() == before
+
+
 def test_blas_thread_env_reaches_spawned_workers_only():
     env = dict(os.environ)
     spawn = multiprocessing.get_context("spawn")
@@ -280,6 +312,23 @@ def test_cmd_nonhomog_exact_and_noisy(tmp_path):
     assert all(float(r["trace_distance"]) <= 1e-8 for r in exact)
     assert all(1e-8 < float(r["trace_distance"]) < 1e-2 for r in noisy)
     assert all(int(r["sites"]) == 4 for r in rows)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("nonhomog", dict(NONHOMOG_CFG, chain=dict(NONHOMOG_CFG["chain"], n_sites=8),
+                      epsilons=[1e-4], trials=2)),
+    ("aklt", dict(AKLT_CFG, epsilons=[1e-3], sites=[2, 6, 7], trials=1, seed=11)),
+], ids=["chain", "aklt-t7"])
+def test_outputs_byte_identical_across_blas_threads(tmp_path, monkeypatch, command, cfg):
+    # small work runs at one thread either way; the t = 6 and 7 solves and
+    # products take the 1 or 2 threads the process starts with
+    for threads in ("1", "2"):
+        for var in cli._BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, threads)
+        proc = run_cli_process(tmp_path, command, cfg, out=f"threads{threads}")
+        assert proc.returncode == 0, proc.stderr
+    name = cfg["output"]
+    assert (tmp_path / "threads1" / name).read_bytes() == (tmp_path / "threads2" / name).read_bytes()
 
 
 def test_cmd_lemma_check_report(tmp_path):

@@ -64,18 +64,36 @@ _DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "inv", "pinv", "
 _EXEMPT = {("noise", "_product_outcomes", "eigh")}
 
 
+def _modules_outside_linalg():
+    """(module name, parsed source) of every package module but linalg."""
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name != "linalg.py":
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_decompositions_only_in_linalg():
     calls = set()
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        if path.name == "linalg.py":
-            continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _modules_outside_linalg():
+        for stmt in tree.body:
             owner = getattr(stmt, "name", "<module>")
             for node in ast.walk(stmt):
                 if (isinstance(node, ast.Attribute) and node.attr in _DECOMPOSITIONS
                         and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
-                    calls.add((path.stem, owner, node.attr))
+                    calls.add((module, owner, node.attr))
     assert calls - _EXEMPT == set(), "decompose through fcs_spectral.linalg"
+
+
+def test_native_bindings_only_in_linalg():
+    found = set()
+    for module, tree in _modules_outside_linalg():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update((module, a.name) for a in node.names if a.name.startswith("ctypes"))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ctypes"):
+                found.add((module, node.module))
+            elif isinstance(node, ast.Attribute) and node.attr == "_umath_linalg":
+                found.add((module, ast.unparse(node)))
+    assert found == set(), "bind native code in fcs_spectral.linalg"
 
 
 def test_pseudoinverse_invertible_matches_inverse():
@@ -203,13 +221,32 @@ two_stage = pytest.mark.skipif(linalg._ZHEEVD_2STAGE is None,
                                reason="numpy's LAPACK has no zheevd_2stage")
 
 
-def test_two_stage_binding_resolves_on_scipy_openblas():
-    # a numpy whose LAPACK renamed the symbol would otherwise fall back to
-    # eigvalsh silently and lose the two-stage speed
+def _skip_unless_scipy_openblas():
     lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"]
     if lapack != "scipy-openblas":
         pytest.skip(f"numpy links {lapack}, not scipy-openblas")
+
+
+def test_two_stage_binding_resolves_on_scipy_openblas():
+    # a numpy whose LAPACK renamed the symbol would otherwise fall back to
+    # eigvalsh silently and lose the two-stage speed
+    _skip_unless_scipy_openblas()
     assert linalg._ZHEEVD_2STAGE is not None
+
+
+def test_thread_binding_resolves_on_scipy_openblas():
+    # without it every BLAS call of a CLI run would keep the inherited
+    # threads, the second of which only spins on small matrices
+    _skip_unless_scipy_openblas()
+    assert linalg._GET_THREADS is not None and linalg._SET_THREADS is not None
+    assert linalg._INHERITED >= 1
+    before = linalg._GET_THREADS()
+    with linalg.blas_threads(1):
+        assert linalg._GET_THREADS() == 1
+        with linalg.blas_threads_for(linalg._THREADED_MIN_DIM):
+            assert linalg._GET_THREADS() == linalg._INHERITED
+        assert linalg._GET_THREADS() == 1
+    assert linalg._GET_THREADS() == before
 
 
 @two_stage
@@ -287,3 +324,53 @@ def test_pseudoinverse_perturbation_oracle(seed):
                        operator_norm_2to2(pseudoinverse(a))) ** 2 \
         * operator_norm_2to2(a_t - a)
     assert lhs <= rhs + 1e-9
+
+
+def test_blas_threads_caps_at_inherited_and_restores(fake_blas_threads):
+    fake = fake_blas_threads
+    with linalg.blas_threads(1):
+        assert fake.count == 1
+        with linalg.blas_threads(8):
+            assert fake.count == 2
+        with linalg.blas_threads(1):
+            pass
+    with pytest.raises(RuntimeError), linalg.blas_threads(1):
+        raise RuntimeError
+    assert fake.calls == [1, 2, 1, 1, 1, 2, 1, 2]
+    assert fake.count == 2
+
+
+def test_blas_threads_does_nothing_without_binding(monkeypatch, fake_blas_threads):
+    # no inherited count is read unless both symbols bind
+    monkeypatch.setattr(linalg, "_INHERITED", None)
+    with linalg.blas_threads(1), linalg.blas_threads_for(linalg._THREADED_MIN_DIM):
+        pass
+    assert fake_blas_threads.calls == []
+
+
+def test_eigensolve_gets_inherited_threads_from_cutoff(monkeypatch, fake_blas_threads):
+    fake = fake_blas_threads
+    fake.count = 1
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(linalg, "_ZHEEVD_2STAGE", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: seen.append(fake.count) or eigvalsh(h))
+    n = linalg._THREADED_MIN_DIM
+    assert trace_norm_hermitian(np.eye(n - 1)) == pytest.approx(n - 1)
+    assert fake.calls == []
+    assert trace_norm_hermitian(np.eye(n)) == pytest.approx(n)
+    assert fake.calls == [2, 1] and seen == [1, 2]
+
+
+def test_dense_product_gets_inherited_threads_from_cutoff(fake_blas_threads, basis2):
+    # qubit products of 2^(t-1) < cutoff <= 2^t rows
+    from fcs_spectral import fcs
+
+    fake = fake_blas_threads
+    fake.count = 1
+    r = fcs.from_cstar(fcs.random_cstar(2, 2, seed=0))
+    t = (linalg._THREADED_MIN_DIM - 1).bit_length()
+    fcs.dense_product(r.rho, [r.kappa] * (t - 1), r.e, basis2)
+    assert fake.calls == []
+    fcs.dense_product(r.rho, [r.kappa] * t, r.e, basis2)
+    assert fake.calls == [2, 1]
