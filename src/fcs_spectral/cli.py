@@ -15,8 +15,11 @@ Artifacts are deterministic per (config, seed): CSV files are UTF-8 with LF
 endings, a fixed header, and %.12e numeric formatting; JSON artifacts carry
 "version": 1.  Logging goes to stderr, data only to files.
 
-The wall_time_ms column is 0 unless the config sets "timing": true; real
-timings would break byte-identical reruns, which take precedence.
+aklt, robustness and nonhomog share one sweep engine: a prepare step builds
+a context and its tasks, a trial function turns a task into keyed CSV rows,
+and _run_sweep runs the tasks, in a spawn pool under aklt's and robustness'
+"workers".  The wall_time_ms column is 0 unless the config sets "timing":
+true; real timings would break byte-identical reruns, which take precedence.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -68,10 +72,11 @@ class Ints(NamedTuple):
 
 
 class Floats(NamedTuple):
-    """Type of a finite number key with ``low <= value``, or ``low < value``
-    if ``strict``."""
+    """Type of a finite number key with ``low <= value <= high``, or
+    ``low < value <= high`` if ``strict``."""
 
     low: float
+    high: float = math.inf
     strict: bool = False
 
 
@@ -142,9 +147,10 @@ def _read(value, kind, where: str):
     if kind is float or isinstance(kind, Floats):
         if not math.isfinite(value):
             raise ValueError(f"{where}: expected a finite number, got {value}")
-        if isinstance(kind, Floats) and (value < kind.low or kind.strict and value == kind.low):
+        if isinstance(kind, Floats) and (value < kind.low or value > kind.high
+                                         or kind.strict and value == kind.low):
             raise ValueError(f"{where}: {value} is outside "
-                             f"{'(' if kind.strict else '['}{kind.low:g}, inf]")
+                             f"{'(' if kind.strict else '['}{kind.low:g}, {kind.high:g}]")
         return float(value)
     if isinstance(kind, Ints) and not kind.low <= value <= kind.high:
         raise ValueError(f"{where}: {value} is outside [{kind.low}, {kind.high}]")
@@ -163,6 +169,7 @@ _TRUNCATION = (Tagged("mode", {
     "rank": {"value": (Ints(1), REQUIRED)},
     "threshold": {"value": (Floats(0.0, strict=True), REQUIRED)},
 }), REQUIRED)
+_FRACTIONS = [Floats(0.0, 1.0)]  # mixing weights and noise factors
 _TI = {
     "version": _VERSION, "model": _MODEL, "truncation": _TRUNCATION,
     "sites": ([Ints(1)], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": _SEED,
@@ -180,7 +187,7 @@ _TI = {
 # The config schema of every command: key -> (type, default); see _read.
 TABLES = {
     "aklt": {**_TI, "output": (str, "aklt.csv")},
-    "robustness": {**_TI, "output": (str, "robustness.csv"), "xis": ([float], REQUIRED)},
+    "robustness": {**_TI, "output": (str, "robustness.csv"), "xis": (_FRACTIONS, REQUIRED)},
     "rank-scan": {
         "version": _VERSION, "model": _MODEL, "max_block": (Ints(1), REQUIRED),
         "tol": (Floats(0.0), 1e-9), "output": (str, "rank_scan.csv"), "dense_cap": _DENSE_CAP,
@@ -198,7 +205,7 @@ TABLES = {
     "lemma-check": {
         "version": _VERSION, "seed": _SEED, "count": (Ints(0), 1000),
         "max_dim": (Ints(2), 30), "slack": (float, 1e-9), "output": (str, "lemma_report.json"),
-        "models_seeds": (Ints(0), 20), "noise_factors": ([float], [0.01, 0.1, 0.9]),
+        "models_seeds": (Ints(0), 20), "noise_factors": (_FRACTIONS, [0.01, 0.1, 0.9]),
     },
     "reconstruct": {
         "version": _VERSION, "input": (str, REQUIRED), "block_size": (Ints(1), REQUIRED),
@@ -259,129 +266,19 @@ def _write_json(path: Path, doc: dict):
 
 
 # ---------------------------------------------------------------------------
-# translation-invariant sweep (aklt, robustness)
+# sweep engine (aklt, robustness, nonhomog)
 # ---------------------------------------------------------------------------
 
-_WORKER_CTX: dict = {}
+_CTX: dict = {}  # the running sweep's context, read by the trial functions
 
 
-def _init_ti_worker(ctx: dict):
-    _WORKER_CTX.clear()
-    _WORKER_CTX.update(ctx)
-
-
-def _init_spawned_ti_worker(ctx: dict, level: int):
-    """Pool initializer: a spawned worker starts with unconfigured logging,
-    so it takes the parent's log format and effective level first."""
+def _init_worker(ctx: dict, level: int):
+    """Sets this process's sweep context.  A spawned pool worker starts with
+    unconfigured logging, so it first takes the caller's format and level."""
     logging.basicConfig(stream=sys.stderr, level=level, format=_LOG_FORMAT)
     log.setLevel(level)
-    _init_ti_worker(ctx)
-
-
-def _prepare_ti_context(cfg: dict, command: str) -> dict:
-    """The read config plus the model, its exact data and the resolved sweep."""
-    model_id, r, d_b = _build_model(cfg["model"])
-    s, cap, sites = cfg["block_size"], cfg["dense_cap"], cfg["sites"]
-    basis = gellmann(r.d_a)
-    od = spectral.build_omega(r, basis, s_left=s, s_right=s, cap=cap)
-    trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
-    mode = cfg["noise"]["mode"]
-    sweep_key = "epsilons" if mode == "gaussian_matrix" else "shots_sweep"
-    if command == "robustness" and mode != "gaussian_matrix":
-        raise ValueError("robustness.noise.mode: only gaussian_matrix noise is supported")
-    if cfg[sweep_key] is None:
-        raise ValueError(f"{command}.{sweep_key}: required by {mode} noise")
-    if any(r.d_a ** t > cap for t in sites):
-        raise ValueError(f"{command}.sites: a requested size exceeds the dense cap {cap}")
-    # resolve the truncation rank on exact data (threshold mode varies per
-    # trial; the exact rank still fixes the surrogate scale)
-    exact_rank = spectral.truncate(od.omega, **trunc).rank
-    return {
-        **cfg,
-        "command": command,
-        "model_id": model_id,
-        "basis": basis,
-        "od": od,
-        # mixing target: the maximally mixed state, via Omega-data linearity
-        "od_mm": _maximally_mixed_omega(r.d_a, s, basis) if command == "robustness" else None,
-        "marginals": {
-            k: fcs.marginal(r, k, basis, cap=cap)
-            for k in ((s, 2 * s, 2 * s + 1) if mode != "gaussian_matrix" else ())
-        },
-        "trunc": trunc,
-        "sweep": cfg[sweep_key],
-        "sigma_exact": analysis.sigma_m(od.omega, exact_rank),
-        "scale": d_b if cfg["bound_variant"] == "cstar" else exact_rank,
-        "exact": r,
-    }
-
-
-def _maximally_mixed_omega(d: int, s: int, basis) -> spectral.OmegaData:
-    def mm(k: int) -> fcs.DensityMatrix:
-        n = d ** k
-        return fcs.DensityMatrix(matrix=np.eye(n, dtype=complex) / n, dim=d, sites=k)
-
-    return spectral.build_omega_from_marginals(mm(s), mm(2 * s), mm(2 * s + 1), basis)
-
-
-def _mix_omega(od, od_mm, xi: float) -> spectral.OmegaData:
-    return dataclasses.replace(
-        od,
-        omega=(1 - xi) * od.omega + xi * od_mm.omega,
-        omega_dot=(1 - xi) * od.omega_dot + xi * od_mm.omega_dot,
-        omega_one=(1 - xi) * od.omega_one + xi * od_mm.omega_one,
-        tau_omega=(1 - xi) * od.tau_omega + xi * od_mm.tau_omega,
-    )
-
-
-def _run_ti_trial(task):
-    """One (xi, sweep value, trial): perturb once, reconstruct all sizes."""
-    xi_idx, sweep_idx, trial = task
-    ctx = _WORKER_CTX
-    t0 = time.perf_counter()
-    mode = ctx["noise"]["mode"]
-    value = ctx["sweep"][sweep_idx]
-    xi = ctx["xis"][xi_idx]
-    od = ctx["od"] if xi == 0.0 else _mix_omega(ctx["od"], ctx["od_mm"], xi)
-    rng = noise.spawn_rng(ctx["seed"], sweep_idx, trial)
-    eps_col = float(value)
-    if mode == "gaussian_matrix":
-        od_hat = noise.perturb_omega_data(od, eps_col, ctx["noise"]["epsilon_prime"], rng)
-    else:
-        basis = ctx["basis"]
-        s = ctx["block_size"]
-        ests = [
-            noise.simulate_tomography(ctx["marginals"][k], basis, value, rng, mode=mode)
-            for k in (s, 2 * s, 2 * s + 1)
-        ]
-        od_hat = spectral.omega_data_from_coefficients(*ests, d_a=basis.dim, s=s)
-    tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
-    sr = spectral.spectral_realization(od_hat, tr)
-    # deviations are measured from the underlying exact model, so in the
-    # robustness command they include the mixing contribution
-    params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"], ctx["scale"],
-                                           variant=ctx["bound_variant"])
-    model_id = ctx["model_id"]
-    if ctx["command"] == "robustness":
-        model_id = f"{model_id}+mix(xi={xi:g})"
-    rows = []
-    for t_idx, t in enumerate(ctx["sites"]):
-        td, hs = analysis.difference_distances(
-            fcs.marginal_difference(sr, ctx["exact"], t, ctx["basis"], ctx["dense_cap"]))
-        bound = analysis.error_propagation_bound(params, t)
-        if 2.0 * td > bound + 1e-12:
-            log.warning(
-                "monitored bound exceeded: model=%s t=%d eps=%s trial=%d "
-                "2*TD=%.3e > surrogate bound=%.3e",
-                model_id, t, _fmt(eps_col), trial, 2.0 * td, bound,
-            )
-        wall = (time.perf_counter() - t0) * 1e3 if ctx["timing"] else 0.0
-        rows.append((
-            (xi_idx, sweep_idx, t_idx, trial),
-            [model_id, t, eps_col, ctx["seed"], trial, td, hs,
-             sr.diagnostics["sigma_m_hat"], tr.rank, bound, wall, td / t],
-        ))
-    return rows
+    _CTX.clear()
+    _CTX.update(ctx)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -408,44 +305,144 @@ def _single_thread_blas_env():
                 os.environ[k] = v
 
 
-def _run_ti_sweep(cfg: dict, out_dir: Path, command: str) -> Path:
-    ctx = _prepare_ti_context(cfg, command)
-    tasks = [
-        (xi_idx, sweep_idx, trial)
-        for xi_idx in range(len(ctx["xis"]))
-        for sweep_idx in range(len(ctx["sweep"]))
-        for trial in range(ctx["trials"])
-    ]
+def _run_sweep(ctx: dict, tasks: list, trial, workers: int, out: Path) -> Path:
+    """Runs ``trial`` (task -> [(key, row)]) on every task, serially or in a
+    spawn pool, and writes the rows to ``out`` in key order."""
     # no more workers than tasks or cores: the CSV is the same for any count
-    workers = min(cfg["workers"], len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    initargs = (ctx, log.getEffectiveLevel())
     if workers > 1:
         with _single_thread_blas_env(), ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_init_spawned_ti_worker,
-                initargs=(ctx, log.getEffectiveLevel())) as pool:
-            chunks = list(pool.map(_run_ti_trial, tasks))
+                initializer=_init_worker, initargs=initargs) as pool:
+            chunks = list(pool.map(trial, tasks))
     else:
-        _init_ti_worker(ctx)
-        chunks = [_run_ti_trial(t) for t in tasks]
-    keyed = [row for chunk in chunks for row in chunk]
-    keyed.sort(key=lambda kr: kr[0])
-    rows = [r for _, r in keyed]
-    out = out_dir / cfg["output"]
-    _write_csv(out, CSV_COLUMNS, rows)
+        _init_worker(*initargs)
+        chunks = [trial(task) for task in tasks]
+    # keys are unique, so the sort never compares two rows
+    _write_csv(out, CSV_COLUMNS, [row for _, row in sorted(itertools.chain(*chunks))])
     return out
+
+
+def _sweep_row(key, model_id: str, t: int, eps: float, trial: int, diff, sigma: float,
+               rank: int, bound: float, t0: float):
+    """Keyed CSV row of a t-site reconstruction from the dense difference
+    ``diff`` to the exact state, which it takes over; it warns when 2*TD
+    exceeds ``bound``, and times from ``t0`` under ``timing``."""
+    td, hs = analysis.difference_distances(diff)
+    if 2.0 * td > bound + 1e-12:
+        log.warning("monitored bound exceeded: model=%s t=%d eps=%s trial=%d 2*TD=%.3e > "
+                    "surrogate bound=%.3e", model_id, t, _fmt(eps), trial, 2.0 * td, bound)
+    wall = (time.perf_counter() - t0) * 1e3 if _CTX["timing"] else 0.0
+    return key, [model_id, t, eps, _CTX["seed"], trial, td, hs, sigma, rank, bound, wall, td / t]
+
+
+# ---------------------------------------------------------------------------
+# translation-invariant sweep (aklt, robustness)
+# ---------------------------------------------------------------------------
+
+def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
+    """The read config plus the model, its exact data and the resolved
+    sweep; and the sweep's tasks, one per (xi, sweep value, trial)."""
+    model_id, r, d_b = _build_model(cfg["model"])
+    s, cap, sites = cfg["block_size"], cfg["dense_cap"], cfg["sites"]
+    basis = gellmann(r.d_a)
+    od = spectral.build_omega(r, basis, s_left=s, s_right=s, cap=cap)
+    trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
+    mode = cfg["noise"]["mode"]
+    sweep_key = "epsilons" if mode == "gaussian_matrix" else "shots_sweep"
+    if command == "robustness" and mode != "gaussian_matrix":
+        raise ValueError("robustness.noise.mode: only gaussian_matrix noise is supported")
+    if cfg[sweep_key] is None:
+        raise ValueError(f"{command}.{sweep_key}: required by {mode} noise")
+    if any(r.d_a ** t > cap for t in sites):
+        raise ValueError(f"{command}.sites: a requested size exceeds the dense cap {cap}")
+    # resolve the truncation rank on exact data (threshold mode varies per
+    # trial; the exact rank still fixes the surrogate scale)
+    exact_rank = spectral.truncate(od.omega, **trunc).rank
+    ctx = {
+        **cfg,
+        "command": command,
+        "model_id": model_id,
+        "basis": basis,
+        "od": od,
+        # mixing target: the maximally mixed state, via Omega-data linearity
+        "od_mm": _maximally_mixed_omega(r.d_a, s, basis) if command == "robustness" else None,
+        "marginals": {
+            k: fcs.marginal(r, k, basis, cap=cap)
+            for k in ((s, 2 * s, 2 * s + 1) if mode != "gaussian_matrix" else ())
+        },
+        "trunc": trunc,
+        "sweep": cfg[sweep_key],
+        "sigma_exact": analysis.sigma_m(od.omega, exact_rank),
+        "scale": d_b if cfg["bound_variant"] == "cstar" else exact_rank,
+        "exact": r,
+    }
+    return ctx, list(itertools.product(range(len(cfg["xis"])), range(len(ctx["sweep"])),
+                                       range(cfg["trials"])))
+
+
+def _maximally_mixed_omega(d: int, s: int, basis) -> spectral.OmegaData:
+    mm = [fcs.DensityMatrix(matrix=np.eye(d ** k, dtype=complex) / d ** k, dim=d, sites=k)
+          for k in (s, 2 * s, 2 * s + 1)]
+    return spectral.build_omega_from_marginals(*mm, basis)
+
+
+def _mix_omega(od, od_mm, xi: float) -> spectral.OmegaData:
+    return dataclasses.replace(od, **{
+        f: (1 - xi) * getattr(od, f) + xi * getattr(od_mm, f)
+        for f in ("omega", "omega_dot", "omega_one", "tau_omega")})
+
+
+def _run_ti_trial(task):
+    """One (xi, sweep value, trial): perturb once, reconstruct all sizes."""
+    xi_idx, sweep_idx, trial = task
+    ctx = _CTX
+    t0 = time.perf_counter()
+    mode, value, xi = ctx["noise"]["mode"], ctx["sweep"][sweep_idx], ctx["xis"][xi_idx]
+    od = ctx["od"] if xi == 0.0 else _mix_omega(ctx["od"], ctx["od_mm"], xi)
+    rng = noise.spawn_rng(ctx["seed"], sweep_idx, trial)
+    eps_col = float(value)
+    if mode == "gaussian_matrix":
+        od_hat = noise.perturb_omega_data(od, eps_col, ctx["noise"]["epsilon_prime"], rng)
+    else:  # the s-, 2s- and (2s+1)-site marginals, in that order
+        ests = [noise.simulate_tomography(m, ctx["basis"], value, rng, mode=mode)
+                for m in ctx["marginals"].values()]
+        od_hat = spectral.omega_data_from_coefficients(*ests, d_a=ctx["basis"].dim,
+                                                       s=ctx["block_size"])
+    tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
+    sr = spectral.spectral_realization(od_hat, tr)
+    # deviations are measured from the underlying exact model, so in the
+    # robustness command they include the mixing contribution
+    params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"], ctx["scale"],
+                                           variant=ctx["bound_variant"])
+    model_id = ctx["model_id"]
+    if ctx["command"] == "robustness":
+        model_id = f"{model_id}+mix(xi={xi:g})"
+    # each difference goes straight to its row, where the eigensolve overwrites it
+    return [
+        _sweep_row((xi_idx, sweep_idx, t_idx, trial), model_id, t, eps_col, trial,
+                   fcs.marginal_difference(sr, ctx["exact"], t, ctx["basis"], ctx["dense_cap"]),
+                   sr.diagnostics["sigma_m_hat"], tr.rank,
+                   analysis.error_propagation_bound(params, t), t0)
+        for t_idx, t in enumerate(ctx["sites"])
+    ]
 
 
 def cmd_aklt(cfg: dict, out_dir: Path) -> Path:
     """Noise sweep on a translation-invariant model; one perturbation per
     trial shared across all reconstruction sizes."""
     cfg = _read(cfg, TABLES["aklt"], "aklt")
-    return _run_ti_sweep({**cfg, "xis": [0.0]}, out_dir, "aklt")
+    return _run_sweep(*_prepare_ti_context({**cfg, "xis": [0.0]}, "aklt"), _run_ti_trial,
+                      cfg["workers"], out_dir / cfg["output"])
 
 
 def cmd_robustness(cfg: dict, out_dir: Path) -> Path:
     """Same sweep on the state mixed with the maximally mixed state at
     weights xi; xi = 0 reproduces the aklt command's numbers."""
-    return _run_ti_sweep(_read(cfg, TABLES["robustness"], "robustness"), out_dir, "robustness")
+    cfg = _read(cfg, TABLES["robustness"], "robustness")
+    return _run_sweep(*_prepare_ti_context(cfg, "robustness"), _run_ti_trial,
+                      cfg["workers"], out_dir / cfg["output"])
 
 
 # ---------------------------------------------------------------------------
@@ -473,61 +470,68 @@ def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
 # non-homogeneous sweep
 # ---------------------------------------------------------------------------
 
-def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
-    cfg = _read(cfg, TABLES["nonhomog"], "nonhomog")
-    spec = cfg["chain"]
-    n = spec["n_sites"]
-    chain = fcs.random_chain(n, spec["d_a"], spec["d_b"], spec["seed"],
-                             stationary=spec["stationary"])
-    model_id = f"chain(n={n};d_a={chain.d_a};d_b={chain.d_b};seed={spec['seed']})"
-    basis = gellmann(chain.d_a)
-    state = fcs.chain_state(chain, cap=cfg["dense_cap"])
+def _prepare_chain_context(cfg: dict) -> tuple[dict, list]:
+    """The read config plus the chain's exact state, window forms, ranks and
+    sigmas; and the sweep's tasks, one per (epsilon, trial)."""
+    spec, cap = cfg["chain"], cfg["dense_cap"]
+    n, d_a = spec["n_sites"], spec["d_a"]
+    if d_a ** n > cap:
+        raise ValueError(f"nonhomog.chain.n_sites: {d_a}^{n} exceeds the dense cap {cap}")
+    chain = fcs.random_chain(n, d_a, spec["d_b"], spec["seed"], stationary=spec["stationary"])
+    basis = gellmann(d_a)
+    state = fcs.chain_state(chain, cap=cap)
     # the exactly Hermitian part: each trial's difference to it is then
     # exactly Hermitian, and the eigensolve makes no symmetrized copy
     exact = 0.5 * (state.matrix + state.matrix.conj().T)
     cod = spectral.build_chain_omega(state, basis, cfg["left_width"], cfg["right_width"])
     # ranks[j-1] and sigmas[j-1]: numerical rank and smallest retained
     # singular value of the exact window form at site j
-    ranks, sigmas = [], []
-    for j in range(1, n):
-        sv = singular_values(cod.omegas[j])
-        ranks.append(numerical_rank(sv, cfg["rank_tol"]))
-        if ranks[-1] == 0:
-            raise ValueError(f"nonhomog: no singular value of the exact window form at "
-                             f"site {j} exceeds rank_tol * sigma_1")
-        sigmas.append(float(sv[ranks[-1] - 1]))
+    svs = [singular_values(cod.omegas[j]) for j in range(1, n)]
+    ranks = [numerical_rank(sv, cfg["rank_tol"]) for sv in svs]
+    if 0 in ranks:
+        raise ValueError(f"nonhomog: no singular value of the exact window form at "
+                         f"site {ranks.index(0) + 1} exceeds rank_tol * sigma_1")
+    sigmas = [float(sv[m - 1]) for sv, m in zip(svs, ranks)]
     log.info("exact window ranks: %s", ranks)
-    sigma_min = min(sigmas)
-    seed = cfg["seed"]
-    rows = []
-    for eps_idx, eps in enumerate(cfg["epsilons"]):
-        for trial in range(cfg["trials"]):
-            t0 = time.perf_counter()
-            rng = noise.spawn_rng(seed, eps_idx, trial)
-            cod_hat = noise.perturb_chain_omega(cod, eps, rng) if eps else cod
-            recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
-            diff = recon.state(basis, cfg["dense_cap"]).matrix
-            diff -= exact
-            td, hs = analysis.difference_distances(diff)
-            bound = _nonhomog_bound(cod, cod_hat, ranks, sigmas, chain.d_a, n)
-            wall = (time.perf_counter() - t0) * 1e3 if cfg["timing"] else 0.0
-            rows.append([model_id, n, eps, seed, trial, td, hs, sigma_min,
-                         max(ranks), bound, wall, td / n])
-    out = out_dir / cfg["output"]
-    _write_csv(out, CSV_COLUMNS, rows)
-    return out
+    ctx = {
+        **cfg,
+        "model_id": f"chain(n={n};d_a={d_a};d_b={spec['d_b']};seed={spec['seed']})",
+        "basis": basis, "exact": exact, "cod": cod, "ranks": ranks, "sigmas": sigmas,
+    }
+    return ctx, list(itertools.product(range(len(cfg["epsilons"])), range(cfg["trials"])))
 
 
-def _nonhomog_bound(cod, cod_hat, ranks, sigmas, d_a: int, n: int) -> float:
+def _run_chain_trial(task):
+    """One (epsilon, trial): perturb every window form, reconstruct the chain."""
+    eps_idx, trial = task
+    ctx = _CTX
+    t0 = time.perf_counter()
+    eps, cod, ranks = ctx["epsilons"][eps_idx], ctx["cod"], ctx["ranks"]
+    rng = noise.spawn_rng(ctx["seed"], eps_idx, trial)
+    cod_hat = noise.perturb_chain_omega(cod, eps, rng) if eps else cod
+    recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
+    diff = recon.state(ctx["basis"], ctx["dense_cap"]).matrix
+    diff -= ctx["exact"]
+    bound = _nonhomog_bound(cod, cod_hat, ranks, ctx["sigmas"])
+    return [_sweep_row((eps_idx, trial), ctx["model_id"], cod.n_sites, eps, trial, diff,
+                       min(ctx["sigmas"]), max(ranks), bound, t0)]
+
+
+def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
+    cfg = _read(cfg, TABLES["nonhomog"], "nonhomog")
+    return _run_sweep(*_prepare_chain_context(cfg), _run_chain_trial, 1, out_dir / cfg["output"])
+
+
+def _nonhomog_bound(cod, cod_hat, ranks, sigmas) -> float:
     """(1 + Delta')^N - 1 with the per-site 2-norm surrogate for Delta'.
 
     ``ranks`` and ``sigmas`` are the exact per-site ranks and sigma_m of the
     window forms at sites 1..N-1.  Interior sites use the printed surrogate;
     at the ends, where a window form is missing, the nearest defined
-    window's constants stand in.
+    window's constants stand in (m = sigma = 1 before site 1).
     """
-    sq3 = math.sqrt(3.0)
-    sqd = math.sqrt(d_a)
+    n, sq3, sqd = cod.n_sites, math.sqrt(3.0), math.sqrt(cod.d_a)
+    m_prev, sig_prev = [1, *ranks], [1.0, *sigmas]
     terms = []
     for j in range(1, n + 1):
         d_dot = frobenius_norm(cod_hat.omega_dots[j] - cod.omega_dots[j])
@@ -537,13 +541,8 @@ def _nonhomog_bound(cod, cod_hat, ranks, sigmas, d_a: int, n: int) -> float:
             inner = d_om / sig_j ** 2 + d_dot / (3.0 * sig_j)
         else:
             inner = d_dot / (3.0 * sigmas[n - 2])
-        if j == 1:
-            m_prev, sig_prev = 1, 1.0
-        else:
-            m_prev, sig_prev = ranks[j - 2], sigmas[j - 2]
-        terms.append((8.0 * m_prev * sqd / (sq3 * sig_prev)) * inner)
-    delta = max(terms)
-    return (1.0 + delta) ** n - 1.0
+        terms.append((8.0 * m_prev[j - 1] * sqd / (sq3 * sig_prev[j - 1])) * inner)
+    return (1.0 + max(terms)) ** n - 1.0
 
 
 # ---------------------------------------------------------------------------

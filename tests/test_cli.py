@@ -81,10 +81,18 @@ def test_cmd_aklt_header_golden(tmp_path):
                       "sigma_m,rank_used,bound_surrogate,wall_time_ms,td_per_site")
 
 
-def test_cmd_aklt_rerun_byte_identical(tmp_path):
-    out1 = run_cli(tmp_path, "aklt", AKLT_CFG, out="run1")
-    out2 = run_cli(tmp_path, "aklt", AKLT_CFG, out="run2")
-    assert (out1 / "aklt.csv").read_bytes() == (out2 / "aklt.csv").read_bytes()
+def sweep_config(command):
+    """A small config of each command the sweep engine runs."""
+    return {"aklt": AKLT_CFG, "robustness": dict(AKLT_CFG, xis=[0.0, 0.1]),
+            "nonhomog": NONHOMOG_CFG}[command]
+
+
+@pytest.mark.parametrize("command", ["aklt", "robustness", "nonhomog"])
+def test_sweep_rerun_byte_identical(tmp_path, command):
+    cfg = sweep_config(command)
+    out1 = run_cli(tmp_path, command, cfg, out="run1")
+    out2 = run_cli(tmp_path, command, cfg, out="run2")
+    assert (out1 / cfg["output"]).read_bytes() == (out2 / cfg["output"]).read_bytes()
 
 
 def test_cmd_aklt_row_order_and_format(tmp_path):
@@ -312,6 +320,17 @@ def test_cmd_nonhomog_exact_and_noisy(tmp_path):
     assert all(float(r["trace_distance"]) <= 1e-8 for r in exact)
     assert all(1e-8 < float(r["trace_distance"]) < 1e-2 for r in noisy)
     assert all(int(r["sites"]) == 4 for r in rows)
+    keys = [(float(r["epsilon"]), int(r["trial"])) for r in rows]
+    assert keys == sorted(keys)
+
+
+def test_cmd_nonhomog_warns_once_per_row_over_bound(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(cli, "_nonhomog_bound", lambda *args: 0.0)
+    out = run_cli(tmp_path, "nonhomog", dict(NONHOMOG_CFG, epsilons=[1e-4]))
+    assert len(read_rows(out / "chain.csv")) == 2
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 2
+    assert all(m.startswith("monitored bound exceeded: model=chain(n=4;") for m in warnings)
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -489,6 +508,16 @@ def reconstruct_with(marginals, **changes):
     (*nonhomog_with(rank_tol=-1), "ValueError: nonhomog.rank_tol: -1 is outside [0, inf]"),
     ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "tol": -1e-9}),
      "ValueError: rank-scan.tol: -1e-09 is outside [0, inf]"),
+    ("robustness", json.dumps(dict(AKLT_CFG, xis=[2.0, -0.5])),
+     "ValueError: robustness.xis[0]: 2.0 is outside [0, 1]"),
+    ("robustness", json.dumps(dict(AKLT_CFG, xis=[0.0, -0.5])),
+     "ValueError: robustness.xis[1]: -0.5 is outside [0, 1]"),
+    (*lemma_with(noise_factors=[5.0]),
+     "ValueError: lemma-check.noise_factors[0]: 5.0 is outside [0, 1]"),
+    (*lemma_with(noise_factors=[-0.1]),
+     "ValueError: lemma-check.noise_factors[0]: -0.1 is outside [0, 1]"),
+    (*chain_with(n_sites=12),
+     "ValueError: nonhomog.chain.n_sites: 2^12 exceeds the dense cap 2187"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
@@ -503,7 +532,8 @@ def reconstruct_with(marginals, **changes):
         "negative-models-seeds", "zero-reconstruct-site", "marginals-dim-1",
         "negative-epsilon", "negative-epsilon-prime", "negative-nonhomog-epsilon",
         "zero-truncation-rank", "zero-threshold", "negative-threshold",
-        "negative-rank-tol", "negative-rank-scan-tol"])
+        "negative-rank-tol", "negative-rank-scan-tol", "xi-above-one", "negative-xi",
+        "noise-factor-above-one", "negative-noise-factor", "chain-over-dense-cap"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback
@@ -680,13 +710,15 @@ def test_chain_window_form_accessor(basis2):
     assert h.shape == (1, 16)
 
 
-def test_timing_column_zero_by_default(tmp_path):
-    out = run_cli(tmp_path, "aklt", AKLT_CFG)
-    rows = read_rows(out / "aklt.csv")
+@pytest.mark.parametrize("command", ["aklt", "nonhomog"])
+def test_timing_column_zero_by_default(tmp_path, command):
+    cfg = sweep_config(command)
+    rows = read_rows(run_cli(tmp_path, command, cfg) / cfg["output"])
     assert all(float(r["wall_time_ms"]) == 0.0 for r in rows)
 
 
-def test_timing_flag_records_positive(tmp_path):
-    out = run_cli(tmp_path, "aklt", dict(AKLT_CFG, timing=True))
-    rows = read_rows(out / "aklt.csv")
-    assert any(float(r["wall_time_ms"]) > 0.0 for r in rows)
+@pytest.mark.parametrize("command", ["aklt", "nonhomog"])
+def test_timing_flag_records_positive(tmp_path, command):
+    cfg = dict(sweep_config(command), timing=True)
+    rows = read_rows(run_cli(tmp_path, command, cfg) / cfg["output"])
+    assert all(float(r["wall_time_ms"]) > 0.0 for r in rows)
