@@ -39,7 +39,7 @@ from .spectral import (
     SvdTruncation,
     build_chain_omega,
     build_omega,
-    build_omega_from_marginals,
+    build_omega_from_marginal,
     nonhomog_reconstruct,
     spectral_realization,
     truncate,

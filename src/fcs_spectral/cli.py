@@ -211,7 +211,7 @@ TABLES = {
         "version": _VERSION, "input": (str, REQUIRED), "block_size": (Ints(1), REQUIRED),
         "truncation": _TRUNCATION, "sites": ([Ints(1)], []), "output": (str, "realization.json"),
         "marginals_output": (str, "reconstructed_marginals.json"), "dense_cap": _DENSE_CAP,
-        "pinv_tol": (float, 1e-12),
+        "pinv_tol": (Floats(0.0), 1e-12),
     },
 }
 
@@ -311,14 +311,18 @@ def _run_sweep(ctx: dict, tasks: list, trial, workers: int, out: Path) -> Path:
     # no more workers than tasks or cores: the CSV is the same for any count
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     initargs = (ctx, log.getEffectiveLevel())
-    if workers > 1:
-        with _single_thread_blas_env(), ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_init_worker, initargs=initargs) as pool:
-            chunks = list(pool.map(trial, tasks))
-    else:
-        _init_worker(*initargs)
-        chunks = [trial(task) for task in tasks]
+    try:
+        if workers > 1:
+            with _single_thread_blas_env(), ProcessPoolExecutor(
+                    max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_init_worker, initargs=initargs) as pool:
+                chunks = list(pool.map(trial, tasks))
+        else:
+            _init_worker(*initargs)
+            chunks = [trial(task) for task in tasks]
+    finally:
+        # the context holds the exact state; it must not outlive the sweep
+        _CTX.clear()
     # keys are unique, so the sort never compares two rows
     _write_csv(out, CSV_COLUMNS, [row for _, row in sorted(itertools.chain(*chunks))])
     return out
@@ -346,17 +350,21 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
     sweep; and the sweep's tasks, one per (xi, sweep value, trial)."""
     model_id, r, d_b = _build_model(cfg["model"])
     s, cap, sites = cfg["block_size"], cfg["dense_cap"], cfg["sites"]
-    basis = gellmann(r.d_a)
-    od = spectral.build_omega(r, basis, s_left=s, s_right=s, cap=cap)
-    trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
     mode = cfg["noise"]["mode"]
     sweep_key = "epsilons" if mode == "gaussian_matrix" else "shots_sweep"
     if command == "robustness" and mode != "gaussian_matrix":
         raise ValueError("robustness.noise.mode: only gaussian_matrix noise is supported")
     if cfg[sweep_key] is None:
         raise ValueError(f"{command}.{sweep_key}: required by {mode} noise")
+    # exact Omega spans 2s sites; shot noise estimates the (2s+1)-site marginal
+    k = 2 * s if mode == "gaussian_matrix" else 2 * s + 1
+    if r.d_a ** k > cap:
+        raise ValueError(f"{command}.block_size: {r.d_a}^{k} exceeds the dense cap {cap}")
     if any(r.d_a ** t > cap for t in sites):
         raise ValueError(f"{command}.sites: a requested size exceeds the dense cap {cap}")
+    basis = gellmann(r.d_a)
+    od = spectral.build_omega(r, basis, s_left=s, s_right=s, cap=cap)
+    trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
     # resolve the truncation rank on exact data (threshold mode varies per
     # trial; the exact rank still fixes the surrogate scale)
     exact_rank = spectral.truncate(od.omega, **trunc).rank
@@ -368,10 +376,8 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
         "od": od,
         # mixing target: the maximally mixed state, via Omega-data linearity
         "od_mm": _maximally_mixed_omega(r.d_a, s, basis) if command == "robustness" else None,
-        "marginals": {
-            k: fcs.marginal(r, k, basis, cap=cap)
-            for k in ((s, 2 * s, 2 * s + 1) if mode != "gaussian_matrix" else ())
-        },
+        # the one marginal that shot noise estimates
+        "marginal": fcs.marginal(r, k, basis, cap=cap) if mode != "gaussian_matrix" else None,
         "trunc": trunc,
         "sweep": cfg[sweep_key],
         "sigma_exact": analysis.sigma_m(od.omega, exact_rank),
@@ -383,9 +389,9 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
 
 
 def _maximally_mixed_omega(d: int, s: int, basis) -> spectral.OmegaData:
-    mm = [fcs.DensityMatrix(matrix=np.eye(d ** k, dtype=complex) / d ** k, dim=d, sites=k)
-          for k in (s, 2 * s, 2 * s + 1)]
-    return spectral.build_omega_from_marginals(*mm, basis)
+    k = 2 * s + 1
+    mm = fcs.DensityMatrix(matrix=np.eye(d ** k, dtype=complex) / d ** k, dim=d, sites=k)
+    return spectral.build_omega_from_marginal(mm, basis)
 
 
 def _mix_omega(od, od_mm, xi: float) -> spectral.OmegaData:
@@ -405,10 +411,9 @@ def _run_ti_trial(task):
     eps_col = float(value)
     if mode == "gaussian_matrix":
         od_hat = noise.perturb_omega_data(od, eps_col, ctx["noise"]["epsilon_prime"], rng)
-    else:  # the s-, 2s- and (2s+1)-site marginals, in that order
-        ests = [noise.simulate_tomography(m, ctx["basis"], value, rng, mode=mode)
-                for m in ctx["marginals"].values()]
-        od_hat = spectral.omega_data_from_coefficients(*ests, d_a=ctx["basis"].dim,
+    else:  # one estimate of the (2s+1)-site marginal gives every field
+        est = noise.simulate_tomography(ctx["marginal"], ctx["basis"], value, rng, mode=mode)
+        od_hat = spectral.omega_data_from_coefficients(est, d_a=ctx["basis"].dim,
                                                        s=ctx["block_size"])
     tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
     sr = spectral.spectral_realization(od_hat, tr)
@@ -452,8 +457,11 @@ def cmd_robustness(cfg: dict, out_dir: Path) -> Path:
 def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["rank-scan"], "rank-scan")
     model_id, r, _ = _build_model(cfg["model"])
-    profile = fcs.rank_profile(r, gellmann(r.d_a), cfg["max_block"], tol=cfg["tol"],
-                               cap=cfg["dense_cap"])
+    # the largest form spans 2 * max_block sites
+    k, cap = 2 * cfg["max_block"], cfg["dense_cap"]
+    if r.d_a ** k > cap:
+        raise ValueError(f"rank-scan.max_block: {r.d_a}^{k} exceeds the dense cap {cap}")
+    profile = fcs.rank_profile(r, gellmann(r.d_a), cfg["max_block"], tol=cfg["tol"], cap=cap)
     t1, t2 = fcs.t_star(profile)
     log.info("rank profile stabilizes at rank %d; t* = (left %d, right %d)",
              profile[-1, -1], t1, t2)
@@ -699,20 +707,21 @@ def save_marginals(path, d: int, marginals: dict[int, fcs.DensityMatrix]):
 def cmd_reconstruct(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["reconstruct"], "reconstruct")
     d, marginals = load_marginals(cfg["input"])
-    s = cfg["block_size"]
-    for k in (s, 2 * s, 2 * s + 1):
-        if k not in marginals:
-            raise ValueError(f"reconstruct: input lacks the {k}-site marginal")
+    s, cap = cfg["block_size"], cfg["dense_cap"]
+    # checked before anything is written
+    if any(d ** t > cap for t in cfg["sites"]):
+        raise ValueError(f"reconstruct.sites: a requested size exceeds the dense cap {cap}")
+    if 2 * s + 1 not in marginals:
+        raise ValueError(f"reconstruct: input lacks the {2 * s + 1}-site marginal "
+                         f"that block_size {s} needs")
     basis = gellmann(d)
-    od = spectral.build_omega_from_marginals(
-        marginals[s], marginals[2 * s], marginals[2 * s + 1], basis
-    )
+    od = spectral.build_omega_from_marginal(marginals[2 * s + 1], basis)
     tr = spectral.truncate(od.omega, **{cfg["truncation"]["mode"]: cfg["truncation"]["value"]})
     sr = spectral.spectral_realization(od, tr, pinv_tol=cfg["pinv_tol"])
     out = out_dir / cfg["output"]
     _write_json(out, fcs.realization_to_dict(sr))
     if cfg["sites"]:
-        recon = {t: fcs.marginal(sr, t, basis, cap=cfg["dense_cap"]) for t in cfg["sites"]}
+        recon = {t: fcs.marginal(sr, t, basis, cap=cap) for t in cfg["sites"]}
         save_marginals(out_dir / cfg["marginals_output"], d, recon)
     return out
 

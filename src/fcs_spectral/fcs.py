@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import blas_threads_for, hermitian_eigenvalues, numerical_rank, singular_values
-from .opbasis import HermitianBasis, _hermitian_basis, expand_in_basis, gellmann, matrix_units
+from .opbasis import HermitianBasis, _hermitian_basis, gellmann, matrix_units
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -473,26 +473,6 @@ def chain_state(chain: ChainRealization, cap: int = DEFAULT_DENSE_CAP) -> Densit
         raise ValueError(f"dense cap exceeded: {chain.d_a}^{n} > {cap}")
     out = _apply_channels(chain.rho0, chain.isometries, chain.d_a, chain.d_b)
     return DensityMatrix(matrix=out, dim=chain.d_a, sites=n)
-
-
-def chain_window_form(state: DensityMatrix, basis: HermitianBasis,
-                      i: int, j: int, k: int) -> np.ndarray:
-    """Window bilinear form of a finite-chain state, as a matrix.
-
-    Rows index the Hermitian product basis on sites [i, j], columns the one
-    on [j+1, k]; out-of-range i or k are clipped to the chain, matching the
-    boundary convention of the non-homogeneous reconstruction.  For j = i-1
-    the left block is empty and a single-row matrix is returned.
-    """
-    n = state.sites
-    i = max(1, i)
-    k = min(n, k)
-    if not i - 1 <= j <= k:
-        raise ValueError(f"invalid window split [{i}, {j}, {k}]")
-    w = partial_trace_window(state.matrix, state.dim, n, i, k)
-    c = expand_in_basis(w, basis, k - i + 1)
-    nb = basis.size
-    return c.reshape(nb ** (j - i + 1), nb ** (k - j))
 
 
 # ---------------------------------------------------------------------------

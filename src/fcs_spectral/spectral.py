@@ -3,7 +3,8 @@
 Translation-invariant path
     1. collect the bilinear-form data (Omega, Omega_dot, Omega(1), tau Omega)
        in a fixed Hermitian product basis, either exactly from a realization
-       or from (estimated) marginals;
+       or from one (estimated) marginal: every field of block size s is a
+       slice of the (2s+1)-site marginal's coefficient vector;
     2. truncate the SVD of Omega to a fixed rank or singular value threshold;
     3. form the estimated realization
            e_hat   = U^T Omega(1)
@@ -13,7 +14,9 @@ Translation-invariant path
        rho_hat K_hat ... K_hat e_hat are the reconstructed marginals.
 
 Non-homogeneous path: per-site window forms Omega^{[i,j,k]} with the
-asymmetric boundary maps; see :func:`nonhomog_reconstruct`.
+asymmetric boundary maps; see :func:`nonhomog_reconstruct`.  Both forms of
+site j are slices of one window marginal, so an n-site chain is learned
+from n marginals of at most l + r + 1 sites (:func:`build_chain_omega`).
 
 Estimates are generally neither stationary nor positive semidefinite, so
 they are not validated.
@@ -21,6 +24,7 @@ they are not validated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,7 @@ __all__ = [
     "OmegaData",
     "SvdTruncation",
     "build_omega",
-    "build_omega_from_marginals",
+    "build_omega_from_marginal",
     "omega_data_from_coefficients",
     "truncate",
     "spectral_realization",
@@ -82,32 +86,32 @@ def build_omega(r: Realization, basis: HermitianBasis | None = None,
     return OmegaData(r.d_a, s_left, s_right, omega, omega_dot, omega_one, tau_omega)
 
 
-def build_omega_from_marginals(marg_s: DensityMatrix, marg_2s: DensityMatrix,
-                               marg_2s1: DensityMatrix,
-                               basis: HermitianBasis) -> OmegaData:
-    """Omega data from the three marginals of block size s, 2s and 2s+1."""
-    s = marg_s.sites
-    if marg_2s.sites != 2 * s or marg_2s1.sites != 2 * s + 1:
-        raise ValueError(
-            f"marginal sizes ({marg_s.sites}, {marg_2s.sites}, {marg_2s1.sites}) "
-            f"are not of the form (s, 2s, 2s+1)"
-        )
-    coeffs = (expand_in_basis(m.matrix, basis, m.sites) for m in (marg_s, marg_2s, marg_2s1))
-    return omega_data_from_coefficients(*coeffs, d_a=basis.dim, s=s)
+def build_omega_from_marginal(marg: DensityMatrix, basis: HermitianBasis) -> OmegaData:
+    """Omega data of block size s from the (2s+1)-site marginal alone."""
+    if marg.sites < 3 or marg.sites % 2 == 0:
+        raise ValueError(f"a {marg.sites}-site marginal is not of size 2s+1 with s >= 1")
+    c = expand_in_basis(marg.matrix, basis, marg.sites)
+    return omega_data_from_coefficients(c, d_a=basis.dim, s=marg.sites // 2)
 
 
-def omega_data_from_coefficients(c_s, c_2s, c_2s1, d_a: int, s: int) -> OmegaData:
-    """Assemble Omega data from raw coefficient vectors (e.g. tomography output)."""
+def omega_data_from_coefficients(c, d_a: int, s: int) -> OmegaData:
+    """Omega data from the coefficient vector of a (2s+1)-site marginal (such
+    as tomography output), indexed (Y, Z, X) over s, 1 and s sites.
+
+    Omega_dot is the whole vector.  The smaller forms are its slices at the
+    identity g_0 = 1/sqrt(d) on trailing sites, each of which contributes a
+    factor sqrt(d): Omega[Y, X] = sqrt(d) c[Y, X, g_0], and Omega(1) =
+    tau Omega = d^((s+1)/2) c[Y, g_0, ..., g_0] by translation invariance.
+    """
     nb = d_a * d_a
     n_blk = nb ** s
-    c_s = np.asarray(c_s, dtype=float)
-    c_2s = np.asarray(c_2s, dtype=float)
-    c_2s1 = np.asarray(c_2s1, dtype=float)
-    if c_s.size != n_blk or c_2s.size != n_blk ** 2 or c_2s1.size != nb * n_blk ** 2:
-        raise ValueError("coefficient vector sizes do not match block size s")
-    omega = c_2s.reshape(n_blk, n_blk)
-    omega_dot = c_2s1.reshape(n_blk, nb, n_blk).transpose(1, 0, 2).copy()
-    return OmegaData(d_a, s, s, omega, omega_dot, c_s.copy(), c_s.copy())
+    c = np.asarray(c, dtype=float)
+    if c.size != nb * n_blk ** 2:
+        raise ValueError("coefficient vector size does not match block size s")
+    omega_dot = c.reshape(n_blk, nb, n_blk).transpose(1, 0, 2).copy()
+    omega = math.sqrt(d_a) * c.reshape(n_blk, n_blk, nb)[:, :, 0]
+    one = d_a ** ((s + 1) / 2) * c.reshape(n_blk, -1)[:, 0]
+    return OmegaData(d_a, s, s, omega, omega_dot, one, one.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -201,33 +205,37 @@ class ChainOmegaData:
 
     d_a: int
     n_sites: int
-    left_width: int
-    right_width: int
     omegas: dict[int, np.ndarray]       # j = 1..N-1
     omega_dots: dict[int, np.ndarray]   # j = 1..N, shape (d^2, nL_j, nR_j)
 
 
 def build_chain_omega(state: DensityMatrix, basis: HermitianBasis,
                       left_width: int, right_width: int) -> ChainOmegaData:
-    """Exact window forms of a dense finite-chain state (indices clipped at
-    the boundary as usual)."""
-    n = state.sites
+    """Exact window forms of a dense finite-chain state from its n window
+    marginals [max(1, j-l), min(n, j+r)], each expanded once.
+
+    The middle form of site j is window j itself.  The window form of site
+    j < n is window j too when j <= l; otherwise it is sqrt(d) times the
+    slice of window j at the identity g_0 = 1/sqrt(d) on site j - l.
+    """
+    n, d = state.sites, state.dim
     nb = basis.size
     if left_width < 1 or right_width < 1:
         raise ValueError("block widths must be >= 1")
     omegas = {}
     omega_dots = {}
-    for j in range(1, n):
-        omegas[j] = fcs.chain_window_form(
-            state, basis, j - left_width + 1, j, j + right_width)
     for j in range(1, n + 1):
-        # same window with the split one site down; the site-j label becomes
-        # the leading axis
-        f = fcs.chain_window_form(state, basis, j - left_width, j - 1, j + right_width)
+        first, last = max(1, j - left_width), min(n, j + right_width)
+        w = fcs.partial_trace_window(state.matrix, d, n, first, last)
+        c = expand_in_basis(w, basis, last - first + 1)
         omega_dots[j] = np.ascontiguousarray(
-            f.reshape(f.shape[0], nb, -1).transpose(1, 0, 2))
-    return ChainOmegaData(d_a=state.dim, n_sites=n, left_width=left_width,
-                          right_width=right_width, omegas=omegas, omega_dots=omega_dots)
+            c.reshape(nb ** (j - first), nb, -1).transpose(1, 0, 2))
+        if j < n:
+            if j > left_width:
+                c = math.sqrt(d) * c.reshape(nb, -1)[0]
+                first += 1
+            omegas[j] = c.reshape(nb ** (j - first + 1), -1)
+    return ChainOmegaData(d_a=d, n_sites=n, omegas=omegas, omega_dots=omega_dots)
 
 
 @dataclass

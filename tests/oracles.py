@@ -4,8 +4,9 @@ The package evaluates every marginal as one dense operator product
 (``fcs.dense_product``).  These are the slower, independent routes to the
 same numbers: single correlation words, the full word-coefficient tensor,
 per-element block basis matrices, block matrices assembled from their
-coefficients, the exact-data identities of Omega, and the dense product as
-one unblocked matmul.
+coefficients, the exact-data identities of Omega, the dense product as
+one unblocked matmul, and the chain window forms expanded one form at a
+time.
 """
 
 import math
@@ -13,8 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from fcs_spectral.fcs import Realization, _split_rows, word_rows
-from fcs_spectral.opbasis import HermitianBasis, matrix_units
+from fcs_spectral.fcs import DensityMatrix, Realization, _split_rows, partial_trace_window, word_rows
+from fcs_spectral.opbasis import HermitianBasis, expand_in_basis, matrix_units
 from fcs_spectral.spectral import OmegaData
 
 
@@ -127,3 +128,34 @@ def single_matmul_product(left, maps, right, basis: HermitianBasis) -> np.ndarra
     rights = _split_rows(word_rows(right, units[h:], from_right=True)[-1], d, t - h)
     x = (lefts @ rights.T).reshape(d ** h, d ** h, d ** (t - h), d ** (t - h))
     return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(d ** t, d ** t)
+
+
+def chain_window_form(state: DensityMatrix, basis: HermitianBasis,
+                      i: int, j: int, k: int) -> np.ndarray:
+    """Window bilinear form of a finite-chain state, as a matrix.
+
+    Rows index the Hermitian product basis on sites [i, j], columns the one
+    on [j+1, k]; out-of-range i or k are clipped to the chain.  For j = i-1
+    the left block is empty and a single-row matrix is returned.
+    """
+    n = state.sites
+    i = max(1, i)
+    k = min(n, k)
+    if not i - 1 <= j <= k:
+        raise ValueError(f"invalid window split [{i}, {j}, {k}]")
+    c = expand_in_basis(partial_trace_window(state.matrix, state.dim, n, i, k),
+                        basis, k - i + 1)
+    return c.reshape(basis.size ** (j - i + 1), basis.size ** (k - j))
+
+
+def chain_forms(state: DensityMatrix, basis: HermitianBasis, left_width: int,
+                right_width: int) -> tuple[dict, dict]:
+    """``spectral.build_chain_omega``'s (omegas, omega_dots), each of its
+    2n - 1 forms expanded from its own window marginal."""
+    n, l, r = state.sites, left_width, right_width
+    omegas = {j: chain_window_form(state, basis, j - l + 1, j, j + r) for j in range(1, n)}
+    omega_dots = {}
+    for j in range(1, n + 1):
+        f = chain_window_form(state, basis, j - l, j - 1, j + r)
+        omega_dots[j] = f.reshape(f.shape[0], basis.size, -1).transpose(1, 0, 2)
+    return omegas, omega_dots

@@ -81,18 +81,55 @@ def test_cmd_aklt_header_golden(tmp_path):
                       "sigma_m,rank_used,bound_surrogate,wall_time_ms,td_per_site")
 
 
-def sweep_config(command):
-    """A small config of each command the sweep engine runs."""
-    return {"aklt": AKLT_CFG, "robustness": dict(AKLT_CFG, xis=[0.0, 0.1]),
-            "nonhomog": NONHOMOG_CFG}[command]
+SHOT_CFG = {**{k: v for k, v in AKLT_CFG.items() if k != "epsilons"},
+            "noise": {"mode": "shot_multinomial"}, "shots_sweep": [1000, 100000],
+            "output": "shots.csv"}
 
 
-@pytest.mark.parametrize("command", ["aklt", "robustness", "nonhomog"])
-def test_sweep_rerun_byte_identical(tmp_path, command):
-    cfg = sweep_config(command)
+def sweep_config(name):
+    """(command, config) of a small sweep of each command the sweep engine
+    runs, and of aklt's shot-noise path."""
+    return {"aklt": ("aklt", AKLT_CFG),
+            "robustness": ("robustness", dict(AKLT_CFG, xis=[0.0, 0.1])),
+            "nonhomog": ("nonhomog", NONHOMOG_CFG),
+            "shot_multinomial": ("aklt", SHOT_CFG)}[name]
+
+
+@pytest.mark.parametrize("name", ["aklt", "robustness", "nonhomog", "shot_multinomial"])
+def test_sweep_rerun_byte_identical(tmp_path, name):
+    command, cfg = sweep_config(name)
     out1 = run_cli(tmp_path, command, cfg, out="run1")
     out2 = run_cli(tmp_path, command, cfg, out="run2")
     assert (out1 / cfg["output"]).read_bytes() == (out2 / cfg["output"]).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["aklt", "nonhomog"])
+def test_sweep_context_cleared_after_main(tmp_path, name):
+    # the context holds the exact model data; main leaves none of it behind
+    run_cli(tmp_path, *sweep_config(name))
+    assert cli._CTX == {}
+
+
+def test_shot_sweep_workers_byte_identical(tmp_path):
+    seq = run_cli(tmp_path, "aklt", SHOT_CFG, out="seq")
+    par = run_cli(tmp_path, "aklt", dict(SHOT_CFG, workers=2), out="par")
+    assert (seq / "shots.csv").read_bytes() == (par / "shots.csv").read_bytes()
+
+
+def test_shot_trial_estimates_one_marginal(tmp_path, monkeypatch):
+    # one tomography call per trial, on the (2s+1)-site marginal
+    sizes = []
+
+    def counting(dm, *args, **kwargs):
+        sizes.append(dm.sites)
+        return simulate(dm, *args, **kwargs)
+
+    simulate = cli.noise.simulate_tomography
+    monkeypatch.setattr(cli.noise, "simulate_tomography", counting)
+    rows = read_rows(run_cli(tmp_path, "aklt", SHOT_CFG) / "shots.csv")
+    trials = len(SHOT_CFG["shots_sweep"]) * SHOT_CFG["trials"]
+    assert len(rows) == trials * len(SHOT_CFG["sites"])
+    assert sizes == [3] * trials
 
 
 def test_cmd_aklt_row_order_and_format(tmp_path):
@@ -243,7 +280,7 @@ def test_blas_thread_env_reaches_spawned_workers_only():
 
 
 def test_cmd_aklt_shot_noise_block_size_two(tmp_path):
-    # block size 2 estimates the 2-, 4- and 5-site marginals by shot tomography
+    # block size 2 estimates only the 5-site marginal by shot tomography
     cfg = {
         "model": {"kind": "aklt"},
         "block_size": 2,
@@ -416,10 +453,11 @@ def lemma_with(**changes):
 
 # TMP in a config stands for the test's directory, which holds these
 # marginals files: a JSON list, a qubit marginal with a NaN entry, one whose
-# second row is short, and one of local dimension 1
+# second row is short, one of local dimension 1 and an empty qutrit file
 MARGINALS_FILES = {
     "list.json": [],
     "dim1.json": {"version": 1, "d": 1, "marginals": []},
+    "empty3.json": {"version": 1, "d": 3, "marginals": []},
     "nan.json": {"version": 1, "d": 2, "marginals": [
         {"sites": 1, "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [0.5, 0]]]}]},
     "ragged.json": {"version": 1, "d": 2, "marginals": [
@@ -518,6 +556,17 @@ def reconstruct_with(marginals, **changes):
      "ValueError: lemma-check.noise_factors[0]: -0.1 is outside [0, 1]"),
     (*chain_with(n_sites=12),
      "ValueError: nonhomog.chain.n_sites: 2^12 exceeds the dense cap 2187"),
+    ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 3, "dense_cap": 100}),
+     "ValueError: rank-scan.max_block: 3^6 exceeds the dense cap 100"),
+    (*reconstruct_with("empty3.json", sites=[2, 5], dense_cap=100),
+     "ValueError: reconstruct.sites: a requested size exceeds the dense cap 100"),
+    (*aklt_with(noise={"mode": "shot_multinomial"}, shots_sweep=[100], block_size=2,
+                sites=[2], dense_cap=100),
+     "ValueError: aklt.block_size: 3^5 exceeds the dense cap 100"),
+    (*aklt_with(block_size=4, sites=[2]),
+     "ValueError: aklt.block_size: 3^8 exceeds the dense cap 2187"),
+    (*reconstruct_with("list.json", pinv_tol=-1),
+     "ValueError: reconstruct.pinv_tol: -1 is outside [0, inf]"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
@@ -533,7 +582,9 @@ def reconstruct_with(marginals, **changes):
         "negative-epsilon", "negative-epsilon-prime", "negative-nonhomog-epsilon",
         "zero-truncation-rank", "zero-threshold", "negative-threshold",
         "negative-rank-tol", "negative-rank-scan-tol", "xi-above-one", "negative-xi",
-        "noise-factor-above-one", "negative-noise-factor", "chain-over-dense-cap"])
+        "noise-factor-above-one", "negative-noise-factor", "chain-over-dense-cap",
+        "rank-scan-over-dense-cap", "reconstruct-sites-over-dense-cap",
+        "shot-marginal-over-dense-cap", "block-size-over-dense-cap", "negative-pinv-tol"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback
@@ -547,6 +598,8 @@ def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, co
     assert rc == 2
     assert [r.levelname for r in caplog.records] == ["ERROR"]
     assert message in caplog.records[0].getMessage()
+    # a rejected config writes nothing
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_zero_trials_writes_header_only(tmp_path):
@@ -681,7 +734,7 @@ def test_load_realization_learned_from_shots(tmp_path, aklt_realization, basis3)
         load_realization(out / "realization.json")
 
 
-def test_cmd_reconstruct_missing_marginal(tmp_path, aklt_realization, basis3):
+def test_cmd_reconstruct_missing_marginal(tmp_path, caplog, aklt_realization, basis3):
     marginals = {k: marginal(aklt_realization, k, basis3) for k in (1, 2)}
     cli.save_marginals(tmp_path / "marginals.json", 3, marginals)
     cfg_path = write_config(tmp_path, "cfg.json", {
@@ -692,33 +745,32 @@ def test_cmd_reconstruct_missing_marginal(tmp_path, aklt_realization, basis3):
     rc = cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path),
                    "--log-level", "error"])
     assert rc == 2
+    assert "input lacks the 3-site marginal" in caplog.records[0].getMessage()
 
 
-def test_chain_window_form_accessor(basis2):
-    from fcs_spectral.fcs import chain_state, chain_window_form, random_chain
-
-    chain = random_chain(4, 2, 2, 2)
-    state = chain_state(chain)
-    # interior window: rows = 2-site left basis, cols = 1-site right basis
-    f = chain_window_form(state, basis2, 1, 2, 3)
-    assert f.shape == (16, 4)
-    # indices clip at the boundary
-    g = chain_window_form(state, basis2, -1, 1, 2)
-    assert g.shape == (4, 4)
-    # empty left block gives a single row
-    h = chain_window_form(state, basis2, 1, 0, 2)
-    assert h.shape == (1, 16)
+def test_cmd_reconstruct_reads_only_the_odd_marginal(tmp_path, aklt_realization, basis3):
+    full = {k: marginal(aklt_realization, k, basis3) for k in (1, 2, 3)}
+    cli.save_marginals(tmp_path / "full.json", 3, full)
+    cli.save_marginals(tmp_path / "one.json", 3, {3: full[3]})
+    cfg = {"block_size": 1, "truncation": {"mode": "rank", "value": 4}, "sites": [2]}
+    out_full = run_cli(tmp_path, "reconstruct", dict(cfg, input=str(tmp_path / "full.json")),
+                       out="full")
+    out_one = run_cli(tmp_path, "reconstruct", dict(cfg, input=str(tmp_path / "one.json")),
+                      out="one")
+    for name in ("realization.json", "reconstructed_marginals.json"):
+        assert (out_full / name).read_bytes() == (out_one / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["aklt", "nonhomog"])
 def test_timing_column_zero_by_default(tmp_path, command):
-    cfg = sweep_config(command)
+    command, cfg = sweep_config(command)
     rows = read_rows(run_cli(tmp_path, command, cfg) / cfg["output"])
     assert all(float(r["wall_time_ms"]) == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("command", ["aklt", "nonhomog"])
 def test_timing_flag_records_positive(tmp_path, command):
-    cfg = dict(sweep_config(command), timing=True)
+    command, cfg = sweep_config(command)
+    cfg = dict(cfg, timing=True)
     rows = read_rows(run_cli(tmp_path, command, cfg) / cfg["output"])
     assert all(float(r["wall_time_ms"]) > 0.0 for r in rows)

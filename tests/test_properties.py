@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fcs_spectral.fcs import DensityMatrix, Realization, marginal, marginal_difference, word_rows
 from fcs_spectral.opbasis import expand_in_basis, gellmann
-from fcs_spectral.spectral import NonhomogReconstruction, build_omega_from_marginals
+from fcs_spectral.spectral import NonhomogReconstruction, build_omega_from_marginal
 from oracles import (assemble_from_coefficients, chain_coefficients, evaluate_word,
                      word_coefficient_tensor)
 
@@ -173,15 +173,13 @@ def test_omega_data_linear_in_marginals(seed, ds, a, b):
     rng = np.random.default_rng(seed)
     d, s = ds
     basis = gellmann(d)
-    sizes = (s, 2 * s, 2 * s + 1)
-    first = [random_hermitian(rng, d ** k) for k in sizes]
-    second = [random_hermitian(rng, d ** k) for k in sizes]
+    k = 2 * s + 1
+    first, second = random_hermitian(rng, d ** k), random_hermitian(rng, d ** k)
 
-    def omega_data(mats):
-        return build_omega_from_marginals(
-            *(DensityMatrix(matrix=m, dim=d, sites=k) for m, k in zip(mats, sizes)), basis)
+    def omega_data(m):
+        return build_omega_from_marginal(DensityMatrix(matrix=m, dim=d, sites=k), basis)
 
-    mixed = omega_data([a * x + b * y for x, y in zip(first, second)])
+    mixed = omega_data(a * first + b * second)
     od_x, od_y = omega_data(first), omega_data(second)
     for name in ("omega", "omega_dot", "omega_one", "tau_omega"):
         x, y = getattr(od_x, name), getattr(od_y, name)

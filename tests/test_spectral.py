@@ -16,12 +16,12 @@ from fcs_spectral.opbasis import expand_in_basis
 from fcs_spectral.spectral import (
     build_chain_omega,
     build_omega,
-    build_omega_from_marginals,
+    build_omega_from_marginal,
     nonhomog_reconstruct,
     spectral_realization,
     truncate,
 )
-from oracles import validate_exact, word_coefficient_tensor
+from oracles import chain_forms, validate_exact, word_coefficient_tensor
 
 
 # -- Omega assembly -----------------------------------------------------------
@@ -49,32 +49,35 @@ def test_omega_exact_consistency(aklt_omega):
     validate_exact(aklt_omega)
 
 
-def test_build_omega_matches_marginal_path(aklt_realization, basis3, aklt_omega):
-    od2 = build_omega_from_marginals(
-        marginal(aklt_realization, 1, basis3),
-        marginal(aklt_realization, 2, basis3),
-        marginal(aklt_realization, 3, basis3),
-        basis3,
-    )
-    assert np.abs(od2.omega - aklt_omega.omega).max() <= 1e-12
-    assert np.abs(od2.omega_dot - aklt_omega.omega_dot).max() <= 1e-12
-    assert np.abs(od2.omega_one - aklt_omega.omega_one).max() <= 1e-12
-    assert np.abs(od2.tau_omega - aklt_omega.tau_omega).max() <= 1e-12
+def test_build_omega_matches_marginal_path(aklt_realization, basis3, basis2):
+    # every field of block size s is a slice of the (2s+1)-site marginal
+    random2 = from_cstar(random_cstar(2, 2, 5))
+    for r, basis in ((aklt_realization, basis3), (random2, basis2)):
+        for s in (1, 2):
+            exact = build_omega(r, basis, s_left=s, s_right=s)
+            od = build_omega_from_marginal(marginal(r, 2 * s + 1, basis), basis)
+            assert (od.s_left, od.s_right) == (s, s)
+            for name in ("omega", "omega_dot", "omega_one", "tau_omega"):
+                got, want = getattr(od, name), getattr(exact, name)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("sites", [1, 2, 4])
+def test_build_omega_from_marginal_needs_odd_size(aklt_realization, basis3, sites):
+    with pytest.raises(ValueError, match=f"a {sites}-site marginal is not of size 2s"):
+        build_omega_from_marginal(marginal(aklt_realization, sites, basis3), basis3)
 
 
 def test_build_omega_is_linear_in_marginals(basis2):
     ra = from_cstar(random_cstar(2, 2, 21))
     rb = from_cstar(random_cstar(2, 2, 22))
-    margs_a = [marginal(ra, k, basis2) for k in (1, 2, 3)]
-    margs_b = [marginal(rb, k, basis2) for k in (1, 2, 3)]
+    a, b = marginal(ra, 3, basis2), marginal(rb, 3, basis2)
     lam = 0.3
-    mixed = [
-        fcs.DensityMatrix(matrix=lam * a.matrix + (1 - lam) * b.matrix, dim=2, sites=a.sites)
-        for a, b in zip(margs_a, margs_b)
-    ]
-    od_mix = build_omega_from_marginals(*mixed, basis2)
-    od_a = build_omega_from_marginals(*margs_a, basis2)
-    od_b = build_omega_from_marginals(*margs_b, basis2)
+    mixed = fcs.DensityMatrix(matrix=lam * a.matrix + (1 - lam) * b.matrix, dim=2, sites=3)
+    od_mix = build_omega_from_marginal(mixed, basis2)
+    od_a = build_omega_from_marginal(a, basis2)
+    od_b = build_omega_from_marginal(b, basis2)
     assert np.abs(od_mix.omega - (lam * od_a.omega + (1 - lam) * od_b.omega)).max() <= 1e-12
 
 
@@ -269,6 +272,27 @@ def test_nonhomog_product_chain_exact(basis2):
     got = recon.state(basis2)
     expected = np.kron(np.outer(psis[0], psis[0].conj()), np.outer(psis[1], psis[1].conj()))
     assert np.abs(got.matrix - expected).max() <= 1e-10
+
+
+@pytest.mark.parametrize("left, right", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_build_chain_omega_matches_window_forms(basis2, left, right):
+    # both forms of site j are slices of window j; the reference expands
+    # each of the 2n - 1 forms from its own window
+    n, nb = 5, basis2.size
+    state = chain_state(random_chain(n, 2, 2, 2))
+    cod = build_chain_omega(state, basis2, left, right)
+    omegas, omega_dots = chain_forms(state, basis2, left, right)
+    assert sorted(cod.omegas) == list(range(1, n))
+    assert sorted(cod.omega_dots) == list(range(1, n + 1))
+    for j in range(1, n + 1):
+        # blocks clip at both ends of the chain; at j = 1 the left block of
+        # the middle form is empty, a single row
+        n_right = nb ** (min(n, j + right) - j)
+        assert cod.omega_dots[j].shape == (nb, nb ** (j - max(1, j - left)), n_right)
+        assert np.abs(cod.omega_dots[j] - omega_dots[j]).max() <= 1e-15
+        if j < n:
+            assert cod.omegas[j].shape == (nb ** (j - max(0, j - left)), n_right)
+            assert np.abs(cod.omegas[j] - omegas[j]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [3, 17])
