@@ -31,18 +31,39 @@ import itertools
 import json
 import logging
 import math
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
+
+@contextlib.contextmanager
+def _environ(**values: str):
+    """Sets environment variables for the block; the caller's values are
+    restored on exit."""
+    saved = {k: os.environ.get(k) for k in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
+# OpenBLAS takes its thread count from the environment when numpy loads it,
+# and a second thread spins through the whole load.  Where numpy is not
+# loaded yet it loads here at one thread; linalg.blas_threads_for raises the
+# count to the environment's for the large solves only.  Only OpenBLAS's
+# count can be raised again, so no other BLAS's variable is set.
+with _environ(OPENBLAS_NUM_THREADS="1"):
+    import numpy as np
 
 from . import analysis, fcs, noise, spectral
-from .linalg import blas_threads, frobenius_norm, numerical_rank, singular_values
+from .linalg import blas_info, blas_threads, frobenius_norm, numerical_rank, singular_values
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
@@ -284,25 +305,16 @@ def _init_worker(ctx: dict, level: int):
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@contextlib.contextmanager
 def _single_thread_blas_env():
-    """Environment under which spawned workers start with one BLAS thread.
+    """Environment under which spawned workers start with one thread of any
+    BLAS.
 
     A BLAS library reads its thread count when it loads, so the variables
     must be set before a worker imports numpy; the caller's environment is
     restored on exit.  One thread per worker keeps a pool from
     oversubscribing the cores.
     """
-    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    return _environ(**dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 
 def _run_sweep(ctx: dict, tasks: list, trial, workers: int, out: Path) -> Path:
@@ -313,6 +325,10 @@ def _run_sweep(ctx: dict, tasks: list, trial, workers: int, out: Path) -> Path:
     initargs = (ctx, log.getEffectiveLevel())
     try:
         if workers > 1:
+            # only a pooled sweep pays for these imports
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with _single_thread_blas_env(), ProcessPoolExecutor(
                     max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
                     initializer=_init_worker, initargs=initargs) as pool:
@@ -375,7 +391,7 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
         "basis": basis,
         "od": od,
         # mixing target: the maximally mixed state, via Omega-data linearity
-        "od_mm": _maximally_mixed_omega(r.d_a, s, basis) if command == "robustness" else None,
+        "od_mm": _maximally_mixed_omega(r.d_a, s) if command == "robustness" else None,
         # the one marginal that shot noise estimates
         "marginal": fcs.marginal(r, k, basis, cap=cap) if mode != "gaussian_matrix" else None,
         "trunc": trunc,
@@ -388,10 +404,13 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
                                        range(cfg["trials"])))
 
 
-def _maximally_mixed_omega(d: int, s: int, basis) -> spectral.OmegaData:
-    k = 2 * s + 1
-    mm = fcs.DensityMatrix(matrix=np.eye(d ** k, dtype=complex) / d ** k, dim=d, sites=k)
-    return spectral.build_omega_from_marginal(mm, basis)
+def _maximally_mixed_omega(d: int, s: int) -> spectral.OmegaData:
+    """Omega data of the maximally mixed state in closed form: 1/d^k on k =
+    2s+1 sites is d^(-k/2) times the product of the identity elements g_0 =
+    1/sqrt(d), and has no other coefficient."""
+    c = np.zeros(d ** (2 * (2 * s + 1)))
+    c[0] = d ** (-(2 * s + 1) / 2)
+    return spectral.omega_data_from_coefficients(c, d_a=d, s=s)
 
 
 def _mix_omega(od, od_mm, xi: float) -> spectral.OmegaData:
@@ -757,6 +776,10 @@ def main(argv=None) -> int:
     # later in-process call sets its level on the package logger
     log.setLevel(level)
     log.debug("%s: config %s, output directory %s", args.command, args.config, args.out)
+    info = blas_info()
+    log.debug("start-up: nproc=%s threads_at_load=%s inherited=%s numpy=%s blas=%s",
+              os.cpu_count(), info["threads_at_load"], info["inherited"], np.__version__,
+              info["blas"])
     out_dir = Path(args.out)
     try:
         with open(args.config, encoding="utf-8") as fh:

@@ -18,11 +18,13 @@ bit-reproducible per seed.  Exempt from these rules:
   eigenvalue driver ``zheevd_2stage`` in the LAPACK that numpy's own
   ``_umath_linalg`` extension links.  numpy offers no two-stage driver;
   ``_eigvalsh`` calls it from ``_TWO_STAGE_MIN_DIM`` rows on;
-* ``_GET_THREADS`` and ``_SET_THREADS``, the ctypes bindings of OpenBLAS's
-  thread count in the same library, behind ``blas_threads``.  numpy offers
-  no runtime thread control.  The CLI runs its commands at one BLAS thread,
-  and ``blas_threads_for`` gives work on matrices of ``_THREADED_MIN_DIM``
-  rows or more the count the process started with.
+* ``_GET_THREADS``, ``_SET_THREADS``, ``_GET_PROCS`` and ``_GET_CONFIG``,
+  the ctypes bindings of OpenBLAS's thread count, processor count and build
+  string in the same library, behind ``blas_threads`` and ``blas_info``.
+  numpy offers no runtime thread control.  The CLI loads numpy's BLAS at one
+  thread and runs its commands there, and ``blas_threads_for`` gives work on
+  matrices of ``_THREADED_MIN_DIM`` rows or more the count the environment
+  gives OpenBLAS (``_INHERITED``).
 
 Norm conventions used throughout the package:
 
@@ -40,6 +42,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import os
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +60,7 @@ __all__ = [
     "hermitian_eigenvalues",
     "blas_threads",
     "blas_threads_for",
+    "blas_info",
 ]
 
 
@@ -205,11 +210,32 @@ _ZHEEVD_2STAGE = _bind("scipy_LAPACKE_zheevd_2stage64_",
                         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p], ctypes.c_int64)
 _GET_THREADS = _bind("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
 _SET_THREADS = _bind("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
+_GET_PROCS = _bind("scipy_openblas_get_num_procs64_", [], ctypes.c_int)
+_GET_CONFIG = _bind("scipy_openblas_get_config64_", [], ctypes.c_char_p)
 
-# The BLAS thread count the process started with, which
-# OPENBLAS_NUM_THREADS or a worker pool's one-thread environment set; no
-# rule here goes above it.  None where the pair is not bound.
-_INHERITED = None if _GET_THREADS is None or _SET_THREADS is None else _GET_THREADS()
+
+def _env_threads() -> int:
+    """The thread count OpenBLAS takes from the environment when it loads:
+    the first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, each read as C's ``atoi`` reads it, else the processor
+    count; never above that count."""
+    procs = _GET_PROCS()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        lead = re.match(r"\s*[+-]?\d+", os.environ.get(name, ""))
+        if lead and int(lead[0]) > 0:
+            return min(int(lead[0]), procs)
+    return procs
+
+
+# The BLAS thread count of the process's environment by OpenBLAS's own rule,
+# which OPENBLAS_NUM_THREADS or a pool worker's one-thread environment sets,
+# whatever count numpy's BLAS was loaded at.  No rule here goes above it.
+# None where the thread control is not bound.
+_INHERITED = (None if None in (_GET_THREADS, _SET_THREADS, _GET_PROCS)
+              else _env_threads())
+# The count when this module loaded, which in a CLI process is the count
+# numpy's BLAS was loaded at.
+_AT_LOAD = None if _GET_THREADS is None else _GET_THREADS()
 
 # Rows from which a matrix gets the inherited BLAS threads under
 # ``blas_threads_for``.  On the AKLT differences (12 alternating series, 2
@@ -232,6 +258,13 @@ def blas_threads(n: int):
         yield
     finally:
         _SET_THREADS(before)
+
+
+def blas_info() -> dict:
+    """BLAS thread counts at load and of the environment (None where numpy's
+    BLAS exports no thread control) and the BLAS build string."""
+    return {"threads_at_load": _AT_LOAD, "inherited": _INHERITED,
+            "blas": _GET_CONFIG().decode() if _GET_CONFIG else "unknown"}
 
 
 def blas_threads_for(rows: int):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import functools
 import json
@@ -13,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcs_spectral import cli, fcs, linalg
+from fcs_spectral import cli, fcs, linalg, spectral
 from fcs_spectral.fcs import load_realization, marginal, realization_from_dict
+from fcs_spectral.opbasis import gellmann
 from oracles import assemble_from_coefficients, evaluate_word
 
 
@@ -212,7 +214,8 @@ def test_worker_pool_is_no_larger_than_cores_or_tasks(tmp_path, monkeypatch, cor
     trials = n + 1 if cores is None else 2
     cfg = dict(AKLT_CFG, sites=[2], trials=trials)
     seq = run_cli(tmp_path, "aklt", cfg, out="seq")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the pooled branch imports the pool when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     par = run_cli(tmp_path, "aklt", dict(cfg, workers=n + 1), out="par")
     size = min(n, 2 * trials)
@@ -268,6 +271,36 @@ def test_main_restores_process_blas_threads(tmp_path):
     assert cli.main(["aklt", "--config", str(cfg_path), "--out", str(tmp_path),
                      "--log-level", "error"]) == 2
     assert linalg._GET_THREADS() == before
+
+
+_LOAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(linalg._INHERITED is None, reason="numpy's BLAS has no thread control")
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                                 {"OMP_NUM_THREADS": "1"}, {"GOTO_NUM_THREADS": "1"}],
+                         ids=["unset", "openblas-1", "openblas-2", "omp-1", "goto-1"])
+def test_cli_process_loads_blas_at_one_thread(tmp_path, monkeypatch, env):
+    # the CLI loads numpy's BLAS at one thread under any environment, and
+    # reads the count that OpenBLAS itself takes from that environment
+    for var in _LOAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cfg = {"count": 0, "models_seeds": 0, "noise_factors": [], "seed": 0}
+    proc = run_cli_process(tmp_path, "lemma-check", cfg, level="debug")
+    assert proc.returncode == 0, proc.stderr
+    [line] = [ln for ln in proc.stderr.splitlines() if "start-up:" in ln]
+    fields = dict(f.split("=", 1) for f in line.split("start-up: ")[1].split()[:5])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    plain = subprocess.run(
+        [sys.executable, "-c", "import numpy; from fcs_spectral import linalg; "
+                               "print(linalg._GET_THREADS())"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert plain.returncode == 0, plain.stderr
+    assert fields["threads_at_load"] == "1"
+    assert fields["inherited"] == plain.stdout.strip()
+    assert fields["nproc"] == str(os.cpu_count()) and fields["numpy"] == np.__version__
 
 
 def test_blas_thread_env_reaches_spawned_workers_only():
@@ -401,6 +434,17 @@ def test_cmd_lemma_check_report(tmp_path):
     for suite in doc["suites"].values():
         assert suite["violations"] == 0
         assert suite["worst"]["margin"] >= -1e-9
+
+
+@pytest.mark.parametrize("d, s", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_maximally_mixed_omega_closed_form(d, s):
+    k = 2 * s + 1
+    mm = fcs.DensityMatrix(matrix=np.eye(d ** k, dtype=complex) / d ** k, dim=d, sites=k)
+    ref = spectral.build_omega_from_marginal(mm, gellmann(d))
+    got = cli._maximally_mixed_omega(d, s)
+    for field in ("omega", "omega_dot", "omega_one", "tau_omega"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-15, field
 
 
 def test_cmd_robustness_xi_zero_matches_aklt(tmp_path):
