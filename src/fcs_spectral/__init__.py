@@ -14,9 +14,9 @@ _EXPORTS = {name: module for module, names in {
                  "error_propagation_bound", "hs_distance", "precision_budget",
                  "trace_distance"),
     "fcs": ("AKLT_THETA", "CStarRealization", "ChainRealization", "DensityMatrix",
-            "Realization", "aklt", "chain_state", "dense_state", "from_cstar",
-            "load_realization", "marginal", "product_realization", "random_cstar",
-            "random_chain", "rank_profile", "save_realization", "t_star"),
+            "Realization", "aklt", "from_cstar", "load_realization", "marginal",
+            "product_realization", "random_cstar", "random_chain", "rank_profile",
+            "save_realization", "t_star"),
     "noise": ("make_rng", "perturb_matrix", "perturb_omega_data", "simulate_tomography",
               "spawn_rng"),
     "opbasis": ("HermitianBasis", "expand_in_basis", "gellmann"),

@@ -134,10 +134,15 @@ class ErrorParameters:
 
 
 def error_propagation_bound(ep: ErrorParameters, t: int) -> float:
-    """(1 + delta_1)(1 + delta_inf)(1 + Delta)^t - 1 for a t-site marginal."""
+    """(1 + delta_1)(1 + delta_inf)(1 + Delta)^t - 1 for a t-site marginal;
+    inf where (1 + Delta)^t is past the float range."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return (1.0 + ep.delta_1) * (1.0 + ep.delta_inf) * (1.0 + ep.delta_cap) ** t - 1.0
+    try:
+        growth = (1.0 + ep.delta_cap) ** t
+    except OverflowError:
+        return math.inf
+    return (1.0 + ep.delta_1) * (1.0 + ep.delta_inf) * growth - 1.0
 
 
 def surrogate_parameters(od_exact: OmegaData, od_noisy: OmegaData, sigma: float,

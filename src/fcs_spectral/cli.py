@@ -243,8 +243,9 @@ _MARGINALS = {
 }
 
 
-def _build_model(spec: dict):
-    """Returns (model_id, Realization, d_b) for a read model spec."""
+def _build_model(spec: dict, command: str):
+    """Returns (model_id, Realization, d_b) for the read model spec of a
+    command."""
     kind = spec["kind"]
     if kind == "aklt":
         theta = spec["theta"]
@@ -254,7 +255,10 @@ def _build_model(spec: dict):
         r = fcs.from_cstar(fcs.random_cstar(d_a, d_b, seed))
         return f"random(d_a={d_a};d_b={d_b};seed={seed})", r, d_b
     vec = np.array([complex(re, im) for re, im in spec["state"]])
-    vec = vec / np.linalg.norm(vec)
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ValueError(f"{command}.model(product).state: the state vector is zero")
+    vec = vec / norm
     d = vec.size
     return f"product(d={d})", fcs.product_realization(np.outer(vec, vec.conj()), gellmann(d)), 1
 
@@ -364,7 +368,7 @@ def _sweep_row(key, model_id: str, t: int, eps: float, trial: int, diff, sigma: 
 def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
     """The read config plus the model, its exact data and the resolved
     sweep; and the sweep's tasks, one per (xi, sweep value, trial)."""
-    model_id, r, d_b = _build_model(cfg["model"])
+    model_id, r, d_b = _build_model(cfg["model"], command)
     s, cap, sites = cfg["block_size"], cfg["dense_cap"], cfg["sites"]
     mode = cfg["noise"]["mode"]
     sweep_key = "epsilons" if mode == "gaussian_matrix" else "shots_sweep"
@@ -475,7 +479,7 @@ def cmd_robustness(cfg: dict, out_dir: Path) -> Path:
 
 def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["rank-scan"], "rank-scan")
-    model_id, r, _ = _build_model(cfg["model"])
+    model_id, r, _ = _build_model(cfg["model"], "rank-scan")
     # the largest form spans 2 * max_block sites
     k, cap = 2 * cfg["max_block"], cfg["dense_cap"]
     if r.d_a ** k > cap:
@@ -506,10 +510,7 @@ def _prepare_chain_context(cfg: dict) -> tuple[dict, list]:
         raise ValueError(f"nonhomog.chain.n_sites: {d_a}^{n} exceeds the dense cap {cap}")
     chain = fcs.random_chain(n, d_a, spec["d_b"], spec["seed"], stationary=spec["stationary"])
     basis = gellmann(d_a)
-    state = fcs.chain_state(chain, cap=cap)
-    # the exactly Hermitian part: each trial's difference to it is then
-    # exactly Hermitian, and the eigensolve makes no symmetrized copy
-    exact = 0.5 * (state.matrix + state.matrix.conj().T)
+    state = chain.state(basis, cap)
     cod = spectral.build_chain_omega(state, basis, cfg["left_width"], cfg["right_width"])
     # ranks[j-1] and sigmas[j-1]: numerical rank and smallest retained
     # singular value of the exact window form at site j
@@ -523,7 +524,7 @@ def _prepare_chain_context(cfg: dict) -> tuple[dict, list]:
     ctx = {
         **cfg,
         "model_id": f"chain(n={n};d_a={d_a};d_b={spec['d_b']};seed={spec['seed']})",
-        "basis": basis, "exact": exact, "cod": cod, "ranks": ranks, "sigmas": sigmas,
+        "basis": basis, "exact": state.matrix, "cod": cod, "ranks": ranks, "sigmas": sigmas,
     }
     return ctx, list(itertools.product(range(len(cfg["epsilons"])), range(cfg["trials"])))
 
@@ -569,7 +570,7 @@ def _nonhomog_bound(cod, cod_hat, ranks, sigmas) -> float:
         else:
             inner = d_dot / (3.0 * sigmas[n - 2])
         terms.append((8.0 * m_prev[j - 1] * sqd / (sq3 * sig_prev[j - 1])) * inner)
-    return (1.0 + max(terms)) ** n - 1.0
+    return analysis.error_propagation_bound(analysis.ErrorParameters(0.0, 0.0, max(terms)), n)
 
 
 # ---------------------------------------------------------------------------

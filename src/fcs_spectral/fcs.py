@@ -43,9 +43,7 @@ __all__ = [
     "aklt",
     "random_cstar",
     "stationary_state",
-    "dense_state",
     "random_chain",
-    "chain_state",
     "rank_profile",
     "t_star",
     "realization_to_dict",
@@ -57,10 +55,11 @@ __all__ = [
 # Largest dense Hilbert dimension we assemble/eigensolve by default (3^7).
 DEFAULT_DENSE_CAP = 2187
 
-# Bytes of the matmul block in ``dense_product``: a product of up to 1024 x
-# 1024 complex entries (t <= 6 sites of a qutrit, chains of <= 10 qubits) is
-# one matmul; a 3^7 one runs in blocks of 5 of its 27 left row indices.
-_PRODUCT_CHUNK_BYTES = 1 << 24
+# Bytes of the matmul block in ``dense_product``: a product of up to 512 x
+# 512 complex entries (t <= 5 sites of a qutrit, chains of <= 9 qubits) is
+# one matmul; a 3^6 one runs in 3 blocks and a 3^7 one in blocks of one of
+# its 27 left row indices.
+_PRODUCT_CHUNK_BYTES = 1 << 22
 
 # cos(theta) = sqrt(2/3) reproduces the AKLT ground state.
 AKLT_THETA = math.acos(math.sqrt(2.0 / 3.0))
@@ -176,23 +175,42 @@ class CStarRealization:
 
 @dataclass
 class ChainRealization:
-    """Non-homogeneous finite chain: one channel isometry per site."""
+    """Finite chain of n sites: real per-site maps between trivial boundaries.
+
+    k_maps[j-1] has shape (d_a^2, m_{j-1}, m_j) with m_0 = m_n = 1, one
+    transfer matrix per basis element of site j.  Exact chains come from
+    :meth:`from_channels`, learned ones from ``spectral.nonhomog_reconstruct``.
+    """
 
     d_a: int
-    d_b: int
-    isometries: list[np.ndarray]  # each (d_a * d_b, d_b)
-    rho0: np.ndarray
+    k_maps: list[np.ndarray]
 
     @property
     def n_sites(self) -> int:
-        return len(self.isometries)
+        return len(self.k_maps)
 
-    def validate(self):
+    @classmethod
+    def from_channels(cls, isometries, rho0, d_a: int, d_b: int) -> ChainRealization:
+        """Exact chain of one channel isometry per site from the memory state
+        rho0: each site's maps are its channel's, as in :func:`from_cstar`,
+        with rho0 folded into site 1 and the trace into site n."""
+        if not isometries:
+            raise ValueError("a chain needs at least one site")
         tol = _MODEL_TOL
-        for j, v in enumerate(self.isometries, start=1):
-            _check_isometry(v, self.d_a, self.d_b, f"site {j}: V")
-        DensityMatrix(np.asarray(self.rho0), self.d_b, 1).validate(tol, tol, tol)
-        return self
+        rho0 = DensityMatrix(np.asarray(rho0), d_b, 1).validate(tol, tol, tol).matrix
+        k_maps = [_channel_maps(_check_isometry(v, d_a, d_b, f"site {j}: V"), d_a, d_b)
+                  for j, v in enumerate(isometries, start=1)]
+        e, rho = _memory_boundaries(rho0, d_b)
+        k_maps[0] = np.einsum("i,aij->aj", rho, k_maps[0])[:, None, :]
+        k_maps[-1] = (k_maps[-1] @ e)[:, :, None]
+        return cls(d_a=d_a, k_maps=k_maps)
+
+    def state(self, basis: HermitianBasis, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
+        """Dense chain state, the operator product of the maps; exactly
+        Hermitian by construction."""
+        one = np.ones(1)
+        matrix = dense_product(one, self.k_maps, one, basis, cap)
+        return DensityMatrix(matrix=matrix, dim=self.d_a, sites=self.n_sites)
 
 
 def _check_isometry(v, d_a: int, d_b: int, name: str) -> np.ndarray:
@@ -328,22 +346,35 @@ def from_cstar(c: CStarRealization) -> Realization:
     d_b x d_b memory algebra, so kappa, e and rho all come out real.
     """
     c.validate()
-    site_basis = gellmann(c.d_a)
-    mem = _hermitian_basis(c.d_b)
-    n_site = site_basis.size
-    n_mem = mem.size
-    v = np.asarray(c.v)
-    kappa = np.zeros((n_site, n_mem, n_mem))
-    for a in range(n_site):
-        for j in range(n_mem):
+    e, rho = _memory_boundaries(c.rho0, c.d_b)
+    return Realization(d_a=c.d_a, kappa=_channel_maps(np.asarray(c.v), c.d_a, c.d_b),
+                       e=e, rho=rho).validate()
+
+
+def _channel_maps(v: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Transition coefficients kappa[a, i, j] = Tr(mu_i V^dag (g_a x mu_j) V)
+    of an isometry, in the Gell-Mann site basis {g_a} and the Hermitian
+    memory basis {mu_i}."""
+    site_basis = gellmann(d_a)
+    mem = _hermitian_basis(d_b)
+    kappa = np.zeros((site_basis.size, mem.size, mem.size))
+    for a in range(site_basis.size):
+        for j in range(mem.size):
             w = v.conj().T @ np.kron(site_basis.elements[a], mem.elements[j]) @ v
             col = np.einsum("iab,ba->i", mem.elements, w)
             if np.abs(col.imag).max() > 1e-10:
                 raise ValueError("transition coefficients are not real")
             kappa[a, :, j] = col.real
-    e = np.array([np.trace(mu).real for mu in mem.elements])
-    rho = np.array([np.trace(np.asarray(c.rho0) @ mu).real for mu in mem.elements])
-    return Realization(d_a=c.d_a, kappa=kappa, e=e, rho=rho).validate()
+    return kappa
+
+
+def _memory_boundaries(rho0, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e, rho): the trace functional and the memory state rho0 in the
+    Hermitian memory basis."""
+    mem = _hermitian_basis(d_b).elements
+    e = np.array([np.trace(mu).real for mu in mem])
+    rho = np.array([np.trace(np.asarray(rho0) @ mu).real for mu in mem])
+    return e, rho
 
 
 def product_realization(site_state, basis: HermitianBasis) -> Realization:
@@ -421,31 +452,6 @@ def random_cstar(d_a: int, d_b: int, seed: int) -> CStarRealization:
     return CStarRealization(d_a=d_a, d_b=d_b, v=v, rho0=rho0).validate()
 
 
-def _apply_channels(rho0, isometries, d_a: int, d_b: int) -> np.ndarray:
-    """Dense state of len(isometries) sites, memory traced out.
-
-    Grows the state one site at a time via sigma -> (1 x V) sigma (1 x V)^dag.
-    """
-    sigma = np.asarray(rho0, dtype=complex)
-    for k, v in enumerate(isometries):
-        op = np.kron(np.eye(d_a ** k), v)
-        sigma = op @ sigma @ op.conj().T
-    n = d_a ** len(isometries)
-    return np.einsum("ibjb->ij", sigma.reshape(n, d_b, n, d_b))
-
-
-def dense_state(c: CStarRealization, t: int) -> DensityMatrix:
-    """Brute-force t-site marginal by sequential channel application.
-
-    Independent oracle for :func:`marginal`: it never forms a correlation
-    word.
-    """
-    if c.d_a ** t > DEFAULT_DENSE_CAP:
-        raise ValueError(f"dense cap exceeded: {c.d_a}^{t} > {DEFAULT_DENSE_CAP}")
-    out = _apply_channels(c.rho0, [c.v] * t, c.d_a, c.d_b)
-    return DensityMatrix(matrix=out, dim=c.d_a, sites=t)
-
-
 def random_chain(n_sites: int, d_a: int, d_b: int, seed: int,
                  stationary: bool = False) -> ChainRealization:
     """Seeded chain of Haar-random per-site channels.
@@ -463,16 +469,7 @@ def random_chain(n_sites: int, d_a: int, d_b: int, seed: int,
         g = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
         rho0 = g @ g.conj().T
         rho0 /= np.trace(rho0).real
-    return ChainRealization(d_a=d_a, d_b=d_b, isometries=isometries, rho0=rho0).validate()
-
-
-def chain_state(chain: ChainRealization, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
-    """Dense state of the full finite chain (memory traced out)."""
-    n = chain.n_sites
-    if chain.d_a ** n > cap:
-        raise ValueError(f"dense cap exceeded: {chain.d_a}^{n} > {cap}")
-    out = _apply_channels(chain.rho0, chain.isometries, chain.d_a, chain.d_b)
-    return DensityMatrix(matrix=out, dim=chain.d_a, sites=n)
+    return ChainRealization.from_channels(isometries, rho0, d_a, d_b)
 
 
 # ---------------------------------------------------------------------------

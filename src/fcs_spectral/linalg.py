@@ -144,12 +144,18 @@ def frobenius_norm(a) -> float:
     The squares are summed in numpy's own einsum loop, not in the BLAS dot
     behind ``np.linalg.norm``, whose partial sums follow the BLAS thread
     count: the norm has the same bits with any number of BLAS threads or
-    workers.
+    workers.  Only where finite entries square past the float range (above
+    about 1e154) is the sum taken again at the scale of the largest entry.
     """
     v = np.ascontiguousarray(a).reshape(-1)
     if np.iscomplexobj(v):
         v = v.view(v.real.dtype)
-    return math.sqrt(float(np.einsum("i,i->", v, v)))
+    total = float(np.einsum("i,i->", v, v))
+    if not math.isfinite(total) and np.isfinite(v).all():
+        scale = float(np.abs(v).max())
+        w = v / scale
+        return scale * math.sqrt(float(np.einsum("i,i->", w, w)))
+    return math.sqrt(total)
 
 
 # Rows per pass of the Hermiticity check: its temporaries stay a few MB even

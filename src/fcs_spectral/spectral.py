@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fcs
-from .fcs import DEFAULT_DENSE_CAP, DensityMatrix, Realization
+from .fcs import DEFAULT_DENSE_CAP, ChainRealization, DensityMatrix, Realization
 from .linalg import svd
 from .opbasis import HermitianBasis, expand_in_basis
 
@@ -44,7 +44,6 @@ __all__ = [
     "spectral_realization",
     "ChainOmegaData",
     "build_chain_omega",
-    "NonhomogReconstruction",
     "nonhomog_reconstruct",
 ]
 
@@ -238,23 +237,8 @@ def build_chain_omega(state: DensityMatrix, basis: HermitianBasis,
     return ChainOmegaData(d_a=d, n_sites=n, omegas=omegas, omega_dots=omega_dots)
 
 
-@dataclass
-class NonhomogReconstruction:
-    """Per-site reconstructed maps and derived quantities."""
-
-    d_a: int
-    n_sites: int
-    k_maps: list[np.ndarray]   # k_maps[j-1] has shape (d^2, m_{j-1}, m_j); m_0 = m_N = 1
-
-    def state(self, basis: HermitianBasis, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
-        """Dense reconstructed chain state, the operator product of the maps."""
-        one = np.ones(1)
-        matrix = fcs.dense_product(one, self.k_maps, one, basis, cap)
-        return DensityMatrix(matrix=matrix, dim=self.d_a, sites=self.n_sites)
-
-
 def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
-                         threshold: float | None = None) -> NonhomogReconstruction:
+                         threshold: float | None = None) -> ChainRealization:
     """Spectral reconstruction of a finite chain from window form estimates.
 
     Per-site ranks are either given (list of length N-1 for sites 1..N-1)
@@ -295,4 +279,4 @@ def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
     # site N: (d^2, m_{N-1}, 1)
     kn = np.einsum("lp,alr->apr", frames[n - 1], cod.omega_dots[n])
     k_maps.append(kn)
-    return NonhomogReconstruction(d_a=cod.d_a, n_sites=n, k_maps=k_maps)
+    return ChainRealization(d_a=cod.d_a, k_maps=k_maps)

@@ -5,8 +5,9 @@ The package evaluates every marginal as one dense operator product
 same numbers: single correlation words, the full word-coefficient tensor,
 per-element block basis matrices, block matrices assembled from their
 coefficients, the exact-data identities of Omega, the dense product as
-one unblocked matmul, and the chain window forms expanded one form at a
-time.
+one unblocked matmul, the chain window forms expanded one form at a time,
+and dense states grown by applying one channel per site, which never form
+a correlation word.
 """
 
 import math
@@ -14,7 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from fcs_spectral.fcs import DensityMatrix, Realization, _split_rows, partial_trace_window, word_rows
+from fcs_spectral import fcs
+from fcs_spectral.fcs import (CStarRealization, DensityMatrix, Realization, _split_rows,
+                              partial_trace_window, word_rows)
 from fcs_spectral.opbasis import HermitianBasis, expand_in_basis, matrix_units
 from fcs_spectral.spectral import OmegaData
 
@@ -159,3 +162,37 @@ def chain_forms(state: DensityMatrix, basis: HermitianBasis, left_width: int,
         f = chain_window_form(state, basis, j - l, j - 1, j + r)
         omega_dots[j] = f.reshape(f.shape[0], basis.size, -1).transpose(1, 0, 2)
     return omegas, omega_dots
+
+
+def apply_channels(rho0, isometries, d_a: int, d_b: int) -> np.ndarray:
+    """Dense state of len(isometries) sites, memory traced out.
+
+    Grows the state one site at a time via sigma -> (1 x V) sigma (1 x V)^dag.
+    """
+    sigma = np.asarray(rho0, dtype=complex)
+    for k, v in enumerate(isometries):
+        op = np.kron(np.eye(d_a ** k), v)
+        sigma = op @ sigma @ op.conj().T
+    n = d_a ** len(isometries)
+    return np.einsum("ibjb->ij", sigma.reshape(n, d_b, n, d_b))
+
+
+def dense_state(c: CStarRealization, t: int) -> DensityMatrix:
+    """t-site marginal of a channel model by sequential channel application,
+    the independent oracle for ``fcs.marginal``."""
+    return DensityMatrix(matrix=apply_channels(c.rho0, [c.v] * t, c.d_a, c.d_b),
+                         dim=c.d_a, sites=t)
+
+
+def random_chain_channels(n_sites: int, d_a: int, d_b: int, seed: int,
+                          stationary: bool = False) -> tuple[list, np.ndarray]:
+    """The isometries and memory state rho0 that ``fcs.random_chain`` draws
+    for the same arguments."""
+    rng = np.random.default_rng(seed)
+    if stationary:
+        v = fcs._haar_isometry(d_a * d_b, d_b, rng)
+        return [v] * n_sites, fcs.stationary_state(v, d_a, d_b)
+    isometries = [fcs._haar_isometry(d_a * d_b, d_b, rng) for _ in range(n_sites)]
+    g = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
+    rho0 = g @ g.conj().T
+    return isometries, rho0 / np.trace(rho0).real

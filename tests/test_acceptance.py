@@ -16,15 +16,13 @@ import pytest
 from fcs_spectral import analysis, cli, fcs, noise, spectral
 from fcs_spectral.fcs import (
     aklt,
-    chain_state,
-    dense_state,
     from_cstar,
     marginal_difference,
     random_cstar,
     random_chain,
 )
 from fcs_spectral.opbasis import expand_in_basis, gellmann
-from oracles import word_coefficient_tensor
+from oracles import dense_state, word_coefficient_tensor
 
 _CACHE: dict = {}
 
@@ -232,7 +230,7 @@ def test_c7_nonhomogeneous_chains(report):
     worst_exact = 0.0
     for seed in (3, 8, 21, 34, 55):
         chain = random_chain(5, 2, 2, seed)
-        state = chain_state(chain)
+        state = chain.state(basis2)
         cod = spectral.build_chain_omega(state, basis2, 2, 2)
         recon = spectral.nonhomog_reconstruct(cod, threshold=1e-8)
         td, _ = analysis.difference_distances(recon.state(basis2).matrix - state.matrix)
@@ -240,7 +238,7 @@ def test_c7_nonhomogeneous_chains(report):
         worst_exact = max(worst_exact, td)
     # noisy path: mean error monotone over three levels
     chain = random_chain(5, 2, 2, 3)
-    state = chain_state(chain)
+    state = chain.state(basis2)
     cod = spectral.build_chain_omega(state, basis2, 2, 2)
     ranks = []
     for j in range(1, 5):

@@ -131,6 +131,11 @@ def test_error_propagation_monotone_and_proof_step():
     assert error_propagation_bound(ErrorParameters(0.1, 0.1, 0.1), 4) > base
 
 
+def test_error_propagation_past_float_range_is_inf():
+    assert error_propagation_bound(ErrorParameters(0, 0, 1e200), 2) == np.inf
+    assert error_propagation_bound(ErrorParameters(1e200, 1e200, 0), 1) == np.inf
+
+
 def test_error_parameters_reject_negative():
     with pytest.raises(ValueError):
         ErrorParameters(-0.1, 0, 0)

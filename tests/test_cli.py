@@ -76,6 +76,20 @@ def test_cmd_aklt_zero_noise_row(tmp_path):
         assert int(r["rank_used"]) == 4
 
 
+def test_cmd_huge_epsilon_keeps_finite_distances(tmp_path):
+    # squares of the deviations overflow, the distances do not; the bound
+    # is past the float range
+    out = run_cli(tmp_path, "aklt", dict(AKLT_CFG, epsilons=[1e200], sites=[2], trials=1))
+    (row,) = read_rows(out / "aklt.csv")
+    assert 1e199 < float(row["hs_distance"]) < 1e201
+    assert 1e199 < float(row["trace_distance"]) < 1e201
+    assert float(row["bound_surrogate"]) == np.inf
+    cfg = dict(NONHOMOG_CFG, epsilons=[1e200], trials=1)
+    (row,) = read_rows(run_cli(tmp_path, "nonhomog", cfg, out="chain") / "chain.csv")
+    assert 1e199 < float(row["hs_distance"]) < 1e201
+    assert float(row["bound_surrogate"]) == np.inf
+
+
 def test_cmd_aklt_header_golden(tmp_path):
     out = run_cli(tmp_path, "aklt", AKLT_CFG)
     header = (out / "aklt.csv").read_text().splitlines()[0]
@@ -611,6 +625,8 @@ def reconstruct_with(marginals, **changes):
      "ValueError: aklt.block_size: 3^8 exceeds the dense cap 2187"),
     (*reconstruct_with("list.json", pinv_tol=-1),
      "ValueError: reconstruct.pinv_tol: -1 is outside [0, inf]"),
+    (*aklt_with(model={"kind": "product", "state": [[0, 0], [0, 0]]}),
+     "ValueError: aklt.model(product).state: the state vector is zero"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
@@ -628,7 +644,8 @@ def reconstruct_with(marginals, **changes):
         "negative-rank-tol", "negative-rank-scan-tol", "xi-above-one", "negative-xi",
         "noise-factor-above-one", "negative-noise-factor", "chain-over-dense-cap",
         "rank-scan-over-dense-cap", "reconstruct-sites-over-dense-cap",
-        "shot-marginal-over-dense-cap", "block-size-over-dense-cap", "negative-pinv-tol"])
+        "shot-marginal-over-dense-cap", "block-size-over-dense-cap", "negative-pinv-tol",
+        "zero-product-state"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback

@@ -7,8 +7,6 @@ from conftest import aklt_bond_projector
 from fcs_spectral import fcs
 from fcs_spectral.fcs import (
     aklt,
-    chain_state,
-    dense_state,
     from_cstar,
     load_realization,
     marginal,
@@ -23,7 +21,8 @@ from fcs_spectral.fcs import (
 )
 from fcs_spectral.opbasis import expand_in_basis, gellmann
 from fcs_spectral.spectral import build_chain_omega
-from oracles import evaluate_word, single_matmul_product, word_coefficient_tensor
+from oracles import (apply_channels, dense_state, evaluate_word, random_chain_channels,
+                     single_matmul_product, word_coefficient_tensor)
 
 
 # -- AKLT family ------------------------------------------------------------
@@ -194,8 +193,8 @@ def test_marginal_partial_trace_consistency(seed):
 
 @pytest.mark.parametrize("t", range(2, 8))
 def test_dense_product_blocks_equal_single_matmul(aklt_realization, basis3, t):
-    # at t = 7 the product runs in blocks of the left row index, below it in
-    # one matmul; either way the bits are the unblocked formula's, and the
+    # at t = 6 and 7 the product runs in blocks of the left row index, below
+    # in one matmul; either way the bits are the unblocked formula's, and the
     # marginal is exactly Hermitian, so the eigensolve makes no symmetrized copy
     r = aklt_realization
     got = fcs.dense_product(r.rho, [r.kappa] * t, r.e, basis3)
@@ -213,10 +212,10 @@ def test_rank_profile_cap_enforced(aklt_realization, basis3):
         rank_profile(aklt_realization, basis3, 5)
 
 
-def test_chain_state_cap_enforced():
+def test_chain_state_cap_enforced(basis2):
     chain = random_chain(4, 2, 2, 1)
     with pytest.raises(ValueError, match="cap"):
-        chain_state(chain, cap=8)
+        chain.state(basis2, cap=8)
 
 
 # -- rank profile -------------------------------------------------------------
@@ -247,20 +246,20 @@ def test_rank_profile_random_monotone(basis2):
 
 # -- chains -------------------------------------------------------------------
 
-def test_chain_single_site():
+def test_chain_single_site(basis2):
     chain = random_chain(1, 2, 2, 4)
-    state = chain_state(chain)
+    state = chain.state(basis2)
     state.validate()
     # matches one raw application of the channel (rho0 of a generic chain
     # is not stationary, so this is the only valid comparison)
-    v = chain.isometries[0]
-    expected = np.einsum("ibjb->ij", (v @ chain.rho0 @ v.conj().T).reshape(2, 2, 2, 2))
+    (v,), rho0 = random_chain_channels(1, 2, 2, 4)
+    expected = np.einsum("ibjb->ij", (v @ rho0 @ v.conj().T).reshape(2, 2, 2, 2))
     assert np.abs(state.matrix - expected).max() <= 1e-12
 
 
 def test_stationary_chain_windows_translation_invariant(basis2):
     chain = random_chain(5, 2, 2, 9, stationary=True)
-    state = chain_state(chain)
+    state = chain.state(basis2)
     cod = build_chain_omega(state, basis2, 1, 1)
     # interior windows all equal
     for j in (3,):
@@ -268,17 +267,40 @@ def test_stationary_chain_windows_translation_invariant(basis2):
         assert np.abs(cod.omega_dots[j] - cod.omega_dots[2]).max() <= 1e-10
 
 
-def test_random_chain_state_is_valid():
+def test_random_chain_state_is_valid(basis2):
     chain = random_chain(5, 2, 2, 3)
-    chain_state(chain).validate(psd_tol=1e-9)
+    chain.state(basis2).validate(psd_tol=1e-9)
 
 
 def test_chain_validate_rejects_non_psd_rho0():
-    chain = random_chain(3, 2, 2, 3)
+    isometries, _ = random_chain_channels(3, 2, 2, 3)
     # Hermitian and of trace one, but with eigenvalue -0.5
-    chain.rho0 = np.diag([1.5, -0.5]).astype(complex)
+    rho0 = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        chain.validate()
+        fcs.ChainRealization.from_channels(isometries, rho0, 2, 2)
+
+
+def test_chain_from_channels_rejects_non_isometry_and_empty_chain():
+    isometries, rho0 = random_chain_channels(3, 2, 2, 3)
+    isometries[1] = 2.0 * isometries[1]
+    with pytest.raises(ValueError, match="site 2: V is not an isometry"):
+        fcs.ChainRealization.from_channels(isometries, rho0, 2, 2)
+    with pytest.raises(ValueError, match="at least one site"):
+        fcs.ChainRealization.from_channels([], rho0, 2, 2)
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize("d_b", [1, 2, 3])
+@pytest.mark.parametrize("n_sites", range(1, 7))
+def test_chain_state_matches_channel_loop(n_sites, d_b, stationary, basis2):
+    # the operator product of the per-site maps against the dense state grown
+    # one channel at a time; the product is exactly Hermitian
+    chain = random_chain(n_sites, 2, d_b, 10 * n_sites + d_b, stationary=stationary)
+    got = chain.state(basis2).matrix
+    isometries, rho0 = random_chain_channels(n_sites, 2, d_b, 10 * n_sites + d_b, stationary)
+    want = apply_channels(rho0, isometries, 2, d_b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(got, got.conj().T)
 
 
 # -- persistence ---------------------------------------------------------------

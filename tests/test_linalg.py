@@ -153,6 +153,17 @@ def test_frobenius_norm():
         assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a.ravel()), rel=1e-13)
 
 
+def test_frobenius_norm_of_huge_entries_is_finite():
+    # the squares of these entries overflow; the norm itself does not
+    assert frobenius_norm(np.full(4, 1e200)) == 2e200
+    assert frobenius_norm(np.full((2, 2), 3e200 + 4e200j)) == pytest.approx(1e201, rel=1e-15)
+    assert frobenius_norm(np.array([1e300, -1e300, 1.0])) == pytest.approx(
+        np.sqrt(2.0) * 1e300, rel=1e-15)
+    # a non-finite entry still gives a non-finite norm
+    assert frobenius_norm(np.array([np.inf, 1e200])) == np.inf
+    assert np.isnan(frobenius_norm(np.array([np.nan, 1e200])))
+
+
 def test_trace_norm_diagonal():
     assert trace_norm_hermitian(np.diag([1.0, -1.0])) == pytest.approx(2.0)
 

@@ -11,9 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcs_spectral.fcs import DensityMatrix, Realization, marginal, marginal_difference, word_rows
+from fcs_spectral.fcs import (ChainRealization, DensityMatrix, Realization, marginal,
+                              marginal_difference, word_rows)
 from fcs_spectral.opbasis import expand_in_basis, gellmann
-from fcs_spectral.spectral import NonhomogReconstruction, build_omega_from_marginal
+from fcs_spectral.spectral import build_omega_from_marginal
 from oracles import (assemble_from_coefficients, chain_coefficients, evaluate_word,
                      word_coefficient_tensor)
 
@@ -145,7 +146,7 @@ def test_chain_state_matches_coefficient_assembly(seed, d_a, n_sites, widths):
     dims = [1] + widths[:n_sites - 1] + [1]
     k_maps = [rng.standard_normal((d_a ** 2, dims[j], dims[j + 1])) / dims[j]
               for j in range(n_sites)]
-    recon = NonhomogReconstruction(d_a=d_a, n_sites=n_sites, k_maps=k_maps)
+    recon = ChainRealization(d_a, k_maps)
     basis = gellmann(d_a)
     want = assemble_from_coefficients(chain_coefficients(k_maps), basis, n_sites)
     got = recon.state(basis).matrix

@@ -4,7 +4,6 @@ import pytest
 from fcs_spectral import fcs
 from fcs_spectral.analysis import difference_distances, trace_distance
 from fcs_spectral.fcs import (
-    chain_state,
     from_cstar,
     marginal,
     product_realization,
@@ -261,12 +260,9 @@ def test_nonhomog_product_chain_exact(basis2):
         psi /= np.linalg.norm(psi)
         psis.append(psi)
     # memory dimension 1: V maps C -> C^2 (x) C
-    chain = fcs.ChainRealization(
-        d_a=2, d_b=1,
-        isometries=[psi.reshape(2, 1) for psi in psis],
-        rho0=np.eye(1, dtype=complex),
-    )
-    state = chain_state(chain)
+    chain = fcs.ChainRealization.from_channels(
+        [psi.reshape(2, 1) for psi in psis], np.eye(1, dtype=complex), d_a=2, d_b=1)
+    state = chain.state(basis2)
     cod = build_chain_omega(state, basis2, 1, 1)
     recon = nonhomog_reconstruct(cod, ranks=[1])
     got = recon.state(basis2)
@@ -279,7 +275,7 @@ def test_build_chain_omega_matches_window_forms(basis2, left, right):
     # both forms of site j are slices of window j; the reference expands
     # each of the 2n - 1 forms from its own window
     n, nb = 5, basis2.size
-    state = chain_state(random_chain(n, 2, 2, 2))
+    state = random_chain(n, 2, 2, 2).state(basis2)
     cod = build_chain_omega(state, basis2, left, right)
     omegas, omega_dots = chain_forms(state, basis2, left, right)
     assert sorted(cod.omegas) == list(range(1, n))
@@ -298,7 +294,7 @@ def test_build_chain_omega_matches_window_forms(basis2, left, right):
 @pytest.mark.parametrize("seed", [3, 17])
 def test_nonhomog_exact_recovery(seed, basis2):
     chain = random_chain(5, 2, 2, seed)
-    state = chain_state(chain)
+    state = chain.state(basis2)
     cod = build_chain_omega(state, basis2, 2, 2)
     recon = nonhomog_reconstruct(cod, threshold=1e-8)
     td, _ = difference_distances(recon.state(basis2).matrix - state.matrix)
@@ -310,7 +306,7 @@ def test_nonhomog_exact_equals_brute_force_all_lengths(n_sites, basis2):
     # 4 seeds per length x 5 lengths: 20 random chains in total
     for seed in range(4):
         chain = random_chain(n_sites, 2, 2, 40 + 10 * n_sites + seed)
-        state = chain_state(chain)
+        state = chain.state(basis2)
         cod = build_chain_omega(state, basis2, 2, 2)
         recon = nonhomog_reconstruct(cod, threshold=1e-8)
         td, _ = difference_distances(recon.state(basis2).matrix - state.matrix)
@@ -320,7 +316,7 @@ def test_nonhomog_exact_equals_brute_force_all_lengths(n_sites, basis2):
 def test_nonhomog_noisy_regression(basis2):
     # recorded on first run: eps = 1e-4 noise stays below 1e-3 trace distance
     chain = random_chain(5, 2, 2, 3)
-    state = chain_state(chain)
+    state = chain.state(basis2)
     cod = build_chain_omega(state, basis2, 2, 2)
     ranks = [4, 4, 4, 4]
     tds = []
@@ -334,7 +330,7 @@ def test_nonhomog_noisy_regression(basis2):
 
 def test_nonhomog_failure_names_site(basis2):
     chain = random_chain(4, 2, 2, 6)
-    state = chain_state(chain)
+    state = chain.state(basis2)
     cod = build_chain_omega(state, basis2, 2, 2)
     cod.omegas[2] = np.zeros_like(cod.omegas[2])
     with pytest.raises(ValueError, match="site 2"):
