@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    PINV_RTOL,
+    RANK_RTOL,
     frobenius_norm,
     numerical_rank,
     operator_norm_2to2,
@@ -39,7 +41,7 @@ from .linalg import (
     svd,
     trace_norm_hermitian,
 )
-from .spectral import _PINV_TOL, OmegaData, SvdTruncation, _realize, truncate
+from .spectral import OmegaData, SvdTruncation, _realize, truncate
 
 __all__ = [
     "VARIANTS",
@@ -340,9 +342,9 @@ def check_pseudoinverse_perturbation(a, a_tilde, slack: float = 1e-9) -> CheckRe
 def check_singular_subspace_stability(a, e, epsilon: float, slack: float = 1e-9) -> CheckReport:
     """Left-singular-subspace stability under a bounded perturbation.
 
-    Requires a tall full-column-rank a and ||E|| <= epsilon * sigma_n(a)
-    with epsilon < 1.  Checks sigma_n' >= (1 - eps) sigma_n and
-    ||U_perp'^T U|| <= ||E|| / sigma_n'.
+    Requires a tall a of full column rank (by the inversion cutoff) and
+    ||E|| <= epsilon * sigma_n(a) with epsilon < 1.  Checks sigma_n' >=
+    (1 - eps) sigma_n and ||U_perp'^T U|| <= ||E|| / sigma_n'.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -352,7 +354,7 @@ def check_singular_subspace_stability(a, e, epsilon: float, slack: float = 1e-9)
     if not 0 <= epsilon < 1:
         raise PreconditionError(f"epsilon must be in [0, 1), got {epsilon}")
     u, s, _ = svd(a)
-    if s[-1] <= 1e-13 * s[0]:
+    if numerical_rank(s, PINV_RTOL) < cols:
         raise PreconditionError("matrix is not full column rank")
     e_norm = operator_norm_2to2(e)
     if e_norm > epsilon * s[-1] * (1 + 1e-12):
@@ -385,7 +387,8 @@ def check_projected_sigma_stability(omega, omega_hat, epsilon: float, m: int | N
                    slack: float = 1e-9) -> CheckReport:
     """Projected singular value bounds for a rank-m Omega under perturbation.
 
-    Requires ||Omega - Omega_hat|| <= epsilon * sigma_m(Omega), epsilon < 1/2.
+    Requires ||Omega - Omega_hat|| <= epsilon * sigma_m(Omega), epsilon < 1/2,
+    and sigma_m above the inversion cutoff; m defaults to the exact rank.
     With eps0 = ||dOmega||^2 / ((1 - eps) sigma_m)^2 it checks
         sigma_m(U^T Omega_hat) >= (1 - eps) sigma_m(Omega),
         sigma_m(U_hat^T U)     >= sqrt(1 - eps0),
@@ -399,8 +402,8 @@ def check_projected_sigma_stability(omega, omega_hat, epsilon: float, m: int | N
         raise PreconditionError(f"epsilon must be in [0, 1/2), got {epsilon}")
     u, s, _ = svd(omega)
     if m is None:
-        m = numerical_rank(s, 1e-9)
-    if not 1 <= m <= s.size or s[m - 1] <= 0:
+        m = numerical_rank(s, RANK_RTOL)
+    if not 1 <= m <= numerical_rank(s, PINV_RTOL):
         raise PreconditionError(f"invalid rank m = {m}")
     d_norm = operator_norm_2to2(omega_hat - omega)
     sig = float(s[m - 1])
@@ -467,9 +470,9 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData,
             f"||dOmega||_{{2->2}} = {d_op:.3e} exceeds sigma_m / 3 = {sig / 3:.3e}"
         )
     tr = truncate(od_noisy.omega, rank=rank)
-    hat, proj_hat_svd = _realize(od_noisy, tr.u_hat, _PINV_TOL)
+    hat, proj_hat_svd = _realize(od_noisy, tr.u_hat)
     # the empirical realization: exact data in the noisy frame
-    tilde, cross_svd = _realize(od_exact, tr.u_hat, _PINV_TOL)
+    tilde, cross_svd = _realize(od_exact, tr.u_hat)
     u_exact = exact.u_hat
 
     sigma_hat = float(tr.retained[rank - 1])

@@ -63,7 +63,8 @@ with _environ(OPENBLAS_NUM_THREADS="1"):
     import numpy as np
 
 from . import analysis, fcs, noise, spectral
-from .linalg import blas_info, blas_threads, frobenius_norm, numerical_rank, singular_values
+from .linalg import (RANK_RTOL, blas_info, blas_threads, frobenius_norm, numerical_rank,
+                     singular_values)
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
@@ -179,7 +180,6 @@ def _read(value, kind, where: str):
 
 
 _VERSION = (Ints(1, 1), 1)
-_DENSE_CAP = (int, fcs.DEFAULT_DENSE_CAP)
 _SEED = (Ints(0), REQUIRED)
 _MODEL = (Tagged("kind", {
     "aklt": {"theta": (float, fcs.AKLT_THETA)},
@@ -201,7 +201,7 @@ _TI = {
                "epsilon_prime": (Floats(0.0), None)},
               {"mode": "gaussian_matrix", "epsilon_prime": None}),
     "epsilons": ([Floats(0.0)], None), "shots_sweep": ([Ints(1)], None),
-    "dense_cap": _DENSE_CAP, "timing": (bool, False), "workers": (Ints(1), 1),
+    "timing": (bool, False), "workers": (Ints(1), 1),
     "bound_variant": (OneOf(analysis.VARIANTS), "general"),
 }
 
@@ -211,7 +211,7 @@ TABLES = {
     "robustness": {**_TI, "output": (str, "robustness.csv"), "xis": (_FRACTIONS, REQUIRED)},
     "rank-scan": {
         "version": _VERSION, "model": _MODEL, "max_block": (Ints(1), REQUIRED),
-        "tol": (Floats(0.0), 1e-9), "output": (str, "rank_scan.csv"), "dense_cap": _DENSE_CAP,
+        "output": (str, "rank_scan.csv"),
     },
     "nonhomog": {
         "version": _VERSION,
@@ -220,8 +220,7 @@ TABLES = {
                   REQUIRED),
         "left_width": (Ints(1), REQUIRED), "right_width": (Ints(1), REQUIRED),
         "epsilons": ([Floats(0.0)], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": _SEED,
-        "rank_tol": (Floats(0.0), 1e-9), "output": (str, "nonhomog.csv"), "dense_cap": _DENSE_CAP,
-        "timing": (bool, False),
+        "output": (str, "nonhomog.csv"), "timing": (bool, False),
     },
     "lemma-check": {
         "version": _VERSION, "seed": _SEED, "count": (Ints(0), 1000),
@@ -231,8 +230,7 @@ TABLES = {
     "reconstruct": {
         "version": _VERSION, "input": (str, REQUIRED), "block_size": (Ints(1), REQUIRED),
         "truncation": _TRUNCATION, "sites": ([Ints(1)], []), "output": (str, "realization.json"),
-        "marginals_output": (str, "reconstructed_marginals.json"), "dense_cap": _DENSE_CAP,
-        "pinv_tol": (Floats(0.0), 1e-12),
+        "marginals_output": (str, "reconstructed_marginals.json"),
     },
 }
 
@@ -284,9 +282,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, doc: dict):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    fcs.write_json(path, doc)
     log.info("wrote %s", path)
 
 
@@ -369,7 +365,7 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
     """The read config plus the model, its exact data and the resolved
     sweep; and the sweep's tasks, one per (xi, sweep value, trial)."""
     model_id, r, d_b = _build_model(cfg["model"], command)
-    s, cap, sites = cfg["block_size"], cfg["dense_cap"], cfg["sites"]
+    s, sites, cap = cfg["block_size"], cfg["sites"], fcs.DEFAULT_DENSE_CAP
     mode = cfg["noise"]["mode"]
     sweep_key = "epsilons" if mode == "gaussian_matrix" else "shots_sweep"
     if command == "robustness" and mode != "gaussian_matrix":
@@ -383,7 +379,7 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
     if any(r.d_a ** t > cap for t in sites):
         raise ValueError(f"{command}.sites: a requested size exceeds the dense cap {cap}")
     basis = gellmann(r.d_a)
-    od = spectral.build_omega(r, basis, s_left=s, s_right=s, cap=cap)
+    od = spectral.build_omega(r, basis, s_left=s, s_right=s)
     trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
     # resolve the truncation rank on exact data (threshold mode varies per
     # trial; the exact rank still fixes the surrogate scale)
@@ -397,7 +393,7 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
         # mixing target: the maximally mixed state, via Omega-data linearity
         "od_mm": _maximally_mixed_omega(r.d_a, s) if command == "robustness" else None,
         # the one marginal that shot noise estimates
-        "marginal": fcs.marginal(r, k, basis, cap=cap) if mode != "gaussian_matrix" else None,
+        "marginal": fcs.marginal(r, k, basis) if mode != "gaussian_matrix" else None,
         "trunc": trunc,
         "sweep": cfg[sweep_key],
         "sigma_exact": analysis.sigma_m(od.omega, exact_rank),
@@ -450,7 +446,7 @@ def _run_ti_trial(task):
     # each difference goes straight to its row, where the eigensolve overwrites it
     return [
         _sweep_row((xi_idx, sweep_idx, t_idx, trial), model_id, t, eps_col, trial,
-                   fcs.marginal_difference(sr, ctx["exact"], t, ctx["basis"], ctx["dense_cap"]),
+                   fcs.marginal_difference(sr, ctx["exact"], t, ctx["basis"]),
                    sr.diagnostics["sigma_m_hat"], tr.rank,
                    analysis.error_propagation_bound(params, t), t0)
         for t_idx, t in enumerate(ctx["sites"])
@@ -481,10 +477,10 @@ def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["rank-scan"], "rank-scan")
     model_id, r, _ = _build_model(cfg["model"], "rank-scan")
     # the largest form spans 2 * max_block sites
-    k, cap = 2 * cfg["max_block"], cfg["dense_cap"]
+    k, cap = 2 * cfg["max_block"], fcs.DEFAULT_DENSE_CAP
     if r.d_a ** k > cap:
         raise ValueError(f"rank-scan.max_block: {r.d_a}^{k} exceeds the dense cap {cap}")
-    profile = fcs.rank_profile(r, gellmann(r.d_a), cfg["max_block"], tol=cfg["tol"], cap=cap)
+    profile = fcs.rank_profile(r, gellmann(r.d_a), cfg["max_block"])
     t1, t2 = fcs.t_star(profile)
     log.info("rank profile stabilizes at rank %d; t* = (left %d, right %d)",
              profile[-1, -1], t1, t2)
@@ -504,21 +500,20 @@ def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
 def _prepare_chain_context(cfg: dict) -> tuple[dict, list]:
     """The read config plus the chain's exact state, window forms, ranks and
     sigmas; and the sweep's tasks, one per (epsilon, trial)."""
-    spec, cap = cfg["chain"], cfg["dense_cap"]
+    spec, cap = cfg["chain"], fcs.DEFAULT_DENSE_CAP
     n, d_a = spec["n_sites"], spec["d_a"]
     if d_a ** n > cap:
         raise ValueError(f"nonhomog.chain.n_sites: {d_a}^{n} exceeds the dense cap {cap}")
     chain = fcs.random_chain(n, d_a, spec["d_b"], spec["seed"], stationary=spec["stationary"])
     basis = gellmann(d_a)
-    state = chain.state(basis, cap)
+    state = chain.state(basis)
     cod = spectral.build_chain_omega(state, basis, cfg["left_width"], cfg["right_width"])
     # ranks[j-1] and sigmas[j-1]: numerical rank and smallest retained
     # singular value of the exact window form at site j
     svs = [singular_values(cod.omegas[j]) for j in range(1, n)]
-    ranks = [numerical_rank(sv, cfg["rank_tol"]) for sv in svs]
+    ranks = [numerical_rank(sv, RANK_RTOL) for sv in svs]
     if 0 in ranks:
-        raise ValueError(f"nonhomog: no singular value of the exact window form at "
-                         f"site {ranks.index(0) + 1} exceeds rank_tol * sigma_1")
+        raise ValueError(f"nonhomog: the exact window form at site {ranks.index(0) + 1} is zero")
     sigmas = [float(sv[m - 1]) for sv, m in zip(svs, ranks)]
     log.info("exact window ranks: %s", ranks)
     ctx = {
@@ -538,7 +533,7 @@ def _run_chain_trial(task):
     rng = noise.spawn_rng(ctx["seed"], eps_idx, trial)
     cod_hat = noise.perturb_chain_omega(cod, eps, rng) if eps else cod
     recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
-    diff = recon.state(ctx["basis"], ctx["dense_cap"]).matrix
+    diff = recon.state(ctx["basis"]).matrix
     diff -= ctx["exact"]
     bound = _nonhomog_bound(cod, cod_hat, ranks, ctx["sigmas"])
     return [_sweep_row((eps_idx, trial), ctx["model_id"], cod.n_sites, eps, trial, diff,
@@ -674,7 +669,7 @@ def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
     for idx, (name, r, basis) in enumerate(models):
         od = spectral.build_omega(r, basis)
         sv = singular_values(od.omega)
-        rank = numerical_rank(sv, 1e-9)
+        rank = numerical_rank(sv, RANK_RTOL)
         sigma = float(sv[rank - 1])
         exact = spectral.truncate(od.omega, rank=rank)
         for f_idx, factor in enumerate(noise_factors):
@@ -727,7 +722,7 @@ def save_marginals(path, d: int, marginals: dict[int, fcs.DensityMatrix]):
 def cmd_reconstruct(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["reconstruct"], "reconstruct")
     d, marginals = load_marginals(cfg["input"])
-    s, cap = cfg["block_size"], cfg["dense_cap"]
+    s, cap = cfg["block_size"], fcs.DEFAULT_DENSE_CAP
     # checked before anything is written
     if any(d ** t > cap for t in cfg["sites"]):
         raise ValueError(f"reconstruct.sites: a requested size exceeds the dense cap {cap}")
@@ -737,11 +732,12 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> Path:
     basis = gellmann(d)
     od = spectral.build_omega_from_marginal(marginals[2 * s + 1], basis)
     tr = spectral.truncate(od.omega, **{cfg["truncation"]["mode"]: cfg["truncation"]["value"]})
-    sr = spectral.spectral_realization(od, tr, pinv_tol=cfg["pinv_tol"])
+    sr = spectral.spectral_realization(od, tr)
     out = out_dir / cfg["output"]
-    _write_json(out, fcs.realization_to_dict(sr))
+    fcs.save_realization(sr, out)
+    log.info("wrote %s", out)
     if cfg["sites"]:
-        recon = {t: fcs.marginal(sr, t, basis, cap=cap) for t in cfg["sites"]}
+        recon = {t: fcs.marginal(sr, t, basis) for t in cfg["sites"]}
         save_marginals(out_dir / cfg["marginals_output"], d, recon)
     return out
 

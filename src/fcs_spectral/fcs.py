@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import blas_threads_for, hermitian_eigenvalues, numerical_rank, singular_values
+from .linalg import (RANK_RTOL, blas_threads_for, hermitian_eigenvalues, numerical_rank,
+                     singular_values)
 from .opbasis import HermitianBasis, _hermitian_basis, gellmann, matrix_units
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "t_star",
     "realization_to_dict",
     "realization_from_dict",
+    "write_json",
     "save_realization",
     "load_realization",
 ]
@@ -205,11 +207,11 @@ class ChainRealization:
         k_maps[-1] = (k_maps[-1] @ e)[:, :, None]
         return cls(d_a=d_a, k_maps=k_maps)
 
-    def state(self, basis: HermitianBasis, cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
+    def state(self, basis: HermitianBasis) -> DensityMatrix:
         """Dense chain state, the operator product of the maps; exactly
         Hermitian by construction."""
         one = np.ones(1)
-        matrix = dense_product(one, self.k_maps, one, basis, cap)
+        matrix = dense_product(one, self.k_maps, one, basis)
         return DensityMatrix(matrix=matrix, dim=self.d_a, sites=self.n_sites)
 
 
@@ -257,8 +259,7 @@ def word_rows(boundary, maps, from_right: bool = False) -> list[np.ndarray]:
     return rows
 
 
-def dense_product(left, maps, right, basis: HermitianBasis,
-                  cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def dense_product(left, maps, right, basis: HermitianBasis) -> np.ndarray:
     """Dense d^t x d^t matrix of the operator product over t = len(maps) sites,
 
         sum_w (left . maps[0][w_1] ... maps[t-1][w_t] . right) g_{w_1} x ... x g_{w_t},
@@ -276,8 +277,8 @@ def dense_product(left, maps, right, basis: HermitianBasis,
     d, t = basis.dim, len(maps)
     if t < 1:
         raise ValueError("t must be >= 1")
-    if d ** t > cap:
-        raise ValueError(f"dense cap exceeded: {d}^{t} > {cap}")
+    if d ** t > DEFAULT_DENSE_CAP:
+        raise ValueError(f"dense cap exceeded: {d}^{t} > {DEFAULT_DENSE_CAP}")
     distinct = {id(k): k for k in maps}
     rotated = {i: matrix_units(k, basis) for i, k in distinct.items()}
     units = [rotated[id(k)] for k in maps]
@@ -306,8 +307,7 @@ def _split_rows(rows: np.ndarray, d: int, k: int) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(d ** (2 * k), rows.shape[1])
 
 
-def marginal(r: Realization, t: int, basis: HermitianBasis | None = None,
-             cap: int = DEFAULT_DENSE_CAP) -> DensityMatrix:
+def marginal(r: Realization, t: int, basis: HermitianBasis | None = None) -> DensityMatrix:
     """Dense t-site marginal, the operator product of the realization.
 
     For a spectral estimate the result is Hermitian by construction; its
@@ -316,12 +316,12 @@ def marginal(r: Realization, t: int, basis: HermitianBasis | None = None,
     """
     if basis is None:
         basis = gellmann(r.d_a)
-    matrix = dense_product(r.rho, [r.kappa] * t, r.e, basis, cap)
+    matrix = dense_product(r.rho, [r.kappa] * t, r.e, basis)
     return DensityMatrix(matrix=matrix, dim=r.d_a, sites=t)
 
 
-def marginal_difference(a: Realization, b: Realization, t: int, basis: HermitianBasis,
-                        cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def marginal_difference(a: Realization, b: Realization, t: int,
+                        basis: HermitianBasis) -> np.ndarray:
     """Dense difference of the t-site marginals of two realizations.
 
     It is one operator product of memory m_a + m_b: boundary [rho_a, -rho_b],
@@ -332,7 +332,7 @@ def marginal_difference(a: Realization, b: Realization, t: int, basis: Hermitian
     kappa[:, :ma, :ma] = a.kappa
     kappa[:, ma:, ma:] = b.kappa
     return dense_product(np.concatenate([a.rho, -b.rho]), [kappa] * t,
-                         np.concatenate([a.e, b.e]), basis, cap)
+                         np.concatenate([a.e, b.e]), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -476,16 +476,15 @@ def random_chain(n_sites: int, d_a: int, d_b: int, seed: int,
 # rank profiling
 # ---------------------------------------------------------------------------
 
-def rank_profile(r: Realization, basis: HermitianBasis, max_block: int,
-                 tol: float = 1e-9, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def rank_profile(r: Realization, basis: HermitianBasis, max_block: int) -> np.ndarray:
     """Numerical ranks of the block bilinear forms.
 
-    Entry [i-1, j-1] is the rank (threshold tol * sigma_1) of the matrix
+    Entry [i-1, j-1] is the rank (cutoff ``RANK_RTOL * sigma_1``) of the matrix
     [omega(Y x X)] with left block of j sites and right block of i sites.
     Ranks are non-decreasing in both block sizes and bounded by m.
     """
     # the largest form spans 2 * max_block sites
-    if r.d_a ** (2 * max_block) > cap:
+    if r.d_a ** (2 * max_block) > DEFAULT_DENSE_CAP:
         raise ValueError(f"dense cap exceeded for block size {max_block}")
     lefts = word_rows(r.rho, [r.kappa] * max_block)
     rights = word_rows(r.e, [r.kappa] * max_block, from_right=True)
@@ -493,7 +492,7 @@ def rank_profile(r: Realization, basis: HermitianBasis, max_block: int,
     for i in range(1, max_block + 1):
         for j in range(1, max_block + 1):
             s = singular_values(lefts[j] @ rights[i].T)
-            out[i - 1, j - 1] = numerical_rank(s, tol)
+            out[i - 1, j - 1] = numerical_rank(s, RANK_RTOL)
     return out
 
 
@@ -548,10 +547,15 @@ def realization_from_dict(doc: dict, validate: bool = True) -> Realization:
     return r.validate() if validate else r
 
 
-def save_realization(r: Realization, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(realization_to_dict(r), fh, indent=1)
+def write_json(path, doc: dict):
+    """Write a JSON artifact: UTF-8, sorted keys, one-space indent, LF endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def save_realization(r: Realization, path):
+    write_json(path, realization_to_dict(r))
 
 
 def load_realization(path, validate: bool = True) -> Realization:

@@ -26,6 +26,12 @@ bit-reproducible per seed.  Exempt from these rules:
   matrices of ``_THREADED_MIN_DIM`` rows or more the count the environment
   gives OpenBLAS (``_INHERITED``).
 
+One numerical-rank rule: ``numerical_rank`` alone compares singular values
+with a relative cutoff, counting those above ``rtol * sigma_1``.
+``RANK_RTOL`` gives the rank of exact data; at or below ``PINV_RTOL`` a value
+is zero for inversion, as ``SvdResult.pinv`` and the rank guards apply it.
+The one other cutoff is the user's absolute threshold of ``spectral.truncate``.
+
 Norm conventions used throughout the package:
 
 * ``frobenius_norm`` is the Schatten-2 norm (entrywise 2-norm; the 2-norm of
@@ -49,6 +55,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "RANK_RTOL",
+    "PINV_RTOL",
     "SvdResult",
     "svd",
     "singular_values",
@@ -64,6 +72,10 @@ __all__ = [
 ]
 
 
+RANK_RTOL = 1e-9
+PINV_RTOL = 1e-12
+
+
 class SvdResult(NamedTuple):
     """Thin SVD ``a = u @ diag(s) @ vt`` with ``s`` descending."""
 
@@ -71,21 +83,13 @@ class SvdResult(NamedTuple):
     s: np.ndarray
     vt: np.ndarray
 
-    def pinv(self, tol: float | None = None) -> np.ndarray:
-        """Moore-Penrose pseudoinverse of the decomposed matrix.
-
-        Singular values below ``tol * sigma_1`` are treated as zero.  The
-        default ``tol = max(rows, cols) * eps`` is the standard rank-revealing
-        cutoff.
-        """
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse of the decomposed matrix; singular
+        values at most ``PINV_RTOL * sigma_1`` are treated as zero."""
         u, s, vt = self
-        if tol is None:
-            tol = max(u.shape[0], vt.shape[1]) * np.finfo(np.float64).eps
-        if tol < 0:
-            raise ValueError("tol must be nonnegative")
-        if s.size == 0 or s[0] == 0.0:
-            return np.zeros((vt.shape[1], u.shape[0]), dtype=u.dtype)
-        inv = np.where(s > tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+        inv = np.zeros_like(s)
+        k = numerical_rank(s, PINV_RTOL)
+        inv[:k] = 1.0 / s[:k]
         return (vt.conj().T * inv) @ u.conj().T
 
 
@@ -121,14 +125,13 @@ def singular_values(a) -> np.ndarray:
 
 
 def pseudoinverse(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the default relative singular value
-    cutoff of :meth:`SvdResult.pinv`."""
+    """Moore-Penrose pseudoinverse with the cutoff of :meth:`SvdResult.pinv`."""
     return svd(a).pinv()
 
 
 def numerical_rank(s, rtol: float) -> int:
     """Number of singular values above ``rtol * sigma_1`` (descending ``s``)."""
-    return int((s > rtol * s[0]).sum())
+    return int((s > rtol * s[0]).sum()) if s.size else 0
 
 
 def operator_norm_2to2(a) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fcs
 from .fcs import DEFAULT_DENSE_CAP, ChainRealization, DensityMatrix, Realization
-from .linalg import svd
+from .linalg import PINV_RTOL, numerical_rank, svd
 from .opbasis import HermitianBasis, expand_in_basis
 
 __all__ = [
@@ -68,12 +68,11 @@ class OmegaData:
 
 
 def build_omega(r: Realization, basis: HermitianBasis | None = None,
-                s_left: int = 1, s_right: int = 1,
-                cap: int = DEFAULT_DENSE_CAP) -> OmegaData:
+                s_left: int = 1, s_right: int = 1) -> OmegaData:
     """Exact Omega data of a realization for given block sizes."""
     if basis is not None and basis.dim != r.d_a:
         raise ValueError("basis dimension does not match the realization")
-    if r.d_a ** (s_left + s_right) > cap:
+    if r.d_a ** (s_left + s_right) > DEFAULT_DENSE_CAP:
         raise ValueError(f"dense cap exceeded for blocks ({s_left}, {s_right})")
     # (nL, m) rows rho.K_word and (nR, m) rows K_word.e
     left = fcs.word_rows(r.rho, [r.kappa] * s_left)[-1]
@@ -133,8 +132,9 @@ class SvdTruncation:
 def truncate(omega, rank: int | None = None, threshold: float | None = None) -> SvdTruncation:
     """Truncated SVD frame of Omega, by fixed rank or singular value threshold.
 
-    In threshold mode every singular value >= threshold is kept (the tie at
-    the threshold is kept: the selection condition is closed).
+    In rank mode sigma_rank must be above the inversion cutoff; in threshold
+    mode every singular value >= threshold is kept (the tie at the threshold
+    is kept: the selection condition is closed).
     """
     if (rank is None) == (threshold is None):
         raise ValueError("specify exactly one of rank or threshold")
@@ -142,7 +142,7 @@ def truncate(omega, rank: int | None = None, threshold: float | None = None) -> 
     if rank is not None:
         if not 1 <= rank <= s.size:
             raise ValueError(f"rank {rank} out of range [1, {s.size}]")
-        if s[rank - 1] <= 1e-14:
+        if numerical_rank(s, PINV_RTOL) < rank:
             raise ValueError(f"rank-deficient truncation: sigma_{rank} = {s[rank - 1]:.3e}")
         keep = rank
     else:
@@ -153,31 +153,22 @@ def truncate(omega, rank: int | None = None, threshold: float | None = None) -> 
                          discarded=s[keep:].copy())
 
 
-def _realize(od: OmegaData, u_hat: np.ndarray, pinv_tol: float):
+def _realize(od: OmegaData, u_hat: np.ndarray):
     """e = U^T Omega(1), rho = (tau Omega) B^+ and K_a = U^T Omega_a B^+ with
     B = U^T Omega; returns the realization and the SVD of B."""
     b_svd = svd(u_hat.T @ od.omega)
-    b_pinv = b_svd.pinv(pinv_tol)
+    b_pinv = b_svd.pinv()
     kappa = np.einsum("lj,alk,kr->ajr", u_hat, od.omega_dot, b_pinv, optimize=True)
     r = Realization(d_a=od.d_a, kappa=kappa, e=u_hat.T @ od.omega_one,
                     rho=od.tau_omega @ b_pinv)
     return r, b_svd
 
 
-# Relative pseudoinverse cutoff of the reconstruction maps: the truncation
-# already fixes the rank, so no second truncation happens there.
-_PINV_TOL = 1e-12
-
-
-def spectral_realization(od: OmegaData, tr: SvdTruncation,
-                         pinv_tol: float = _PINV_TOL) -> Realization:
-    """Estimated realization from Omega data and a truncated frame.
-
-    The pseudoinverse cutoff is relative to sigma_1 (default 1e-12).
-    """
+def spectral_realization(od: OmegaData, tr: SvdTruncation) -> Realization:
+    """Estimated realization from Omega data and a truncated frame."""
     if tr.u_hat.shape[0] != od.omega.shape[0]:
         raise ValueError("truncation frame does not match the Omega row space")
-    r, b_svd = _realize(od, tr.u_hat, pinv_tol)
+    r, b_svd = _realize(od, tr.u_hat)
     sv_b = b_svd.s
     r.diagnostics = {
         "sigma_m_hat": float(tr.retained[-1]),
@@ -263,9 +254,9 @@ def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
 
     def projected_pinv(j: int) -> np.ndarray:
         b_svd = svd(frames[j].T @ cod.omegas[j])
-        if b_svd.s[-1] <= 1e-14 * max(b_svd.s[0], 1e-300):
+        if numerical_rank(b_svd.s, PINV_RTOL) < b_svd.s.size:
             raise ValueError(f"rank-deficient projected Omega at site {j}")
-        return b_svd.pinv(_PINV_TOL)
+        return b_svd.pinv()
 
     k_maps: list[np.ndarray] = []
     # site 1: (d^2, 1, m_1)

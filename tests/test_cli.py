@@ -6,6 +6,7 @@ import logging
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -346,6 +347,16 @@ def test_cmd_aklt_shot_noise_block_size_two(tmp_path):
     assert all(0.0 < float(r["trace_distance"]) < 0.02 for r in rows)
 
 
+def test_dense_cap_counts_the_sites_each_noise_mode_reads(tmp_path):
+    # a d_a = 5 model at block size 2: gaussian noise reads the 4-site Omega
+    # (5^4 = 625 fits the cap 2187); shot noise would read the 5-site
+    # marginal, which the malformed-config table shows is rejected
+    cfg = dict(AKLT_CFG, model={"kind": "random", "d_a": 5, "d_b": 2, "seed": 0},
+               block_size=2, sites=[2], trials=0)
+    out = run_cli(tmp_path, "aklt", cfg)
+    assert (out / "aklt.csv").read_text() == ",".join(cli.CSV_COLUMNS) + "\n"
+
+
 def test_cmd_aklt_shot_noise_mode(tmp_path):
     cfg = {
         "model": {"kind": "aklt"},
@@ -548,11 +559,11 @@ def reconstruct_with(marginals, **changes):
     (*aklt_with(block_size=0), "ValueError: aklt.block_size: 0 is outside [1, inf]"),
     (*reconstruct_with("list.json"), "TypeError: marginals: expected an object"),
     ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "tol": math.nan}),
-     "ValueError: rank-scan.tol: expected a finite number, got nan"),
+     "ValueError: rank-scan: unknown keys ['tol']"),
     ("lemma-check", json.dumps({"seed": 0, "slack": math.nan}),
      "ValueError: lemma-check.slack: expected a finite number, got nan"),
     (*reconstruct_with("list.json", pinv_tol=math.nan),
-     "ValueError: reconstruct.pinv_tol: expected a finite number, got nan"),
+     "ValueError: reconstruct: unknown keys ['pinv_tol']"),
     (*reconstruct_with("nan.json"),
      "ValueError: marginals.marginals[0].matrix[0][0][0]: expected a finite number, got nan"),
     (*aklt_with(noise={"epsilon_prime": math.inf}),
@@ -601,9 +612,9 @@ def reconstruct_with(marginals, **changes):
      "ValueError: aklt.truncation(threshold).value: 0 is outside (0, inf]"),
     (*aklt_with(truncation={"mode": "threshold", "value": -1e-6}),
      "ValueError: aklt.truncation(threshold).value: -1e-06 is outside (0, inf]"),
-    (*nonhomog_with(rank_tol=-1), "ValueError: nonhomog.rank_tol: -1 is outside [0, inf]"),
+    (*nonhomog_with(rank_tol=-1), "ValueError: nonhomog: unknown keys ['rank_tol']"),
     ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "tol": -1e-9}),
-     "ValueError: rank-scan.tol: -1e-09 is outside [0, inf]"),
+     "ValueError: rank-scan: unknown keys ['tol']"),
     ("robustness", json.dumps(dict(AKLT_CFG, xis=[2.0, -0.5])),
      "ValueError: robustness.xis[0]: 2.0 is outside [0, 1]"),
     ("robustness", json.dumps(dict(AKLT_CFG, xis=[0.0, -0.5])),
@@ -614,17 +625,27 @@ def reconstruct_with(marginals, **changes):
      "ValueError: lemma-check.noise_factors[0]: -0.1 is outside [0, 1]"),
     (*chain_with(n_sites=12),
      "ValueError: nonhomog.chain.n_sites: 2^12 exceeds the dense cap 2187"),
-    ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 3, "dense_cap": 100}),
-     "ValueError: rank-scan.max_block: 3^6 exceeds the dense cap 100"),
-    (*reconstruct_with("empty3.json", sites=[2, 5], dense_cap=100),
-     "ValueError: reconstruct.sites: a requested size exceeds the dense cap 100"),
-    (*aklt_with(noise={"mode": "shot_multinomial"}, shots_sweep=[100], block_size=2,
-                sites=[2], dense_cap=100),
-     "ValueError: aklt.block_size: 3^5 exceeds the dense cap 100"),
+    ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 4}),
+     "ValueError: rank-scan.max_block: 3^8 exceeds the dense cap 2187"),
+    (*reconstruct_with("empty3.json", sites=[2, 8]),
+     "ValueError: reconstruct.sites: a requested size exceeds the dense cap 2187"),
+    # shot noise estimates the 2s+1 = 5-site marginal: 5^5 exceeds the cap
+    # where the 4-site Omega of gaussian noise (5^4) fits it
+    (*aklt_with(model={"kind": "random", "d_a": 5, "d_b": 2, "seed": 0},
+                noise={"mode": "shot_multinomial"}, shots_sweep=[100], block_size=2, sites=[2]),
+     "ValueError: aklt.block_size: 5^5 exceeds the dense cap 2187"),
     (*aklt_with(block_size=4, sites=[2]),
      "ValueError: aklt.block_size: 3^8 exceeds the dense cap 2187"),
     (*reconstruct_with("list.json", pinv_tol=-1),
-     "ValueError: reconstruct.pinv_tol: -1 is outside [0, inf]"),
+     "ValueError: reconstruct: unknown keys ['pinv_tol']"),
+    (*aklt_with(dense_cap=100), "ValueError: aklt: unknown keys ['dense_cap']"),
+    ("robustness", json.dumps(dict(AKLT_CFG, xis=[0.0], dense_cap=100)),
+     "ValueError: robustness: unknown keys ['dense_cap']"),
+    ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "dense_cap": 100}),
+     "ValueError: rank-scan: unknown keys ['dense_cap']"),
+    (*nonhomog_with(dense_cap=100), "ValueError: nonhomog: unknown keys ['dense_cap']"),
+    (*reconstruct_with("list.json", dense_cap=100),
+     "ValueError: reconstruct: unknown keys ['dense_cap']"),
     (*aklt_with(model={"kind": "product", "state": [[0, 0], [0, 0]]}),
      "ValueError: aklt.model(product).state: the state vector is zero"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
@@ -645,7 +666,8 @@ def reconstruct_with(marginals, **changes):
         "noise-factor-above-one", "negative-noise-factor", "chain-over-dense-cap",
         "rank-scan-over-dense-cap", "reconstruct-sites-over-dense-cap",
         "shot-marginal-over-dense-cap", "block-size-over-dense-cap", "negative-pinv-tol",
-        "zero-product-state"])
+        "aklt-dense-cap-key", "robustness-dense-cap-key", "rank-scan-dense-cap-key",
+        "nonhomog-dense-cap-key", "reconstruct-dense-cap-key", "zero-product-state"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback
@@ -684,10 +706,18 @@ def table_keys(kind):
 
 @pytest.mark.parametrize("command", sorted(cli.TABLES))
 def test_readme_documents_every_config_key(command):
+    # both ways: every key of the table is in README.md, and the command's
+    # bullet of the key list names (as `key`: type) only keys of its table
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    missing = sorted({key for key in table_keys(cli.TABLES[command])
-                      if f"`{key}`" not in readme})
+    keys = set(table_keys(cli.TABLES[command]))
+    missing = sorted(key for key in keys if f"`{key}`" not in readme)
     assert not missing, f"README.md does not document {command} keys {missing}"
+    key_list = readme.split("Keys per command.", 1)[1].split("Nested objects", 1)[0]
+    (bullet,) = [line for line in key_list.splitlines() if line.startswith(f"* `{command}`: ")]
+    named = re.findall(r"`([^`]+)`:", bullet.split(": ", 1)[1])
+    assert named, f"README.md lists no keys for {command}"
+    stale = sorted(set(named) - keys)
+    assert not stale, f"README.md lists {command} keys {stale} that its table lacks"
 
 
 def test_stationary_state_failure_exits_2(tmp_path, caplog, monkeypatch):
@@ -746,6 +776,21 @@ def test_cmd_reconstruct_roundtrip(tmp_path, aklt_realization, basis3):
     d, recs = cli.load_marginals(out / "rec_marginals.json")
     assert d == 3
     assert np.abs(recs[2].matrix - marginals[2].matrix).max() <= 1e-8
+
+
+def test_save_realization_writes_the_cli_bytes(tmp_path, aklt_realization, basis3):
+    # the library writer and the reconstruct command give one file format
+    marginals = {3: marginal(aklt_realization, 3, basis3)}
+    cli.save_marginals(tmp_path / "marginals.json", 3, marginals)
+    cfg = {"input": str(tmp_path / "marginals.json"), "block_size": 1,
+           "truncation": {"mode": "rank", "value": 4}}
+    out = run_cli(tmp_path, "reconstruct", cfg)
+    od = spectral.build_omega_from_marginal(marginals[3], basis3)
+    sr = spectral.spectral_realization(od, spectral.truncate(od.omega, rank=4))
+    fcs.save_realization(sr, tmp_path / "library.json")
+    got = (tmp_path / "library.json").read_bytes()
+    assert got == (out / "realization.json").read_bytes()
+    assert b"\r" not in got and got.startswith(b'{\n "d_a": 3,')
 
 
 def reconstruct_from_shots(tmp_path, aklt_realization, basis3):

@@ -213,9 +213,10 @@ def test_rank_profile_cap_enforced(aklt_realization, basis3):
 
 
 def test_chain_state_cap_enforced(basis2):
-    chain = random_chain(4, 2, 2, 1)
+    # 2^12 = 4096 exceeds the dense cap 2187
+    chain = random_chain(12, 2, 2, 1)
     with pytest.raises(ValueError, match="cap"):
-        chain.state(basis2, cap=8)
+        chain.state(basis2)
 
 
 # -- rank profile -------------------------------------------------------------

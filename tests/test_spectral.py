@@ -109,6 +109,19 @@ def test_truncate_rank_deficient_raises():
         truncate(np.diag([1.0, 0.0]), rank=2)
 
 
+def test_truncate_rank_guard_is_the_inversion_cutoff():
+    # sigma_4 / sigma_1 = 1e-13 is above an absolute 1e-14 but at most
+    # PINV_RTOL: the pseudoinverse of U^T Omega would drop the fourth
+    # direction, so rank 4 is rejected; rank 3 is not
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((9, 4)))[0]
+    v = np.linalg.qr(rng.standard_normal((9, 4)))[0]
+    omega = (u * [0.5, 0.3, 0.2, 5e-14]) @ v.T
+    with pytest.raises(ValueError, match="rank-deficient truncation: sigma_4"):
+        truncate(omega, rank=4)
+    assert truncate(omega, rank=3).rank == 3
+
+
 def test_truncate_argument_validation(aklt_omega):
     with pytest.raises(ValueError):
         truncate(aklt_omega.omega)
@@ -326,6 +339,22 @@ def test_nonhomog_noisy_regression(basis2):
         tds.append(difference_distances(recon.state(basis2).matrix - state.matrix)[0])
     assert max(tds) <= 1e-3
     assert min(tds) > 0
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("ranks", "site 2: rank-deficient truncation"),
+    ("threshold", "rank-deficient projected Omega at site 2"),
+])
+def test_nonhomog_rejects_window_below_inversion_cutoff(basis2, mode, message):
+    # the window form of site 2 keeps sigma_4 / sigma_1 = 5e-13, in (1e-14,
+    # 1e-12]: the rank guard of the truncation or of the projected form
+    # rejects it, where the pseudoinverse would drop it
+    cod = build_chain_omega(random_chain(4, 2, 2, 6).state(basis2), basis2, 2, 2)
+    u, s, vt = np.linalg.svd(cod.omegas[2])
+    cod.omegas[2] = (u[:, :4] * (s[0] * np.array([1.0, 0.5, 0.2, 5e-13]))) @ vt[:4]
+    args = {"ranks": [4, 4, 4]} if mode == "ranks" else {"threshold": 2.5e-13 * s[0]}
+    with pytest.raises(ValueError, match=message):
+        nonhomog_reconstruct(cod, **args)
 
 
 def test_nonhomog_failure_names_site(basis2):
