@@ -7,7 +7,6 @@ Subcommands (all driven by a single JSON config file):
     fcs-spectral rank-scan   --config cfg.json --out DIR   block-rank profile
     fcs-spectral nonhomog    --config cfg.json --out DIR   finite-chain sweep
     fcs-spectral lemma-check --config cfg.json --out DIR   perturbation suites
-    fcs-spectral robustness  --config cfg.json --out DIR   mixed-state sweep
     fcs-spectral reconstruct --config cfg.json --out DIR   marginals JSON in,
                              realization JSON out
 
@@ -15,18 +14,17 @@ Artifacts are deterministic per (config, seed): CSV files are UTF-8 with LF
 endings, a fixed header, and %.12e numeric formatting; JSON artifacts carry
 "version": 1.  Logging goes to stderr, data only to files.
 
-aklt, robustness and nonhomog share one sweep engine: a prepare step builds
-a context and its tasks, a trial function turns a task into keyed CSV rows,
-and _run_sweep runs the tasks, in a spawn pool under aklt's and robustness'
-"workers".  The wall_time_ms column is 0 unless the config sets "timing":
-true; real timings would break byte-identical reruns, which take precedence.
+aklt and nonhomog share one sweep engine: a prepare step builds a context
+and its tasks, a trial function turns a task into keyed CSV rows, and
+_run_sweep runs the tasks, in a spawn pool under aklt's "workers".  The
+wall_time_ms column is 0 unless the config sets "timing": true; real
+timings would break byte-identical reruns, which take precedence.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import logging
@@ -181,16 +179,19 @@ def _read(value, kind, where: str):
 
 _VERSION = (Ints(1, 1), 1)
 _SEED = (Ints(0), REQUIRED)
-_MODEL = (Tagged("kind", {
+_BASE_MODELS = {
     "aklt": {"theta": (float, fcs.AKLT_THETA)},
     "random": {"d_a": (Ints(2), REQUIRED), "d_b": (Ints(1), REQUIRED), "seed": _SEED},
     "product": {"state": ([[float]], REQUIRED)},
-}), REQUIRED)
+}
+# a mixture's base is one of the other kinds, so mixtures do not nest
+_MODEL = (Tagged("kind", {**_BASE_MODELS, "mixture": {
+    "base": (Tagged("kind", _BASE_MODELS), REQUIRED), "xi": (Floats(0.0, 1.0), REQUIRED)}}),
+    REQUIRED)
 _TRUNCATION = (Tagged("mode", {
     "rank": {"value": (Ints(1), REQUIRED)},
     "threshold": {"value": (Floats(0.0, strict=True), REQUIRED)},
 }), REQUIRED)
-_FRACTIONS = [Floats(0.0, 1.0)]  # mixing weights and noise factors
 _TI = {
     "version": _VERSION, "model": _MODEL, "truncation": _TRUNCATION,
     "sites": ([Ints(1)], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": _SEED,
@@ -208,7 +209,6 @@ _TI = {
 # The config schema of every command: key -> (type, default); see _read.
 TABLES = {
     "aklt": {**_TI, "output": (str, "aklt.csv")},
-    "robustness": {**_TI, "output": (str, "robustness.csv"), "xis": (_FRACTIONS, REQUIRED)},
     "rank-scan": {
         "version": _VERSION, "model": _MODEL, "max_block": (Ints(1), REQUIRED),
         "output": (str, "rank_scan.csv"),
@@ -225,7 +225,7 @@ TABLES = {
     "lemma-check": {
         "version": _VERSION, "seed": _SEED, "count": (Ints(0), 1000),
         "max_dim": (Ints(2), 30), "slack": (float, 1e-9), "output": (str, "lemma_report.json"),
-        "models_seeds": (Ints(0), 20), "noise_factors": (_FRACTIONS, [0.01, 0.1, 0.9]),
+        "models_seeds": (Ints(0), 20), "noise_factors": ([Floats(0.0, 1.0)], [0.01, 0.1, 0.9]),
     },
     "reconstruct": {
         "version": _VERSION, "input": (str, REQUIRED), "block_size": (Ints(1), REQUIRED),
@@ -241,9 +241,10 @@ _MARGINALS = {
 }
 
 
-def _build_model(spec: dict, command: str):
-    """Returns (model_id, Realization, d_b) for the read model spec of a
-    command."""
+def _build_model(spec: dict, where: str):
+    """Returns (model_id, Realization, d_b) for the read model spec at the
+    config path ``where``; d_b is the memory dimension of the cstar bound
+    scale."""
     kind = spec["kind"]
     if kind == "aklt":
         theta = spec["theta"]
@@ -252,10 +253,18 @@ def _build_model(spec: dict, command: str):
         d_a, d_b, seed = spec["d_a"], spec["d_b"], spec["seed"]
         r = fcs.from_cstar(fcs.random_cstar(d_a, d_b, seed))
         return f"random(d_a={d_a};d_b={d_b};seed={seed})", r, d_b
+    if kind == "mixture":
+        # (1 - xi) omega + xi (1/d)^(x infinity); the memory algebra M_{d_b}
+        # + C sits in M_{d_b + 1}
+        base_id, base, d_b = _build_model(spec["base"], f"{where}(mixture).base")
+        xi, d = spec["xi"], base.d_a
+        maximally_mixed = fcs.product_realization(np.eye(d) / d, gellmann(d))
+        r = fcs.direct_sum([base, maximally_mixed], [1 - xi, xi]).validate()
+        return f"{base_id}+mix(xi={xi:g})", r, d_b + 1
     vec = np.array([complex(re, im) for re, im in spec["state"]])
     norm = np.linalg.norm(vec)
     if norm == 0:
-        raise ValueError(f"{command}.model(product).state: the state vector is zero")
+        raise ValueError(f"{where}(product).state: the state vector is zero")
     vec = vec / norm
     d = vec.size
     return f"product(d={d})", fcs.product_realization(np.outer(vec, vec.conj()), gellmann(d)), 1
@@ -287,7 +296,7 @@ def _write_json(path: Path, doc: dict):
 
 
 # ---------------------------------------------------------------------------
-# sweep engine (aklt, robustness, nonhomog)
+# sweep engine (aklt, nonhomog)
 # ---------------------------------------------------------------------------
 
 _CTX: dict = {}  # the running sweep's context, read by the trial functions
@@ -358,26 +367,24 @@ def _sweep_row(key, model_id: str, t: int, eps: float, trial: int, diff, sigma: 
 
 
 # ---------------------------------------------------------------------------
-# translation-invariant sweep (aklt, robustness)
+# translation-invariant sweep (aklt)
 # ---------------------------------------------------------------------------
 
-def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
+def _prepare_ti_context(cfg: dict) -> tuple[dict, list]:
     """The read config plus the model, its exact data and the resolved
-    sweep; and the sweep's tasks, one per (xi, sweep value, trial)."""
-    model_id, r, d_b = _build_model(cfg["model"], command)
+    sweep; and the sweep's tasks, one per (sweep value, trial)."""
+    model_id, r, d_b = _build_model(cfg["model"], "aklt.model")
     s, sites, cap = cfg["block_size"], cfg["sites"], fcs.DEFAULT_DENSE_CAP
     mode = cfg["noise"]["mode"]
     sweep_key = "epsilons" if mode == "gaussian_matrix" else "shots_sweep"
-    if command == "robustness" and mode != "gaussian_matrix":
-        raise ValueError("robustness.noise.mode: only gaussian_matrix noise is supported")
     if cfg[sweep_key] is None:
-        raise ValueError(f"{command}.{sweep_key}: required by {mode} noise")
+        raise ValueError(f"aklt.{sweep_key}: required by {mode} noise")
     # exact Omega spans 2s sites; shot noise estimates the (2s+1)-site marginal
     k = 2 * s if mode == "gaussian_matrix" else 2 * s + 1
     if r.d_a ** k > cap:
-        raise ValueError(f"{command}.block_size: {r.d_a}^{k} exceeds the dense cap {cap}")
+        raise ValueError(f"aklt.block_size: {r.d_a}^{k} exceeds the dense cap {cap}")
     if any(r.d_a ** t > cap for t in sites):
-        raise ValueError(f"{command}.sites: a requested size exceeds the dense cap {cap}")
+        raise ValueError(f"aklt.sites: a requested size exceeds the dense cap {cap}")
     basis = gellmann(r.d_a)
     od = spectral.build_omega(r, basis, s_left=s, s_right=s)
     trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
@@ -386,12 +393,9 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
     exact_rank = spectral.truncate(od.omega, **trunc).rank
     ctx = {
         **cfg,
-        "command": command,
         "model_id": model_id,
         "basis": basis,
         "od": od,
-        # mixing target: the maximally mixed state, via Omega-data linearity
-        "od_mm": _maximally_mixed_omega(r.d_a, s) if command == "robustness" else None,
         # the one marginal that shot noise estimates
         "marginal": fcs.marginal(r, k, basis) if mode != "gaussian_matrix" else None,
         "trunc": trunc,
@@ -400,52 +404,30 @@ def _prepare_ti_context(cfg: dict, command: str) -> tuple[dict, list]:
         "scale": d_b if cfg["bound_variant"] == "cstar" else exact_rank,
         "exact": r,
     }
-    return ctx, list(itertools.product(range(len(cfg["xis"])), range(len(ctx["sweep"])),
-                                       range(cfg["trials"])))
-
-
-def _maximally_mixed_omega(d: int, s: int) -> spectral.OmegaData:
-    """Omega data of the maximally mixed state in closed form: 1/d^k on k =
-    2s+1 sites is d^(-k/2) times the product of the identity elements g_0 =
-    1/sqrt(d), and has no other coefficient."""
-    c = np.zeros(d ** (2 * (2 * s + 1)))
-    c[0] = d ** (-(2 * s + 1) / 2)
-    return spectral.omega_data_from_coefficients(c, d_a=d, s=s)
-
-
-def _mix_omega(od, od_mm, xi: float) -> spectral.OmegaData:
-    return dataclasses.replace(od, **{
-        f: (1 - xi) * getattr(od, f) + xi * getattr(od_mm, f)
-        for f in ("omega", "omega_dot", "omega_one", "tau_omega")})
+    return ctx, list(itertools.product(range(len(ctx["sweep"])), range(cfg["trials"])))
 
 
 def _run_ti_trial(task):
-    """One (xi, sweep value, trial): perturb once, reconstruct all sizes."""
-    xi_idx, sweep_idx, trial = task
+    """One (sweep value, trial): perturb once, reconstruct all sizes."""
+    sweep_idx, trial = task
     ctx = _CTX
     t0 = time.perf_counter()
-    mode, value, xi = ctx["noise"]["mode"], ctx["sweep"][sweep_idx], ctx["xis"][xi_idx]
-    od = ctx["od"] if xi == 0.0 else _mix_omega(ctx["od"], ctx["od_mm"], xi)
+    mode, value = ctx["noise"]["mode"], ctx["sweep"][sweep_idx]
     rng = noise.spawn_rng(ctx["seed"], sweep_idx, trial)
     eps_col = float(value)
     if mode == "gaussian_matrix":
-        od_hat = noise.perturb_omega_data(od, eps_col, ctx["noise"]["epsilon_prime"], rng)
+        od_hat = noise.perturb_omega_data(ctx["od"], eps_col, ctx["noise"]["epsilon_prime"], rng)
     else:  # one estimate of the (2s+1)-site marginal gives every field
         est = noise.simulate_tomography(ctx["marginal"], ctx["basis"], value, rng, mode=mode)
         od_hat = spectral.omega_data_from_coefficients(est, d_a=ctx["basis"].dim,
                                                        s=ctx["block_size"])
     tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
     sr = spectral.spectral_realization(od_hat, tr)
-    # deviations are measured from the underlying exact model, so in the
-    # robustness command they include the mixing contribution
     params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"], ctx["scale"],
                                            variant=ctx["bound_variant"])
-    model_id = ctx["model_id"]
-    if ctx["command"] == "robustness":
-        model_id = f"{model_id}+mix(xi={xi:g})"
     # each difference goes straight to its row, where the eigensolve overwrites it
     return [
-        _sweep_row((xi_idx, sweep_idx, t_idx, trial), model_id, t, eps_col, trial,
+        _sweep_row((sweep_idx, t_idx, trial), ctx["model_id"], t, eps_col, trial,
                    fcs.marginal_difference(sr, ctx["exact"], t, ctx["basis"]),
                    sr.diagnostics["sigma_m_hat"], tr.rank,
                    analysis.error_propagation_bound(params, t), t0)
@@ -457,16 +439,8 @@ def cmd_aklt(cfg: dict, out_dir: Path) -> Path:
     """Noise sweep on a translation-invariant model; one perturbation per
     trial shared across all reconstruction sizes."""
     cfg = _read(cfg, TABLES["aklt"], "aklt")
-    return _run_sweep(*_prepare_ti_context({**cfg, "xis": [0.0]}, "aklt"), _run_ti_trial,
-                      cfg["workers"], out_dir / cfg["output"])
-
-
-def cmd_robustness(cfg: dict, out_dir: Path) -> Path:
-    """Same sweep on the state mixed with the maximally mixed state at
-    weights xi; xi = 0 reproduces the aklt command's numbers."""
-    cfg = _read(cfg, TABLES["robustness"], "robustness")
-    return _run_sweep(*_prepare_ti_context(cfg, "robustness"), _run_ti_trial,
-                      cfg["workers"], out_dir / cfg["output"])
+    return _run_sweep(*_prepare_ti_context(cfg), _run_ti_trial, cfg["workers"],
+                      out_dir / cfg["output"])
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +449,12 @@ def cmd_robustness(cfg: dict, out_dir: Path) -> Path:
 
 def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["rank-scan"], "rank-scan")
-    model_id, r, _ = _build_model(cfg["model"], "rank-scan")
+    model_id, r, _ = _build_model(cfg["model"], "rank-scan.model")
     # the largest form spans 2 * max_block sites
     k, cap = 2 * cfg["max_block"], fcs.DEFAULT_DENSE_CAP
     if r.d_a ** k > cap:
         raise ValueError(f"rank-scan.max_block: {r.d_a}^{k} exceeds the dense cap {cap}")
-    profile = fcs.rank_profile(r, gellmann(r.d_a), cfg["max_block"])
+    profile = fcs.rank_profile(r, cfg["max_block"])
     t1, t2 = fcs.t_star(profile)
     log.info("rank profile stabilizes at rank %d; t* = (left %d, right %d)",
              profile[-1, -1], t1, t2)
@@ -751,7 +725,6 @@ _COMMANDS = {
     "rank-scan": cmd_rank_scan,
     "nonhomog": cmd_nonhomog,
     "lemma-check": cmd_lemma_check,
-    "robustness": cmd_robustness,
     "reconstruct": cmd_reconstruct,
 }
 

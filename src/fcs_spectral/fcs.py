@@ -11,8 +11,8 @@ coordinates are taken in a Hermitian basis of the memory algebra.
 
 The module provides exact evaluation and dense marginals, constructors
 (AKLT family, product states, seeded Haar-random quantum-channel models,
-random finite chains), rank profiling of the induced bilinear form, and the
-JSON persistence format.
+weighted direct sums such as mixtures, random finite chains), rank
+profiling of the induced bilinear form, and the JSON persistence format.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "marginal_difference",
     "from_cstar",
     "product_realization",
+    "direct_sum",
     "aklt",
     "random_cstar",
     "stationary_state",
@@ -322,17 +323,10 @@ def marginal(r: Realization, t: int, basis: HermitianBasis | None = None) -> Den
 
 def marginal_difference(a: Realization, b: Realization, t: int,
                         basis: HermitianBasis) -> np.ndarray:
-    """Dense difference of the t-site marginals of two realizations.
-
-    It is one operator product of memory m_a + m_b: boundary [rho_a, -rho_b],
-    letters blockdiag(kappa_a, kappa_b) and boundary [e_a; e_b].
-    """
-    ma = a.m
-    kappa = np.zeros((a.kappa.shape[0], ma + b.m, ma + b.m))
-    kappa[:, :ma, :ma] = a.kappa
-    kappa[:, ma:, ma:] = b.kappa
-    return dense_product(np.concatenate([a.rho, -b.rho]), [kappa] * t,
-                         np.concatenate([a.e, b.e]), basis)
+    """Dense difference of the t-site marginals of two realizations, the
+    operator product of their direct sum with weights (1, -1)."""
+    r = direct_sum([a, b], [1.0, -1.0])
+    return dense_product(r.rho, [r.kappa] * t, r.e, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +382,24 @@ def product_realization(site_state, basis: HermitianBasis) -> Realization:
     phi = np.array([np.trace(site_state @ g).real for g in basis.elements])
     kappa = phi.reshape(-1, 1, 1)
     return Realization(d_a=d, kappa=kappa, e=np.ones(1), rho=np.ones(1)).validate()
+
+
+def direct_sum(parts: list[Realization], weights: list[float]) -> Realization:
+    """Realization of the weighted sum sum_i w_i omega_i of the parts' states:
+    kappa = blockdiag(kappa_i), rho = concat(w_i rho_i), e = concat(e_i).
+
+    Weights of a mixture, summing to 1, give a state; weights (1, -1) give
+    the difference of two states.  The result is not validated.
+    """
+    d_a = parts[0].d_a
+    m = sum(p.m for p in parts)
+    kappa = np.zeros((d_a ** 2, m, m))
+    at = 0
+    for p in parts:
+        kappa[:, at:at + p.m, at:at + p.m] = p.kappa
+        at += p.m
+    rho = np.concatenate([w * p.rho for p, w in zip(parts, weights, strict=True)])
+    return Realization(d_a=d_a, kappa=kappa, e=np.concatenate([p.e for p in parts]), rho=rho)
 
 
 def aklt(theta: float = AKLT_THETA) -> CStarRealization:
@@ -476,7 +488,7 @@ def random_chain(n_sites: int, d_a: int, d_b: int, seed: int,
 # rank profiling
 # ---------------------------------------------------------------------------
 
-def rank_profile(r: Realization, basis: HermitianBasis, max_block: int) -> np.ndarray:
+def rank_profile(r: Realization, max_block: int) -> np.ndarray:
     """Numerical ranks of the block bilinear forms.
 
     Entry [i-1, j-1] is the rank (cutoff ``RANK_RTOL * sigma_1``) of the matrix

@@ -103,16 +103,23 @@ SHOT_CFG = {**{k: v for k, v in AKLT_CFG.items() if k != "epsilons"},
             "output": "shots.csv"}
 
 
+def mixture(xi, base=None):
+    return {"kind": "mixture", "base": base or {"kind": "aklt"}, "xi": xi}
+
+
+MIXTURE_CFG = dict(AKLT_CFG, model=mixture(0.1), output="mixture.csv")
+
+
 def sweep_config(name):
     """(command, config) of a small sweep of each command the sweep engine
-    runs, and of aklt's shot-noise path."""
+    runs, of aklt's shot-noise path and of aklt on a mixture."""
     return {"aklt": ("aklt", AKLT_CFG),
-            "robustness": ("robustness", dict(AKLT_CFG, xis=[0.0, 0.1])),
+            "mixture": ("aklt", MIXTURE_CFG),
             "nonhomog": ("nonhomog", NONHOMOG_CFG),
             "shot_multinomial": ("aklt", SHOT_CFG)}[name]
 
 
-@pytest.mark.parametrize("name", ["aklt", "robustness", "nonhomog", "shot_multinomial"])
+@pytest.mark.parametrize("name", ["aklt", "mixture", "nonhomog", "shot_multinomial"])
 def test_sweep_rerun_byte_identical(tmp_path, name):
     command, cfg = sweep_config(name)
     out1 = run_cli(tmp_path, command, cfg, out="run1")
@@ -131,6 +138,12 @@ def test_shot_sweep_workers_byte_identical(tmp_path):
     seq = run_cli(tmp_path, "aklt", SHOT_CFG, out="seq")
     par = run_cli(tmp_path, "aklt", dict(SHOT_CFG, workers=2), out="par")
     assert (seq / "shots.csv").read_bytes() == (par / "shots.csv").read_bytes()
+
+
+def test_mixture_sweep_workers_byte_identical(tmp_path):
+    seq = run_cli(tmp_path, "aklt", MIXTURE_CFG, out="seq")
+    par = run_cli(tmp_path, "aklt", dict(MIXTURE_CFG, workers=2), out="par")
+    assert (seq / "mixture.csv").read_bytes() == (par / "mixture.csv").read_bytes()
 
 
 def test_shot_trial_estimates_one_marginal(tmp_path, monkeypatch):
@@ -463,41 +476,51 @@ def test_cmd_lemma_check_report(tmp_path):
 
 @pytest.mark.parametrize("d, s", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_maximally_mixed_omega_closed_form(d, s):
+    # the maximally mixed state's Omega data has one coefficient, 1/d^k on
+    # k = 2s+1 sites at the identity word; a mixture's Omega data is the
+    # mixture of its parts' data
     k = 2 * s + 1
-    mm = fcs.DensityMatrix(matrix=np.eye(d ** k, dtype=complex) / d ** k, dim=d, sites=k)
-    ref = spectral.build_omega_from_marginal(mm, gellmann(d))
-    got = cli._maximally_mixed_omega(d, s)
-    for field in ("omega", "omega_dot", "omega_one", "tau_omega"):
-        a, b = getattr(got, field), getattr(ref, field)
-        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-15, field
+    c = np.zeros(d ** (2 * k))
+    c[0] = d ** (-k / 2)
+    mm = spectral.omega_data_from_coefficients(c, d_a=d, s=s)
+    base = {"kind": "random", "d_a": d, "d_b": 2, "seed": 3}
+    _, r, _ = cli._build_model(base, "aklt.model")
+    od = spectral.build_omega(r, gellmann(d), s, s)
+    for xi in (0.01, 0.1):
+        _, mix, _ = cli._build_model(mixture(xi, base), "aklt.model")
+        got = spectral.build_omega(mix, gellmann(d), s, s)
+        for field in ("omega", "omega_dot", "omega_one", "tau_omega"):
+            x, y, z = getattr(got, field), getattr(od, field), getattr(mm, field)
+            assert x.shape == y.shape == z.shape, field
+            assert np.abs(x - ((1 - xi) * y + xi * z)).max() <= 1e-15, field
 
 
-def test_cmd_robustness_xi_zero_matches_aklt(tmp_path):
-    base = dict(AKLT_CFG, epsilons=[1e-3], trials=2, output="a.csv")
-    rob = dict(base, xis=[0.0, 0.1, 0.2], output="r.csv")
-    out_a = run_cli(tmp_path, "aklt", base, out="a")
-    out_r = run_cli(tmp_path, "robustness", rob, out="r")
-    rows_a = read_rows(out_a / "a.csv")
-    rows_r = read_rows(out_r / "r.csv")
-    zero = [r for r in rows_r if "mix(xi=0)" in r["model"]]
-    assert len(zero) == len(rows_a)
-    for ra, rr in zip(rows_a, zero):
-        assert rr["trace_distance"] == ra["trace_distance"]
-
-    def mean_td(xi, t):
-        vals = [float(r["trace_distance"]) for r in rows_r
-                if f"mix(xi={xi:g})" in r["model"] and int(r["sites"]) == t]
-        assert vals
-        return float(np.mean(vals))
-
-    eps = 1e-3
-    for t in (2, 3):
-        # degradation is O(xi + eps): bounded by a per-site constant and
-        # roughly linear between the two mixing levels
-        assert mean_td(0.0, t) < mean_td(0.1, t) < mean_td(0.2, t)
-        assert mean_td(0.2, t) <= 0.6 * t * (0.2 + eps)
-        ratio = mean_td(0.2, t) / mean_td(0.1, t)
-        assert 1.6 <= ratio <= 2.4
+def test_cmd_aklt_on_mixture(tmp_path):
+    # at xi = 0 the base model's numbers
+    cfg = dict(AKLT_CFG, epsilons=[1e-3])
+    rows_a = read_rows(run_cli(tmp_path, "aklt", cfg, out="a") / "aklt.csv")
+    rows_0 = read_rows(run_cli(tmp_path, "aklt", dict(cfg, model=mixture(0.0)), out="m0")
+                       / "aklt.csv")
+    assert [r["model"] for r in rows_0] == ["aklt(theta=0.61548)+mix(xi=0)"] * len(rows_a)
+    for ra, r0 in zip(rows_a, rows_0):
+        assert float(r0["trace_distance"]) == pytest.approx(float(ra["trace_distance"]),
+                                                            rel=1e-10)
+    # TD is measured to the mixture: at block size 2 its fifth direction is
+    # visible, rank 5 learns the mixture and rank 4 misses it by about sigma_5
+    cfg = dict(cfg, model=mixture(0.1), block_size=2, epsilons=[1e-4], sites=[2, 3])
+    for rank, ok in ((5, lambda td: td < 1e-3), (4, lambda td: td > 1e-2)):
+        trunc = {"mode": "rank", "value": rank}
+        out = run_cli(tmp_path, "aklt", dict(cfg, truncation=trunc), out=f"rank{rank}")
+        rows = read_rows(out / "aklt.csv")
+        assert len(rows) == 4 and all(ok(float(r["trace_distance"])) for r in rows), rank
+    # shot noise samples the mixture's marginal
+    rows = read_rows(run_cli(tmp_path, "aklt", dict(SHOT_CFG, model=mixture(0.1)), out="shot")
+                     / "shots.csv")
+    assert len(rows) == 8 and {r["model"] for r in rows} == {"aklt(theta=0.61548)+mix(xi=0.1)"}
+    rows = read_rows(run_cli(tmp_path, "rank-scan", {"model": mixture(0.1), "max_block": 2},
+                             out="scan") / "rank_scan.csv")
+    ranks = {(int(r["left_block"]), int(r["right_block"])): int(r["rank"]) for r in rows}
+    assert ranks == {(1, 1): 4, (1, 2): 4, (2, 1): 4, (2, 2): 5}
 
 
 def aklt_with(**changes):
@@ -576,9 +599,6 @@ def reconstruct_with(marginals, **changes):
     (*aklt_with(svg="sweep.svg"), "ValueError: aklt: unknown keys ['svg']"),
     (*aklt_with(bound_variant="cstr"),
      "ValueError: aklt.bound_variant: expected one of ['general', 'cstar'], got \"cstr\""),
-    ("robustness", json.dumps(dict(AKLT_CFG, xis=[0.0], bound_variant="cstr")),
-     "ValueError: robustness.bound_variant: expected one of ['general', 'cstar'], "
-     "got \"cstr\""),
     (*chain_with(n_sites=1), "ValueError: nonhomog.chain.n_sites: 1 is outside [2, inf]"),
     (*chain_with(d_a=1), "ValueError: nonhomog.chain.d_a: 1 is outside [2, inf]"),
     (*chain_with(d_b=0), "ValueError: nonhomog.chain.d_b: 0 is outside [1, inf]"),
@@ -615,10 +635,14 @@ def reconstruct_with(marginals, **changes):
     (*nonhomog_with(rank_tol=-1), "ValueError: nonhomog: unknown keys ['rank_tol']"),
     ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "tol": -1e-9}),
      "ValueError: rank-scan: unknown keys ['tol']"),
-    ("robustness", json.dumps(dict(AKLT_CFG, xis=[2.0, -0.5])),
-     "ValueError: robustness.xis[0]: 2.0 is outside [0, 1]"),
-    ("robustness", json.dumps(dict(AKLT_CFG, xis=[0.0, -0.5])),
-     "ValueError: robustness.xis[1]: -0.5 is outside [0, 1]"),
+    (*aklt_with(model=mixture(1.5)), "ValueError: aklt.model(mixture).xi: 1.5 is outside [0, 1]"),
+    (*aklt_with(model=mixture(-0.5)),
+     "ValueError: aklt.model(mixture).xi: -0.5 is outside [0, 1]"),
+    (*aklt_with(model={"kind": "mixture", "xi": 0.1}),
+     "ValueError: aklt.model(mixture).base: required key is missing"),
+    (*aklt_with(model=mixture(0.1, base=mixture(0.1))),
+     "ValueError: aklt.model(mixture).base.kind: expected one of ['aklt', 'product', 'random'], "
+     "got \"mixture\""),
     (*lemma_with(noise_factors=[5.0]),
      "ValueError: lemma-check.noise_factors[0]: 5.0 is outside [0, 1]"),
     (*lemma_with(noise_factors=[-0.1]),
@@ -639,8 +663,6 @@ def reconstruct_with(marginals, **changes):
     (*reconstruct_with("list.json", pinv_tol=-1),
      "ValueError: reconstruct: unknown keys ['pinv_tol']"),
     (*aklt_with(dense_cap=100), "ValueError: aklt: unknown keys ['dense_cap']"),
-    ("robustness", json.dumps(dict(AKLT_CFG, xis=[0.0], dense_cap=100)),
-     "ValueError: robustness: unknown keys ['dense_cap']"),
     ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "dense_cap": 100}),
      "ValueError: rank-scan: unknown keys ['dense_cap']"),
     (*nonhomog_with(dense_cap=100), "ValueError: nonhomog: unknown keys ['dense_cap']"),
@@ -654,7 +676,7 @@ def reconstruct_with(marginals, **changes):
         "negative-trials", "zero-block-size", "list-marginals-file", "nan-tol",
         "nan-slack", "nan-pinv-tol", "nan-marginal-entry", "infinite-epsilon-prime",
         "unknown-noise-mode", "ragged-marginal-matrix", "unknown-svg-key",
-        "unknown-bound-variant", "unknown-robustness-bound-variant", "one-site-chain",
+        "unknown-bound-variant", "one-site-chain",
         "chain-site-dim-1", "chain-memory-dim-0", "negative-chain-seed",
         "negative-nonhomog-seed", "random-site-dim-1", "random-memory-dim-0",
         "negative-random-seed", "negative-seed", "zero-shots", "zero-workers",
@@ -663,10 +685,11 @@ def reconstruct_with(marginals, **changes):
         "negative-epsilon", "negative-epsilon-prime", "negative-nonhomog-epsilon",
         "zero-truncation-rank", "zero-threshold", "negative-threshold",
         "negative-rank-tol", "negative-rank-scan-tol", "xi-above-one", "negative-xi",
+        "mixture-missing-base", "nested-mixture",
         "noise-factor-above-one", "negative-noise-factor", "chain-over-dense-cap",
         "rank-scan-over-dense-cap", "reconstruct-sites-over-dense-cap",
         "shot-marginal-over-dense-cap", "block-size-over-dense-cap", "negative-pinv-tol",
-        "aklt-dense-cap-key", "robustness-dense-cap-key", "rank-scan-dense-cap-key",
+        "aklt-dense-cap-key", "rank-scan-dense-cap-key",
         "nonhomog-dense-cap-key", "reconstruct-dense-cap-key", "zero-product-state"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
@@ -745,13 +768,6 @@ def test_log_level_applies_on_every_call(tmp_path, caplog):
             assert "INFO" in levels
     finally:
         logging.getLogger("fcs_spectral").setLevel(logging.NOTSET)
-
-
-def test_cmd_robustness_requires_xis(tmp_path):
-    cfg_path = write_config(tmp_path, "r.json", dict(AKLT_CFG))
-    rc = cli.main(["robustness", "--config", str(cfg_path), "--out", str(tmp_path),
-                   "--log-level", "error"])
-    assert rc == 2
 
 
 def test_cmd_reconstruct_roundtrip(tmp_path, aklt_realization, basis3):

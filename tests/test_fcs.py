@@ -207,9 +207,9 @@ def test_marginal_cap_enforced(aklt_realization):
         marginal(aklt_realization, 8)
 
 
-def test_rank_profile_cap_enforced(aklt_realization, basis3):
+def test_rank_profile_cap_enforced(aklt_realization):
     with pytest.raises(ValueError, match="cap"):
-        rank_profile(aklt_realization, basis3, 5)
+        rank_profile(aklt_realization, 5)
 
 
 def test_chain_state_cap_enforced(basis2):
@@ -223,21 +223,21 @@ def test_chain_state_cap_enforced(basis2):
 
 def test_rank_profile_product_state(basis2):
     r = product_realization(np.diag([0.7, 0.3]).astype(complex), basis2)
-    profile = rank_profile(r, basis2, 3)
+    profile = rank_profile(r, 3)
     assert np.all(profile == 1)
     assert t_star(profile) == (1, 1)
 
 
-def test_rank_profile_aklt(aklt_realization, basis3):
-    profile = rank_profile(aklt_realization, basis3, 2)
+def test_rank_profile_aklt(aklt_realization):
+    profile = rank_profile(aklt_realization, 2)
     assert profile[0, 0] == 4
     assert np.all(profile == 4)
     assert t_star(profile) == (1, 1)
 
 
-def test_rank_profile_random_monotone(basis2):
+def test_rank_profile_random_monotone():
     r = from_cstar(random_cstar(2, 2, 12))
-    profile = rank_profile(r, basis2, 3)
+    profile = rank_profile(r, 3)
     assert profile[-1, -1] <= r.m
     assert np.all(np.diff(profile, axis=0) >= 0)
     assert np.all(np.diff(profile, axis=1) >= 0)

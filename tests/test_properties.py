@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcs_spectral.fcs import (ChainRealization, DensityMatrix, Realization, marginal,
-                              marginal_difference, word_rows)
+from fcs_spectral.fcs import (ChainRealization, DensityMatrix, Realization, direct_sum,
+                              marginal, marginal_difference, word_rows)
 from fcs_spectral.opbasis import expand_in_basis, gellmann
 from fcs_spectral.spectral import build_omega_from_marginal
 from oracles import (assemble_from_coefficients, chain_coefficients, evaluate_word,
@@ -128,14 +128,19 @@ def test_dense_product_matches_coefficient_assembly(seed, d_a, m, t):
 
 @SETTINGS
 @given(seed=seeds, d_a=st.integers(2, 3), m_a=st.integers(1, 4), m_b=st.integers(1, 4),
-       t=st.integers(1, 5))
-def test_marginal_difference_is_difference_of_marginals(seed, d_a, m_a, m_b, t):
+       t=st.integers(1, 5), w_a=st.floats(-2.0, 2.0), w_b=st.floats(-2.0, 2.0))
+def test_marginal_difference_is_difference_of_marginals(seed, d_a, m_a, m_b, t, w_a, w_b):
+    # and the marginal of a weighted direct sum is the weighted sum of marginals
     rng = np.random.default_rng(seed)
     a, b = random_realization(rng, d_a, m_a), random_realization(rng, d_a, m_b)
     basis = gellmann(d_a)
     ma, mb = assembled_marginal(a, t, basis), assembled_marginal(b, t, basis)
+    scale = max(max_abs(ma), max_abs(mb))
     got = marginal_difference(a, b, t, basis)
-    assert np.abs(got - (ma - mb)).max() <= 1e-13 * max(max_abs(ma), max_abs(mb))
+    assert np.abs(got - (ma - mb)).max() <= 1e-13 * scale
+    got = marginal(direct_sum([a, b], [w_a, w_b]), t, basis).matrix
+    tol = 1e-13 * max(abs(w_a) + abs(w_b), 1.0) * scale
+    assert np.abs(got - (w_a * ma + w_b * mb)).max() <= tol
 
 
 @SETTINGS
@@ -170,7 +175,7 @@ def test_basis_expansion_round_trips(seed, d, sites):
 @given(seed=seeds, ds=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
        a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
 def test_omega_data_linear_in_marginals(seed, ds, a, b):
-    # the robustness command mixes Omega data instead of marginals
+    # so the Omega data of a mixture is the mixture of the parts' Omega data
     rng = np.random.default_rng(seed)
     d, s = ds
     basis = gellmann(d)

@@ -162,7 +162,7 @@ def test_block_size_must_reach_stabilized_rank(basis2):
     from fcs_spectral.fcs import marginal_difference, rank_profile, t_star
 
     r = from_cstar(random_cstar(2, 3, 42))
-    profile = rank_profile(r, basis2, 3)
+    profile = rank_profile(r, 3)
     assert profile[0, 0] == 4 and profile[-1, -1] == 9
     assert t_star(profile) == (2, 2)
     od2 = build_omega(r, basis2, 2, 2)
