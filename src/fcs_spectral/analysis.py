@@ -41,7 +41,7 @@ from .linalg import (
     svd,
     trace_norm_hermitian,
 )
-from .spectral import OmegaData, SvdTruncation, _realize, truncate
+from .spectral import ChainOmegaData, OmegaData, SvdTruncation, _realize, truncate
 
 __all__ = [
     "VARIANTS",
@@ -57,6 +57,7 @@ __all__ = [
     "difference_distances",
     "error_propagation_bound",
     "surrogate_parameters",
+    "chain_bound",
     "precision_budget",
     "sigma_m",
     "check_singular_value_perturbation",
@@ -163,15 +164,35 @@ def surrogate_parameters(od_exact: OmegaData, od_noisy: OmegaData, sigma: float,
     d_dot = frobenius_norm(od_noisy.omega_dot - od_exact.omega_dot)
     d_one = frobenius_norm(od_noisy.omega_one - od_exact.omega_one)
     d_tau = frobenius_norm(od_noisy.tau_omega - od_exact.tau_omega)
-    sqrt_da = math.sqrt(od_exact.d_a)
     delta_1 = 4.0 * (d_omega / sigma ** 2 + d_tau / (3.0 * sigma))
     delta_inf = 2.0 * d_one / (math.sqrt(3.0) * sigma)
     if variant == "cstar":
         delta_inf *= math.sqrt(scale)
-    delta_cap = (8.0 * scale * sqrt_da / (math.sqrt(3.0) * sigma)) * (
+    delta_cap = _delta_surrogate(od_exact.d_a, scale, sigma, sigma, d_omega, d_dot)
+    return ErrorParameters(delta_1=delta_1, delta_inf=delta_inf, delta_cap=delta_cap)
+
+
+def _delta_surrogate(d_a, scale, sigma_in, sigma, d_omega, d_dot) -> float:
+    """The module docstring's Delta surrogate, for maps learned in a frame of
+    width ``scale`` and sigma_m ``sigma_in`` from a form of sigma_m ``sigma``."""
+    return (8.0 * scale * math.sqrt(d_a) / (math.sqrt(3.0) * sigma_in)) * (
         d_omega / sigma ** 2 + d_dot / (3.0 * sigma)
     )
-    return ErrorParameters(delta_1=delta_1, delta_inf=delta_inf, delta_cap=delta_cap)
+
+
+def chain_bound(cod: ChainOmegaData, cod_hat: ChainOmegaData, ranks: list[int],
+                sigmas: list[float]) -> float:
+    """(1 + Delta')^N - 1 with the per-site surrogate for Delta', from the
+    exact ranks and sigma_m of the window forms at sites 1..N-1.  Site j's
+    frame is window j - 1's (m = sigma = 1 at site 1) and its form window
+    j's; site N has none, and keeps window N - 1's sigma without dOmega."""
+    n = cod.n_sites
+    m_in, sig_in, sig = [1, *ranks], [1.0, *sigmas], [*sigmas, sigmas[-1]]
+    delta = max(_delta_surrogate(
+        cod.d_a, m_in[j - 1], sig_in[j - 1], sig[j - 1],
+        frobenius_norm(cod_hat.omegas[j] - cod.omegas[j]) if j < n else 0.0,
+        frobenius_norm(cod_hat.omega_dots[j] - cod.omega_dots[j])) for j in range(1, n + 1))
+    return error_propagation_bound(ErrorParameters(0.0, 0.0, delta), n)
 
 
 @dataclass

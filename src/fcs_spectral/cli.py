@@ -61,8 +61,7 @@ with _environ(OPENBLAS_NUM_THREADS="1"):
     import numpy as np
 
 from . import analysis, fcs, noise, spectral
-from .linalg import (RANK_RTOL, blas_info, blas_threads, frobenius_norm, numerical_rank,
-                     singular_values)
+from .linalg import RANK_RTOL, blas_info, blas_threads, numerical_rank, singular_values
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
@@ -509,7 +508,7 @@ def _run_chain_trial(task):
     recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
     diff = recon.state(ctx["basis"]).matrix
     diff -= ctx["exact"]
-    bound = _nonhomog_bound(cod, cod_hat, ranks, ctx["sigmas"])
+    bound = analysis.chain_bound(cod, cod_hat, ranks, ctx["sigmas"])
     return [_sweep_row((eps_idx, trial), ctx["model_id"], cod.n_sites, eps, trial, diff,
                        min(ctx["sigmas"]), max(ranks), bound, t0)]
 
@@ -517,29 +516,6 @@ def _run_chain_trial(task):
 def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["nonhomog"], "nonhomog")
     return _run_sweep(*_prepare_chain_context(cfg), _run_chain_trial, 1, out_dir / cfg["output"])
-
-
-def _nonhomog_bound(cod, cod_hat, ranks, sigmas) -> float:
-    """(1 + Delta')^N - 1 with the per-site 2-norm surrogate for Delta'.
-
-    ``ranks`` and ``sigmas`` are the exact per-site ranks and sigma_m of the
-    window forms at sites 1..N-1.  Interior sites use the printed surrogate;
-    at the ends, where a window form is missing, the nearest defined
-    window's constants stand in (m = sigma = 1 before site 1).
-    """
-    n, sq3, sqd = cod.n_sites, math.sqrt(3.0), math.sqrt(cod.d_a)
-    m_prev, sig_prev = [1, *ranks], [1.0, *sigmas]
-    terms = []
-    for j in range(1, n + 1):
-        d_dot = frobenius_norm(cod_hat.omega_dots[j] - cod.omega_dots[j])
-        if j < n:
-            sig_j = sigmas[j - 1]
-            d_om = frobenius_norm(cod_hat.omegas[j] - cod.omegas[j])
-            inner = d_om / sig_j ** 2 + d_dot / (3.0 * sig_j)
-        else:
-            inner = d_dot / (3.0 * sigmas[n - 2])
-        terms.append((8.0 * m_prev[j - 1] * sqd / (sq3 * sig_prev[j - 1])) * inner)
-    return analysis.error_propagation_bound(analysis.ErrorParameters(0.0, 0.0, max(terms)), n)
 
 
 # ---------------------------------------------------------------------------

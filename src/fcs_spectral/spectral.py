@@ -13,10 +13,10 @@ Translation-invariant path
        as a :class:`~fcs_spectral.fcs.Realization`, whose words
        rho_hat K_hat ... K_hat e_hat are the reconstructed marginals.
 
-Non-homogeneous path: per-site window forms Omega^{[i,j,k]} with the
-asymmetric boundary maps; see :func:`nonhomog_reconstruct`.  Both forms of
-site j are slices of one window marginal, so an n-site chain is learned
-from n marginals of at most l + r + 1 sites (:func:`build_chain_omega`).
+Non-homogeneous path: per-site window forms Omega^{[i,j,k]}, each site
+learned by step 3 (:func:`nonhomog_reconstruct`).  Both forms of site j
+are slices of one window marginal, so an n-site chain is learned from n
+marginals of at most l + r + 1 sites (:func:`build_chain_omega`).
 
 Estimates are generally neither stationary nor positive semidefinite, so
 they are not validated.
@@ -153,14 +153,28 @@ def truncate(omega, rank: int | None = None, threshold: float | None = None) -> 
                          discarded=s[keep:].copy())
 
 
+def _projected_pinv(u_hat: np.ndarray, omega: np.ndarray):
+    """SVD of B = U^T Omega and B^+.  A B of numerical rank below the frame's
+    width would have a kept direction inverted as zero, so it is refused."""
+    b_svd = svd(u_hat.T @ omega)
+    if numerical_rank(b_svd.s, PINV_RTOL) < u_hat.shape[1]:
+        raise ValueError("rank-deficient projected Omega")
+    return b_svd, b_svd.pinv()
+
+
+def _maps(u_in: np.ndarray, omega_dot: np.ndarray, b_pinv: np.ndarray) -> np.ndarray:
+    """Transition maps K_a = U_in^T Omega_a B^+, stacked on the first axis."""
+    # the path optimize=True finds for square forms (U_in first), fixed to skip the search
+    return np.einsum("lj,alk,kr->ajr", u_in, omega_dot, b_pinv,
+                     optimize=["einsum_path", (0, 1), (0, 1)])
+
+
 def _realize(od: OmegaData, u_hat: np.ndarray):
     """e = U^T Omega(1), rho = (tau Omega) B^+ and K_a = U^T Omega_a B^+ with
     B = U^T Omega; returns the realization and the SVD of B."""
-    b_svd = svd(u_hat.T @ od.omega)
-    b_pinv = b_svd.pinv()
-    kappa = np.einsum("lj,alk,kr->ajr", u_hat, od.omega_dot, b_pinv, optimize=True)
-    r = Realization(d_a=od.d_a, kappa=kappa, e=u_hat.T @ od.omega_one,
-                    rho=od.tau_omega @ b_pinv)
+    b_svd, b_pinv = _projected_pinv(u_hat, od.omega)
+    r = Realization(d_a=od.d_a, kappa=_maps(u_hat, od.omega_dot, b_pinv),
+                    e=u_hat.T @ od.omega_one, rho=od.tau_omega @ b_pinv)
     return r, b_svd
 
 
@@ -169,11 +183,10 @@ def spectral_realization(od: OmegaData, tr: SvdTruncation) -> Realization:
     if tr.u_hat.shape[0] != od.omega.shape[0]:
         raise ValueError("truncation frame does not match the Omega row space")
     r, b_svd = _realize(od, tr.u_hat)
-    sv_b = b_svd.s
     r.diagnostics = {
         "sigma_m_hat": float(tr.retained[-1]),
         "rank": tr.rank,
-        "cond_utomega": float(sv_b[0] / sv_b[-1]) if sv_b[-1] > 0 else float("inf"),
+        "cond_utomega": float(b_svd.s[0] / b_svd.s[-1]),
         "discarded_max": float(tr.discarded[0]) if tr.discarded.size else 0.0,
     }
     return r
@@ -233,41 +246,26 @@ def nonhomog_reconstruct(cod: ChainOmegaData, ranks: list[int] | None = None,
     """Spectral reconstruction of a finite chain from window form estimates.
 
     Per-site ranks are either given (list of length N-1 for sites 1..N-1)
-    or resolved by the singular value threshold.  Boundary maps follow the
-    asymmetric formulas: site 1 has no left frame, site N no pseudoinverse.
+    or resolved by the singular value threshold.  Site j's maps are
+    U_{j-1}^T Omega_a^{[j]} (U_j^T Omega^{[j]})^+, with a 1x1 frame left of
+    site 1 and a 1x1 inverse right of site N.
     """
     n = cod.n_sites
     if ranks is not None and len(ranks) != n - 1:
         raise ValueError(f"expected {n - 1} per-site ranks, got {len(ranks)}")
-    if (ranks is None) == (threshold is None):
-        raise ValueError("specify exactly one of ranks or threshold")
-    frames: dict[int, np.ndarray] = {}
+    frames, pinvs = [np.ones((1, 1))], []
     for j in range(1, n):
         try:
-            if ranks is not None:
-                tr = truncate(cod.omegas[j], rank=ranks[j - 1])
-            else:
-                tr = truncate(cod.omegas[j], threshold=threshold)
+            tr = truncate(cod.omegas[j], rank=None if ranks is None else ranks[j - 1],
+                          threshold=threshold)
         except ValueError as exc:
             raise ValueError(f"truncation failed at site {j}: {exc}") from exc
-        frames[j] = tr.u_hat
-
-    def projected_pinv(j: int) -> np.ndarray:
-        b_svd = svd(frames[j].T @ cod.omegas[j])
-        if numerical_rank(b_svd.s, PINV_RTOL) < b_svd.s.size:
-            raise ValueError(f"rank-deficient projected Omega at site {j}")
-        return b_svd.pinv()
-
-    k_maps: list[np.ndarray] = []
-    # site 1: (d^2, 1, m_1)
-    k1 = np.einsum("alr,rq->alq", cod.omega_dots[1], projected_pinv(1))
-    k_maps.append(k1)
-    for j in range(2, n):
-        kj = np.einsum(
-            "lp,alr,rq->apq", frames[j - 1], cod.omega_dots[j], projected_pinv(j)
-        )
-        k_maps.append(kj)
-    # site N: (d^2, m_{N-1}, 1)
-    kn = np.einsum("lp,alr->apr", frames[n - 1], cod.omega_dots[n])
-    k_maps.append(kn)
+        try:
+            pinvs.append(_projected_pinv(tr.u_hat, cod.omegas[j])[1])
+        except ValueError as exc:
+            raise ValueError(f"{exc} at site {j}") from exc
+        frames.append(tr.u_hat)
+    pinvs.append(np.ones((1, 1)))
+    k_maps = [_maps(u, cod.omega_dots[j], b_pinv)
+              for j, (u, b_pinv) in enumerate(zip(frames, pinvs), start=1)]
     return ChainRealization(d_a=cod.d_a, k_maps=k_maps)

@@ -16,6 +16,7 @@ from fcs_spectral.analysis import (
     CheckReport,
     ErrorParameters,
     PreconditionError,
+    chain_bound,
     check_singular_subspace_stability,
     difference_distances,
     error_propagation_bound,
@@ -29,9 +30,9 @@ from fcs_spectral.analysis import (
     surrogate_parameters,
     trace_distance,
 )
-from fcs_spectral.fcs import from_cstar, random_cstar
+from fcs_spectral.fcs import from_cstar, random_chain, random_cstar
 from fcs_spectral.noise import make_rng, perturb_omega_data, spawn_rng
-from fcs_spectral.spectral import build_omega, truncate
+from fcs_spectral.spectral import build_chain_omega, build_omega, truncate
 from oracles import assemble_from_coefficients
 
 
@@ -379,6 +380,22 @@ def test_surrogate_parameters_bits_independent_of_blas_threads():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 20
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("site, bits", [
+    (1, "0x1.ab787c55aa998p-1"), (2, "0x1.ed5378480b02fp+9"), (4, "0x1.aea69cc61b2a4p+0"),
+])
+def test_chain_bound_bits(basis2, site, bits):
+    # recorded before the chain bound moved into analysis.  A deviation at
+    # one site alone makes its term the maximum: site 1 takes m = sigma = 1
+    # on its frame side, and site n = 4 has no window form
+    cod = build_chain_omega(random_chain(4, 2, 2, 3).state(basis2), basis2, 2, 2)
+    sigmas = [sigma_m(cod.omegas[j], 4) for j in range(1, 4)]
+    cod_hat = dataclasses.replace(cod, omegas=dict(cod.omegas), omega_dots=dict(cod.omega_dots))
+    cod_hat.omega_dots[site] = cod.omega_dots[site] + 1e-4
+    if site < 4:
+        cod_hat.omegas[site] = cod.omegas[site] + 1e-4
+    assert chain_bound(cod, cod_hat, [4, 4, 4], sigmas).hex() == bits
 
 
 def test_report_serializes_to_json(aklt_omega, aklt_frame):

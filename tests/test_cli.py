@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcs_spectral import cli, fcs, linalg, spectral
+from fcs_spectral import analysis, cli, fcs, linalg, spectral
 from fcs_spectral.fcs import load_realization, marginal, realization_from_dict
 from fcs_spectral.opbasis import gellmann
 from oracles import assemble_from_coefficients, evaluate_word
@@ -432,8 +432,16 @@ def test_cmd_nonhomog_exact_and_noisy(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_cmd_nonhomog_bound_bits(tmp_path):
+    # recorded before the chain bound moved into analysis; every trial
+    # perturbs at the same Frobenius distance, so the bound repeats
+    rows = read_rows(run_cli(tmp_path, "nonhomog", NONHOMOG_CFG) / "chain.csv")
+    assert [r["bound_surrogate"] for r in rows] == (
+        ["0.000000000000e+00"] * 2 + ["4.103454257728e+00"] * 2)
+
+
 def test_cmd_nonhomog_warns_once_per_row_over_bound(tmp_path, caplog, monkeypatch):
-    monkeypatch.setattr(cli, "_nonhomog_bound", lambda *args: 0.0)
+    monkeypatch.setattr(analysis, "chain_bound", lambda *args: 0.0)
     out = run_cli(tmp_path, "nonhomog", dict(NONHOMOG_CFG, epsilons=[1e-4]))
     assert len(read_rows(out / "chain.csv")) == 2
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
@@ -868,6 +876,28 @@ def test_cmd_reconstruct_missing_marginal(tmp_path, caplog, aklt_realization, ba
                    "--log-level", "error"])
     assert rc == 2
     assert "input lacks the 3-site marginal" in caplog.records[0].getMessage()
+
+
+@pytest.mark.parametrize("command", ["aklt", "reconstruct"])
+def test_rank_deficient_projected_omega_exits_2(tmp_path, caplog, aklt_realization, basis3,
+                                                command):
+    # threshold 1e-20 keeps 8 directions of the exact rank-4 Omega; both
+    # learners refuse the four that the inversion would drop
+    truncation = {"mode": "threshold", "value": 1e-20}
+    if command == "aklt":
+        cfg = dict(AKLT_CFG, truncation=truncation, epsilons=[0.0])
+    else:
+        cli.save_marginals(tmp_path / "marginals.json", 3,
+                           {3: marginal(aklt_realization, 3, basis3)})
+        cfg = {"input": str(tmp_path / "marginals.json"), "block_size": 1,
+               "truncation": truncation}
+    rc = cli.main([command, "--config", str(write_config(tmp_path, "cfg.json", cfg)),
+                   "--out", str(tmp_path / "out"), "--log-level", "error"])
+    assert rc == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "ValueError: rank-deficient projected Omega"]
+    assert all(r.exc_info is None for r in caplog.records)
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_cmd_reconstruct_reads_only_the_odd_marginal(tmp_path, aklt_realization, basis3):

@@ -122,6 +122,16 @@ def test_truncate_rank_guard_is_the_inversion_cutoff():
     assert truncate(omega, rank=3).rank == 3
 
 
+def test_spectral_realization_rejects_rank_deficient_projected_omega(aklt_omega):
+    # threshold 1e-20 keeps 8 directions of the rank-4 exact Omega, four of
+    # them at or below the inversion cutoff: the realization refuses them
+    # rather than invert them as zero
+    tr = truncate(aklt_omega.omega, threshold=1e-20)
+    assert tr.rank == 8
+    with pytest.raises(ValueError, match="rank-deficient projected Omega"):
+        spectral_realization(aklt_omega, tr)
+
+
 def test_truncate_argument_validation(aklt_omega):
     with pytest.raises(ValueError):
         truncate(aklt_omega.omega)
