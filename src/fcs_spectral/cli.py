@@ -61,7 +61,8 @@ with _environ(OPENBLAS_NUM_THREADS="1"):
     import numpy as np
 
 from . import analysis, fcs, noise, spectral
-from .linalg import RANK_RTOL, blas_info, blas_threads, numerical_rank, singular_values
+from .linalg import (RANK_RTOL, blas_info, blas_threads, keep_heap, numerical_rank,
+                     singular_values)
 from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
@@ -303,7 +304,9 @@ _CTX: dict = {}  # the running sweep's context, read by the trial functions
 
 def _init_worker(ctx: dict, level: int):
     """Sets this process's sweep context.  A spawned pool worker starts with
-    unconfigured logging, so it first takes the caller's format and level."""
+    unconfigured logging and the default heap thresholds, so it first takes
+    the caller's format and level and keeps its heap as ``main`` does."""
+    keep_heap()
     logging.basicConfig(stream=sys.stderr, level=level, format=_LOG_FORMAT)
     log.setLevel(level)
     _CTX.clear()
@@ -424,10 +427,11 @@ def _run_ti_trial(task):
     sr = spectral.spectral_realization(od_hat, tr)
     params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"], ctx["scale"],
                                            variant=ctx["bound_variant"])
-    # each difference goes straight to its row, where the eigensolve overwrites it
+    diffs = fcs.marginal_difference(sr, ctx["exact"], ctx["sites"], ctx["basis"])
+    # each difference goes straight to its row, where the eigensolve overwrites
+    # it, and no name holds it while the next one is built
     return [
-        _sweep_row((sweep_idx, t_idx, trial), ctx["model_id"], t, eps_col, trial,
-                   fcs.marginal_difference(sr, ctx["exact"], t, ctx["basis"]),
+        _sweep_row((sweep_idx, t_idx, trial), ctx["model_id"], t, eps_col, trial, next(diffs),
                    sr.diagnostics["sigma_m_hat"], tr.rank,
                    analysis.error_propagation_bound(params, t), t0)
         for t_idx, t in enumerate(ctx["sites"])
@@ -722,9 +726,12 @@ def main(argv=None) -> int:
     # later in-process call sets its level on the package logger
     log.setLevel(level)
     log.debug("%s: config %s, output directory %s", args.command, args.config, args.out)
+    # freed trial workspaces stay in the heap for the next trial
+    heap = keep_heap()
     info = blas_info()
-    log.debug("start-up: nproc=%s threads_at_load=%s inherited=%s numpy=%s blas=%s",
+    log.debug("start-up: nproc=%s threads_at_load=%s inherited=%s numpy=%s heap=%s blas=%s",
               os.cpu_count(), info["threads_at_load"], info["inherited"], np.__version__,
+              "default" if heap is None else f"mmap:{heap['mmap']},trim:{heap['trim']}",
               info["blas"])
     out_dir = Path(args.out)
     try:

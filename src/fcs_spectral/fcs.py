@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,22 +268,30 @@ def dense_product(left, maps, right, basis: HermitianBasis) -> np.ndarray:
 
     with ``maps[k]`` of shape (d^2, p_k, q_k) in the Hermitian basis.  The
     letters of each distinct map are rotated to matrix units once, so a word
-    over them is one matrix entry; word rows grow from both ends, with their
-    row and column indices separated, and a matmul and a transpose give the
-    block matrix.  The correlation coefficients are never formed.  The matmul
-    runs over blocks of the left row index of at most ``_PRODUCT_CHUNK_BYTES``
-    each, written straight into the output, so the output is the one
-    full-size array; from ``linalg._THREADED_MIN_DIM`` output rows on it runs
-    at the inherited BLAS thread count (``blas_threads_for``).
+    over them is one matrix entry, and ``_unit_product`` multiplies them out.
+    The correlation coefficients are never formed.
     """
-    d, t = basis.dim, len(maps)
+    distinct = {id(k): k for k in maps}
+    rotated = {i: matrix_units(k, basis) for i, k in distinct.items()}
+    return _unit_product(left, [rotated[id(k)] for k in maps], right, basis.dim)
+
+
+def _unit_product(left, units, right, d: int) -> np.ndarray:
+    """``dense_product`` over letters already rotated to matrix units.
+
+    Word rows grow from both ends, with their row and column indices
+    separated, and a matmul and a transpose give the block matrix.  The
+    matmul runs over blocks of the left row index of at most
+    ``_PRODUCT_CHUNK_BYTES`` each, written straight into the output, so the
+    output is the one full-size array; from ``linalg._THREADED_MIN_DIM``
+    output rows on it runs at the inherited BLAS thread count
+    (``blas_threads_for``).
+    """
+    t = len(units)
     if t < 1:
         raise ValueError("t must be >= 1")
     if d ** t > DEFAULT_DENSE_CAP:
         raise ValueError(f"dense cap exceeded: {d}^{t} > {DEFAULT_DENSE_CAP}")
-    distinct = {id(k): k for k in maps}
-    rotated = {i: matrix_units(k, basis) for i, k in distinct.items()}
-    units = [rotated[id(k)] for k in maps]
     h = t // 2
     lefts = _split_rows(word_rows(left, units[:h])[-1], d, h)
     rights = _split_rows(word_rows(right, units[h:], from_right=True)[-1], d, t - h)
@@ -321,12 +330,20 @@ def marginal(r: Realization, t: int, basis: HermitianBasis | None = None) -> Den
     return DensityMatrix(matrix=matrix, dim=r.d_a, sites=t)
 
 
-def marginal_difference(a: Realization, b: Realization, t: int,
-                        basis: HermitianBasis) -> np.ndarray:
-    """Dense difference of the t-site marginals of two realizations, the
-    operator product of their direct sum with weights (1, -1)."""
+def marginal_difference(a: Realization, b: Realization, sizes,
+                        basis: HermitianBasis) -> Iterator[np.ndarray]:
+    """Dense differences of the t-site marginals of two realizations, one for
+    each t of ``sizes`` in order: the operator products of their direct sum
+    with weights (1, -1).
+
+    The direct sum and its matrix-unit letters are made once for all sizes.
+    A difference is built only when the next one is asked for, so a caller
+    that drops each before asking holds one at a time.
+    """
     r = direct_sum([a, b], [1.0, -1.0])
-    return dense_product(r.rho, [r.kappa] * t, r.e, basis)
+    units = matrix_units(r.kappa, basis)
+    for t in sizes:
+        yield _unit_product(r.rho, [units] * t, r.e, basis.dim)
 
 
 # ---------------------------------------------------------------------------

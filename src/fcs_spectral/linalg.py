@@ -24,7 +24,10 @@ bit-reproducible per seed.  Exempt from these rules:
   numpy offers no runtime thread control.  The CLI loads numpy's BLAS at one
   thread and runs its commands there, and ``blas_threads_for`` gives work on
   matrices of ``_THREADED_MIN_DIM`` rows or more the count the environment
-  gives OpenBLAS (``_INHERITED``).
+  gives OpenBLAS (``_INHERITED``);
+* ``_MALLOPT``, the ctypes binding of glibc's ``mallopt``, bound only where
+  the C library is glibc, behind ``keep_heap``.  Python offers no allocator
+  control; the CLI sets the heap thresholds once per process with it.
 
 One numerical-rank rule: ``numerical_rank`` alone compares singular values
 with a relative cutoff, counting those above ``rtol * sigma_1``.
@@ -69,6 +72,7 @@ __all__ = [
     "blas_threads",
     "blas_threads_for",
     "blas_info",
+    "keep_heap",
 ]
 
 
@@ -282,6 +286,49 @@ def blas_threads_for(rows: int):
     if rows < _THREADED_MIN_DIM:
         return contextlib.nullcontext()
     return blas_threads(_INHERITED)
+
+
+def _bind_mallopt():
+    """glibc's ``mallopt(param, value) -> int``, or None where the C library
+    is not glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return None
+    fn = ctypes.CDLL(None).mallopt
+    fn.argtypes = [ctypes.c_int, ctypes.c_int]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_MALLOPT = _bind_mallopt()
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Heap thresholds of a CLI process.  Every per-trial workspace (the 9 x 81 x
+# 81 omega_dot of block size 2, a 256-row complex chain difference: at most
+# about 1 MB) lies below the mmap threshold, which equals the matmul block
+# bound ``fcs._PRODUCT_CHUNK_BYTES``, and up to the trim threshold of freed
+# memory stays in the heap, so the next trial reuses it instead of faulting
+# it in again.  A larger array, such as a 3^7-site difference, is still
+# mapped and unmapped on its own.  Setting either value also stops glibc's
+# dynamic adjustment of both.
+_HEAP_THRESHOLDS = {"mmap": 4 << 20, "trim": 8 << 20}
+
+
+def keep_heap() -> dict | None:
+    """Sets glibc's mmap and trim thresholds to ``_HEAP_THRESHOLDS`` for the
+    rest of the process, so freed trial workspaces stay in the heap; calling
+    it again changes nothing.  Returns the thresholds, or None where the C
+    library is not glibc (the allocator keeps its defaults) or refuses them.
+    Only CLI processes call it; a library caller's allocator is left alone."""
+    if _MALLOPT is None:
+        return None
+    if (_MALLOPT(_M_MMAP_THRESHOLD, _HEAP_THRESHOLDS["mmap"]) != 1
+            or _MALLOPT(_M_TRIM_THRESHOLD, _HEAP_THRESHOLDS["trim"]) != 1):
+        return None
+    return dict(_HEAP_THRESHOLDS)
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:

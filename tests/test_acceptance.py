@@ -54,8 +54,9 @@ def test_c1_aklt_exact_round_trip(report):
     tr = spectral.truncate(od.omega, rank=4)
     sr = spectral.spectral_realization(od, tr)
     worst = 0.0
-    for t in range(1, 8):
-        td, _ = analysis.difference_distances(marginal_difference(sr, r, t, basis))
+    sizes = range(1, 8)
+    for t, diff in zip(sizes, marginal_difference(sr, r, sizes, basis), strict=True):
+        td, _ = analysis.difference_distances(diff)
         assert td <= 1e-9, f"t={t}: trace distance {td:.3e} exceeds 1e-9"
         worst = max(worst, td)
     elapsed = time.perf_counter() - t0
@@ -95,8 +96,9 @@ def test_c3_oracle_equivalence_20_models(report):
             sv = np.linalg.svd(od.omega, compute_uv=False)
             rank = int((sv > 1e-9 * sv[0]).sum())
             sr = spectral.spectral_realization(od, spectral.truncate(od.omega, rank=rank))
-            for tt in range(1, 6):
-                td, _ = analysis.difference_distances(marginal_difference(sr, r, tt, basis))
+            sizes = range(1, 6)
+            for tt, diff in zip(sizes, marginal_difference(sr, r, sizes, basis), strict=True):
+                td, _ = analysis.difference_distances(diff)
                 assert td <= 1e-8, f"model ({d_a},{d_b},{seed}) t={tt}: TD {td:.2e}"
                 worst_td = max(worst_td, td)
             n_models += 1

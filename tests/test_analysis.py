@@ -99,7 +99,8 @@ def test_trial_evaluation_peak_memory(aklt_realization, aklt_omega, basis3):
     sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
     tracemalloc.start()
     try:
-        td, hs = difference_distances(marginal_difference(sr, aklt_realization, 6, basis3))
+        td, hs = difference_distances(next(marginal_difference(sr, aklt_realization, [6],
+                                                               basis3)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

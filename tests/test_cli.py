@@ -319,7 +319,7 @@ def test_cli_process_loads_blas_at_one_thread(tmp_path, monkeypatch, env):
     proc = run_cli_process(tmp_path, "lemma-check", cfg, level="debug")
     assert proc.returncode == 0, proc.stderr
     [line] = [ln for ln in proc.stderr.splitlines() if "start-up:" in ln]
-    fields = dict(f.split("=", 1) for f in line.split("start-up: ")[1].split()[:5])
+    fields = dict(f.split("=", 1) for f in line.split("start-up: ")[1].split()[:6])
     src = str(Path(cli.__file__).resolve().parents[1])
     plain = subprocess.run(
         [sys.executable, "-c", "import numpy; from fcs_spectral import linalg; "
@@ -329,6 +329,8 @@ def test_cli_process_loads_blas_at_one_thread(tmp_path, monkeypatch, env):
     assert fields["threads_at_load"] == "1"
     assert fields["inherited"] == plain.stdout.strip()
     assert fields["nproc"] == str(os.cpu_count()) and fields["numpy"] == np.__version__
+    assert fields["heap"] == ("default" if linalg._MALLOPT is None
+                              else "mmap:4194304,trim:8388608")
 
 
 def test_blas_thread_env_reaches_spawned_workers_only():

@@ -202,6 +202,19 @@ def test_dense_product_blocks_equal_single_matmul(aklt_realization, basis3, t):
     assert np.array_equal(got, got.conj().T)
 
 
+def test_marginal_difference_sizes_are_single_products(aklt_realization, basis3):
+    # each size, in the order asked for, has the bits of its own product
+    a, b = aklt_realization, from_cstar(random_cstar(3, 2, 4))
+    r = fcs.direct_sum([a, b], [1.0, -1.0])
+    sizes = [4, 1, 3, 4, 2]
+    got = list(fcs.marginal_difference(a, b, sizes, basis3))
+    assert len(got) == len(sizes)
+    for t, diff in zip(sizes, got):
+        assert np.array_equal(diff, fcs.dense_product(r.rho, [r.kappa] * t, r.e, basis3))
+    with pytest.raises(ValueError, match="cap"):
+        list(fcs.marginal_difference(a, b, [2, 8], basis3))
+
+
 def test_marginal_cap_enforced(aklt_realization):
     with pytest.raises(ValueError, match="cap"):
         marginal(aklt_realization, 8)

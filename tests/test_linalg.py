@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -405,3 +408,44 @@ def test_dense_product_gets_inherited_threads_from_cutoff(fake_blas_threads, bas
     assert fake.calls == []
     fcs.dense_product(r.rho, [r.kappa] * t, r.e, basis2)
     assert fake.calls == [2, 1]
+
+
+# Minor page faults of rounds of eight 512 KiB blocks made and freed; under
+# glibc's default thresholds the heap top is trimmed after every round, and
+# under ``keep_heap``'s it is kept.  ``library`` is counted after a package
+# call, ``kept`` after keep_heap, in one fresh process.
+_FAULT_PROBE = """
+import resource
+import numpy as np
+import fcs_spectral
+from fcs_spectral import linalg
+
+def faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(ROUNDS):
+        blocks = [np.ones(1 << 16) for _ in range(8)]
+        del blocks
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+fcs_spectral.marginal(fcs_spectral.from_cstar(fcs_spectral.aklt()), 5)
+library = faults()
+first, again = linalg.keep_heap(), linalg.keep_heap()
+print(library, faults(), first == again == {"mmap": 4 << 20, "trim": 8 << 20})
+"""
+
+
+@pytest.mark.skipif(linalg._MALLOPT is None, reason="the C library is not glibc")
+def test_keep_heap_keeps_freed_blocks_and_only_when_called():
+    rounds = 50
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE.replace("ROUNDS", str(rounds))],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    library, kept, same = proc.stdout.split()
+    # the package left the default thresholds: at least half of each round's
+    # 4 MiB was given back and faulted in again
+    assert int(library) >= rounds * (4 << 20) // os.sysconf("SC_PAGESIZE") // 2
+    assert int(library) >= 5 * int(kept)
+    assert same == "True"

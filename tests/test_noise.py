@@ -166,7 +166,7 @@ def test_reconstruction_error_monotone_in_epsilon(aklt_omega, basis3, aklt_reali
             od_hat = perturb_omega_data(aklt_omega, eps, eps, spawn_rng(77, trial))
             sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
             tds.append(difference_distances(
-                marginal_difference(sr, aklt_realization, 3, basis3))[0])
+                next(marginal_difference(sr, aklt_realization, [3], basis3)))[0])
         means.append(np.mean(tds))
     assert all(a < b for a, b in zip(means, means[1:]))
 

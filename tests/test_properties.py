@@ -136,7 +136,7 @@ def test_marginal_difference_is_difference_of_marginals(seed, d_a, m_a, m_b, t, 
     basis = gellmann(d_a)
     ma, mb = assembled_marginal(a, t, basis), assembled_marginal(b, t, basis)
     scale = max(max_abs(ma), max_abs(mb))
-    got = marginal_difference(a, b, t, basis)
+    (got,) = marginal_difference(a, b, [t], basis)
     assert np.abs(got - (ma - mb)).max() <= 1e-13 * scale
     got = marginal(direct_sum([a, b], [w_a, w_b]), t, basis).matrix
     tol = 1e-13 * max(abs(w_a) + abs(w_b), 1.0) * scale
