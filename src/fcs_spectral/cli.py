@@ -14,17 +14,21 @@ Artifacts are deterministic per (config, seed): CSV files are UTF-8 with LF
 endings, a fixed header, and %.12e numeric formatting; JSON artifacts carry
 "version": 1.  Logging goes to stderr, data only to files.
 
-aklt and nonhomog share one sweep engine: a prepare step builds a context
-and its tasks, a trial function turns a task into keyed CSV rows, and
-_run_sweep runs the tasks, in a spawn pool under aklt's "workers".  The
-wall_time_ms column is 0 unless the config sets "timing": true; real
-timings would break byte-identical reruns, which take precedence.
+aklt and nonhomog share one sweep engine.  A prepare step builds the
+context, whose "sweep" values and "trials" make the tasks (sweep index,
+trial).  _run_sweep runs the tasks, in a spawn pool under aklt's "workers",
+and _run_task owns each one: its RNG stream, its timer and its keyed CSV
+rows.  A trial function (ctx, value, rng) only learns and yields one dense
+difference per size.  No sweep state outlives a call.  The wall_time_ms
+column is 0 unless the config sets "timing": true; real timings would
+break byte-identical reruns, which take precedence.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -237,7 +241,7 @@ TABLES = {
 _MARGINALS = {
     "version": (Ints(1, 1), REQUIRED),
     "d": (Ints(2), REQUIRED),
-    "marginals": ([{"sites": (int, REQUIRED), "matrix": ([[[float]]], REQUIRED)}], REQUIRED),
+    "marginals": ([{"sites": (Ints(1), REQUIRED), "matrix": ([[[float]]], REQUIRED)}], REQUIRED),
 }
 
 
@@ -261,6 +265,13 @@ def _build_model(spec: dict, where: str):
         maximally_mixed = fcs.product_realization(np.eye(d) / d, gellmann(d))
         r = fcs.direct_sum([base, maximally_mixed], [1 - xi, xi]).validate()
         return f"{base_id}+mix(xi={xi:g})", r, d_b + 1
+    for i, pair in enumerate(spec["state"]):
+        if len(pair) != 2:
+            raise ValueError(f"{where}(product).state[{i}]: expected a [re, im] pair, "
+                             f"got {len(pair)} numbers")
+    if len(spec["state"]) < 2:
+        raise ValueError(f"{where}(product).state: the local dimension must be >= 2, "
+                         f"got {len(spec['state'])}")
     vec = np.array([complex(re, im) for re, im in spec["state"]])
     norm = np.linalg.norm(vec)
     if norm == 0:
@@ -299,18 +310,13 @@ def _write_json(path: Path, doc: dict):
 # sweep engine (aklt, nonhomog)
 # ---------------------------------------------------------------------------
 
-_CTX: dict = {}  # the running sweep's context, read by the trial functions
-
-
-def _init_worker(ctx: dict, level: int):
-    """Sets this process's sweep context.  A spawned pool worker starts with
-    unconfigured logging and the default heap thresholds, so it first takes
-    the caller's format and level and keeps its heap as ``main`` does."""
+def _init_worker(level: int):
+    """A spawned pool worker starts with unconfigured logging and the default
+    heap thresholds, so it takes the caller's format and level and keeps its
+    heap as ``main`` does."""
     keep_heap()
     logging.basicConfig(stream=sys.stderr, level=level, format=_LOG_FORMAT)
     log.setLevel(level)
-    _CTX.clear()
-    _CTX.update(ctx)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -328,72 +334,85 @@ def _single_thread_blas_env():
     return _environ(**dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 
-def _run_sweep(ctx: dict, tasks: list, trial, workers: int, out: Path) -> Path:
-    """Runs ``trial`` (task -> [(key, row)]) on every task, serially or in a
-    spawn pool, and writes the rows to ``out`` in key order."""
+def _run_sweep(ctx: dict, trial, workers: int, out: Path) -> Path:
+    """Runs ``trial`` on every task (sweep index, trial number) of the
+    context's ``sweep`` and ``trials``, serially or in a spawn pool, and
+    writes the rows to ``out`` in key order."""
+    tasks = list(itertools.product(range(len(ctx["sweep"])), range(ctx["trials"])))
     # no more workers than tasks or cores: the CSV is the same for any count
     workers = min(workers, len(tasks), os.cpu_count() or 1)
-    initargs = (ctx, log.getEffectiveLevel())
-    try:
-        if workers > 1:
-            # only a pooled sweep pays for these imports
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    run = functools.partial(_run_task, ctx, trial)
+    if workers > 1:
+        # only a pooled sweep pays for these imports
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            with _single_thread_blas_env(), ProcessPoolExecutor(
-                    max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-                    initializer=_init_worker, initargs=initargs) as pool:
-                chunks = list(pool.map(trial, tasks))
-        else:
-            _init_worker(*initargs)
-            chunks = [trial(task) for task in tasks]
-    finally:
-        # the context holds the exact state; it must not outlive the sweep
-        _CTX.clear()
+        with _single_thread_blas_env(), ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_worker, initargs=(log.getEffectiveLevel(),)) as pool:
+            # one chunk per worker, so each receives the context once
+            chunks = list(pool.map(run, tasks, chunksize=-(-len(tasks) // workers)))
+    else:
+        chunks = map(run, tasks)
     # keys are unique, so the sort never compares two rows
     _write_csv(out, CSV_COLUMNS, [row for _, row in sorted(itertools.chain(*chunks))])
     return out
 
 
-def _sweep_row(key, model_id: str, t: int, eps: float, trial: int, diff, sigma: float,
-               rank: int, bound: float, t0: float):
-    """Keyed CSV row of a t-site reconstruction from the dense difference
-    ``diff`` to the exact state, which it takes over; it warns when 2*TD
-    exceeds ``bound``, and times from ``t0`` under ``timing``."""
-    td, hs = analysis.difference_distances(diff)
-    if 2.0 * td > bound + 1e-12:
-        log.warning("monitored bound exceeded: model=%s t=%d eps=%s trial=%d 2*TD=%.3e > "
-                    "surrogate bound=%.3e", model_id, t, _fmt(eps), trial, 2.0 * td, bound)
-    wall = (time.perf_counter() - t0) * 1e3 if _CTX["timing"] else 0.0
-    return key, [model_id, t, eps, _CTX["seed"], trial, td, hs, sigma, rank, bound, wall, td / t]
+def _run_task(ctx: dict, trial, task) -> list:
+    """Keyed CSV rows of one task (sweep index, trial number).
+
+    The task's stream is ``noise.spawn_rng(seed, sweep index, trial)``, so a
+    row depends on these three alone.  ``trial(ctx, value, rng)`` yields
+    ``(t, diff, sigma_m, rank, bound)`` per size, ``diff`` being the dense
+    difference to the exact t-site state, which the row takes over; a row
+    warns when 2*TD exceeds ``bound``, and times from the task's start under
+    ``timing``.
+    """
+    idx, n = task
+    t0 = time.perf_counter()
+    value = ctx["sweep"][idx]
+    rows = []
+    # no enumerate: its cached result tuple would keep the last difference
+    # alive while the next one is built
+    for t, diff, sigma, rank, bound in trial(ctx, value, noise.spawn_rng(ctx["seed"], idx, n)):
+        td, hs = analysis.difference_distances(diff)
+        del diff
+        if 2.0 * td > bound + 1e-12:
+            log.warning("monitored bound exceeded: model=%s t=%d eps=%s trial=%d 2*TD=%.3e > "
+                        "surrogate bound=%.3e", ctx["model_id"], t, _fmt(float(value)), n,
+                        2.0 * td, bound)
+        wall = (time.perf_counter() - t0) * 1e3 if ctx["timing"] else 0.0
+        rows.append(((idx, len(rows), n), [ctx["model_id"], t, float(value), ctx["seed"], n,
+                                           td, hs, sigma, rank, bound, wall, td / t]))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # translation-invariant sweep (aklt)
 # ---------------------------------------------------------------------------
 
-def _prepare_ti_context(cfg: dict) -> tuple[dict, list]:
+def _prepare_ti_context(cfg: dict) -> dict:
     """The read config plus the model, its exact data and the resolved
-    sweep; and the sweep's tasks, one per (sweep value, trial)."""
+    sweep."""
     model_id, r, d_b = _build_model(cfg["model"], "aklt.model")
-    s, sites, cap = cfg["block_size"], cfg["sites"], fcs.DEFAULT_DENSE_CAP
+    s = cfg["block_size"]
     mode = cfg["noise"]["mode"]
     sweep_key = "epsilons" if mode == "gaussian_matrix" else "shots_sweep"
     if cfg[sweep_key] is None:
         raise ValueError(f"aklt.{sweep_key}: required by {mode} noise")
     # exact Omega spans 2s sites; shot noise estimates the (2s+1)-site marginal
     k = 2 * s if mode == "gaussian_matrix" else 2 * s + 1
-    if r.d_a ** k > cap:
-        raise ValueError(f"aklt.block_size: {r.d_a}^{k} exceeds the dense cap {cap}")
-    if any(r.d_a ** t > cap for t in sites):
-        raise ValueError(f"aklt.sites: a requested size exceeds the dense cap {cap}")
+    fcs.check_dense_cap(r.d_a, k, "aklt.block_size")
+    for i, t in enumerate(cfg["sites"]):
+        fcs.check_dense_cap(r.d_a, t, f"aklt.sites[{i}]")
     basis = gellmann(r.d_a)
     od = spectral.build_omega(r, basis, s_left=s, s_right=s)
     trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
     # resolve the truncation rank on exact data (threshold mode varies per
     # trial; the exact rank still fixes the surrogate scale)
     exact_rank = spectral.truncate(od.omega, **trunc).rank
-    ctx = {
+    return {
         **cfg,
         "model_id": model_id,
         "basis": basis,
@@ -406,19 +425,14 @@ def _prepare_ti_context(cfg: dict) -> tuple[dict, list]:
         "scale": d_b if cfg["bound_variant"] == "cstar" else exact_rank,
         "exact": r,
     }
-    return ctx, list(itertools.product(range(len(ctx["sweep"])), range(cfg["trials"])))
 
 
-def _run_ti_trial(task):
-    """One (sweep value, trial): perturb once, reconstruct all sizes."""
-    sweep_idx, trial = task
-    ctx = _CTX
-    t0 = time.perf_counter()
-    mode, value = ctx["noise"]["mode"], ctx["sweep"][sweep_idx]
-    rng = noise.spawn_rng(ctx["seed"], sweep_idx, trial)
-    eps_col = float(value)
+def _ti_trial(ctx: dict, value, rng):
+    """Perturbs once (epsilon or shot count ``value``) and reconstructs all
+    sizes."""
+    mode = ctx["noise"]["mode"]
     if mode == "gaussian_matrix":
-        od_hat = noise.perturb_omega_data(ctx["od"], eps_col, ctx["noise"]["epsilon_prime"], rng)
+        od_hat = noise.perturb_omega_data(ctx["od"], value, ctx["noise"]["epsilon_prime"], rng)
     else:  # one estimate of the (2s+1)-site marginal gives every field
         est = noise.simulate_tomography(ctx["marginal"], ctx["basis"], value, rng, mode=mode)
         od_hat = spectral.omega_data_from_coefficients(est, d_a=ctx["basis"].dim,
@@ -428,22 +442,16 @@ def _run_ti_trial(task):
     params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"], ctx["scale"],
                                            variant=ctx["bound_variant"])
     diffs = fcs.marginal_difference(sr, ctx["exact"], ctx["sites"], ctx["basis"])
-    # each difference goes straight to its row, where the eigensolve overwrites
-    # it, and no name holds it while the next one is built
-    return [
-        _sweep_row((sweep_idx, t_idx, trial), ctx["model_id"], t, eps_col, trial, next(diffs),
-                   sr.diagnostics["sigma_m_hat"], tr.rank,
-                   analysis.error_propagation_bound(params, t), t0)
-        for t_idx, t in enumerate(ctx["sites"])
-    ]
+    for t in ctx["sites"]:
+        yield (t, next(diffs), sr.diagnostics["sigma_m_hat"], tr.rank,
+               analysis.error_propagation_bound(params, t))
 
 
 def cmd_aklt(cfg: dict, out_dir: Path) -> Path:
     """Noise sweep on a translation-invariant model; one perturbation per
     trial shared across all reconstruction sizes."""
     cfg = _read(cfg, TABLES["aklt"], "aklt")
-    return _run_sweep(*_prepare_ti_context(cfg), _run_ti_trial, cfg["workers"],
-                      out_dir / cfg["output"])
+    return _run_sweep(_prepare_ti_context(cfg), _ti_trial, cfg["workers"], out_dir / cfg["output"])
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +462,7 @@ def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["rank-scan"], "rank-scan")
     model_id, r, _ = _build_model(cfg["model"], "rank-scan.model")
     # the largest form spans 2 * max_block sites
-    k, cap = 2 * cfg["max_block"], fcs.DEFAULT_DENSE_CAP
-    if r.d_a ** k > cap:
-        raise ValueError(f"rank-scan.max_block: {r.d_a}^{k} exceeds the dense cap {cap}")
+    fcs.check_dense_cap(r.d_a, 2 * cfg["max_block"], "rank-scan.max_block")
     profile = fcs.rank_profile(r, cfg["max_block"])
     t1, t2 = fcs.t_star(profile)
     log.info("rank profile stabilizes at rank %d; t* = (left %d, right %d)",
@@ -474,13 +480,12 @@ def cmd_rank_scan(cfg: dict, out_dir: Path) -> Path:
 # non-homogeneous sweep
 # ---------------------------------------------------------------------------
 
-def _prepare_chain_context(cfg: dict) -> tuple[dict, list]:
+def _prepare_chain_context(cfg: dict) -> dict:
     """The read config plus the chain's exact state, window forms, ranks and
-    sigmas; and the sweep's tasks, one per (epsilon, trial)."""
-    spec, cap = cfg["chain"], fcs.DEFAULT_DENSE_CAP
+    sigmas."""
+    spec = cfg["chain"]
     n, d_a = spec["n_sites"], spec["d_a"]
-    if d_a ** n > cap:
-        raise ValueError(f"nonhomog.chain.n_sites: {d_a}^{n} exceeds the dense cap {cap}")
+    fcs.check_dense_cap(d_a, n, "nonhomog.chain.n_sites")
     chain = fcs.random_chain(n, d_a, spec["d_b"], spec["seed"], stationary=spec["stationary"])
     basis = gellmann(d_a)
     state = chain.state(basis)
@@ -493,33 +498,28 @@ def _prepare_chain_context(cfg: dict) -> tuple[dict, list]:
         raise ValueError(f"nonhomog: the exact window form at site {ranks.index(0) + 1} is zero")
     sigmas = [float(sv[m - 1]) for sv, m in zip(svs, ranks)]
     log.info("exact window ranks: %s", ranks)
-    ctx = {
+    return {
         **cfg,
         "model_id": f"chain(n={n};d_a={d_a};d_b={spec['d_b']};seed={spec['seed']})",
         "basis": basis, "exact": state.matrix, "cod": cod, "ranks": ranks, "sigmas": sigmas,
+        "sweep": cfg["epsilons"],
     }
-    return ctx, list(itertools.product(range(len(cfg["epsilons"])), range(cfg["trials"])))
 
 
-def _run_chain_trial(task):
-    """One (epsilon, trial): perturb every window form, reconstruct the chain."""
-    eps_idx, trial = task
-    ctx = _CTX
-    t0 = time.perf_counter()
-    eps, cod, ranks = ctx["epsilons"][eps_idx], ctx["cod"], ctx["ranks"]
-    rng = noise.spawn_rng(ctx["seed"], eps_idx, trial)
+def _chain_trial(ctx: dict, eps: float, rng):
+    """Perturbs every window form at ``eps`` and reconstructs the chain."""
+    cod, ranks = ctx["cod"], ctx["ranks"]
     cod_hat = noise.perturb_chain_omega(cod, eps, rng) if eps else cod
     recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
     diff = recon.state(ctx["basis"]).matrix
     diff -= ctx["exact"]
-    bound = analysis.chain_bound(cod, cod_hat, ranks, ctx["sigmas"])
-    return [_sweep_row((eps_idx, trial), ctx["model_id"], cod.n_sites, eps, trial, diff,
-                       min(ctx["sigmas"]), max(ranks), bound, t0)]
+    yield (cod.n_sites, diff, min(ctx["sigmas"]), max(ranks),
+           analysis.chain_bound(cod, cod_hat, ranks, ctx["sigmas"]))
 
 
 def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["nonhomog"], "nonhomog")
-    return _run_sweep(*_prepare_chain_context(cfg), _run_chain_trial, 1, out_dir / cfg["output"])
+    return _run_sweep(_prepare_chain_context(cfg), _chain_trial, 1, out_dir / cfg["output"])
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +650,10 @@ def load_marginals(path) -> tuple[int, dict[int, fcs.DensityMatrix]]:
     out = {}
     for i, entry in enumerate(doc["marginals"]):
         k = entry["sites"]
+        if k in out:
+            j = [e["sites"] for e in doc["marginals"]].index(k)
+            raise ValueError(f"marginals.marginals[{i}].sites: the {k}-site marginal is "
+                             f"already given by marginals.marginals[{j}]")
         try:
             arr = np.asarray(entry["matrix"], dtype=float)
         except ValueError:  # a ragged grid
@@ -676,10 +680,10 @@ def save_marginals(path, d: int, marginals: dict[int, fcs.DensityMatrix]):
 def cmd_reconstruct(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["reconstruct"], "reconstruct")
     d, marginals = load_marginals(cfg["input"])
-    s, cap = cfg["block_size"], fcs.DEFAULT_DENSE_CAP
+    s = cfg["block_size"]
     # checked before anything is written
-    if any(d ** t > cap for t in cfg["sites"]):
-        raise ValueError(f"reconstruct.sites: a requested size exceeds the dense cap {cap}")
+    for i, t in enumerate(cfg["sites"]):
+        fcs.check_dense_cap(d, t, f"reconstruct.sites[{i}]")
     if 2 * s + 1 not in marginals:
         raise ValueError(f"reconstruct: input lacks the {2 * s + 1}-site marginal "
                          f"that block_size {s} needs")

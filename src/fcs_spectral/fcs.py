@@ -30,6 +30,7 @@ from .opbasis import HermitianBasis, _hermitian_basis, gellmann, matrix_units
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
+    "check_dense_cap",
     "AKLT_THETA",
     "DensityMatrix",
     "Realization",
@@ -58,6 +59,14 @@ __all__ = [
 
 # Largest dense Hilbert dimension we assemble/eigensolve by default (3^7).
 DEFAULT_DENSE_CAP = 2187
+
+
+def check_dense_cap(d: int, sites: int, where: str):
+    """Raises a ``ValueError`` naming ``where`` if ``sites`` sites of local
+    dimension ``d`` exceed the dense cap."""
+    if d ** sites > DEFAULT_DENSE_CAP:
+        raise ValueError(f"{where}: {d}^{sites} exceeds the dense cap {DEFAULT_DENSE_CAP}")
+
 
 # Bytes of the matmul block in ``dense_product``: a product of up to 512 x
 # 512 complex entries (t <= 5 sites of a qutrit, chains of <= 9 qubits) is
@@ -290,8 +299,7 @@ def _unit_product(left, units, right, d: int) -> np.ndarray:
     t = len(units)
     if t < 1:
         raise ValueError("t must be >= 1")
-    if d ** t > DEFAULT_DENSE_CAP:
-        raise ValueError(f"dense cap exceeded: {d}^{t} > {DEFAULT_DENSE_CAP}")
+    check_dense_cap(d, t, "dense_product")
     h = t // 2
     lefts = _split_rows(word_rows(left, units[:h])[-1], d, h)
     rights = _split_rows(word_rows(right, units[h:], from_right=True)[-1], d, t - h)
@@ -513,8 +521,7 @@ def rank_profile(r: Realization, max_block: int) -> np.ndarray:
     Ranks are non-decreasing in both block sizes and bounded by m.
     """
     # the largest form spans 2 * max_block sites
-    if r.d_a ** (2 * max_block) > DEFAULT_DENSE_CAP:
-        raise ValueError(f"dense cap exceeded for block size {max_block}")
+    check_dense_cap(r.d_a, 2 * max_block, "rank_profile")
     lefts = word_rows(r.rho, [r.kappa] * max_block)
     rights = word_rows(r.e, [r.kappa] * max_block, from_right=True)
     out = np.zeros((max_block, max_block), dtype=int)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fcs
-from .fcs import DEFAULT_DENSE_CAP, ChainRealization, DensityMatrix, Realization
+from .fcs import ChainRealization, DensityMatrix, Realization, check_dense_cap
 from .linalg import PINV_RTOL, numerical_rank, svd
 from .opbasis import HermitianBasis, expand_in_basis
 
@@ -72,8 +72,7 @@ def build_omega(r: Realization, basis: HermitianBasis | None = None,
     """Exact Omega data of a realization for given block sizes."""
     if basis is not None and basis.dim != r.d_a:
         raise ValueError("basis dimension does not match the realization")
-    if r.d_a ** (s_left + s_right) > DEFAULT_DENSE_CAP:
-        raise ValueError(f"dense cap exceeded for blocks ({s_left}, {s_right})")
+    check_dense_cap(r.d_a, s_left + s_right, "build_omega")
     # (nL, m) rows rho.K_word and (nR, m) rows K_word.e
     left = fcs.word_rows(r.rho, [r.kappa] * s_left)[-1]
     right = fcs.word_rows(r.e, [r.kappa] * s_right, from_right=True)[-1]

@@ -127,11 +127,43 @@ def test_sweep_rerun_byte_identical(tmp_path, name):
     assert (out1 / cfg["output"]).read_bytes() == (out2 / cfg["output"]).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["aklt", "nonhomog"])
-def test_sweep_context_cleared_after_main(tmp_path, name):
-    # the context holds the exact model data; main leaves none of it behind
-    run_cli(tmp_path, *sweep_config(name))
-    assert cli._CTX == {}
+def rows_of(path):
+    return path.read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["aklt", "shot_multinomial", "nonhomog"])
+def test_rows_depend_only_on_seed_index_and_trial(tmp_path, monkeypatch, name, workers):
+    # a task's rows come from spawn_rng(seed, sweep index, trial) alone: a
+    # run with fewer trials, a prefix of the sweep and fewer sizes gives a
+    # subset of a larger run's rows, at any worker count (9 tasks on 2
+    # workers: the chunks differ in size)
+    command, cfg = sweep_config(name)
+    sweep_key = "shots_sweep" if name == "shot_multinomial" else "epsilons"
+    sweep = {"aklt": [0.0, 1e-3, 1e-2], "shot_multinomial": [1000, 10000, 100000],
+             "nonhomog": [0.0, 1e-4, 1e-3]}[name]
+    small = dict(cfg, **{sweep_key: sweep[:2]}, trials=2)
+    large = dict(cfg, **{sweep_key: sweep}, trials=3)
+    if command == "aklt":
+        small["sites"], large["sites"] = [3], [2, 3, 4]
+    # nonhomog has one row per task, of the whole chain
+    sizes, n_sizes = ([3], 3) if command == "aklt" else ([cfg["chain"]["n_sites"]], 1)
+    small_rows = rows_of(run_cli(tmp_path, command, small, out="small") / cfg["output"])
+    # the engine runs at the given worker count whatever the command's key
+    run_sweep = cli._run_sweep
+    monkeypatch.setattr(cli, "_run_sweep",
+                        lambda ctx, trial, _, out: run_sweep(ctx, trial, workers, out))
+    large_rows = rows_of(run_cli(tmp_path, command, large, out="large") / cfg["output"])
+    assert len(large_rows) == 9 * n_sizes
+    # (sites, epsilon, trial) of the small run's rows
+    keep = {(t, float(v), n) for t in sizes for v in sweep[:2] for n in range(2)}
+
+    def key(row):
+        f = row.split(",")
+        return int(f[1]), float(f[2]), int(f[4])
+
+    expected = [row for row in large_rows if key(row) in keep]
+    assert small_rows == expected and len(expected) == len(keep)
 
 
 def test_shot_sweep_workers_byte_identical(tmp_path):
@@ -228,7 +260,7 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize):
         return map(fn, tasks)
 
 
@@ -555,7 +587,8 @@ def lemma_with(**changes):
 
 # TMP in a config stands for the test's directory, which holds these
 # marginals files: a JSON list, a qubit marginal with a NaN entry, one whose
-# second row is short, one of local dimension 1 and an empty qutrit file
+# second row is short, one of local dimension 1, an empty qutrit file, one
+# of a -1-site marginal and one that gives the 1-site marginal twice
 MARGINALS_FILES = {
     "list.json": [],
     "dim1.json": {"version": 1, "d": 1, "marginals": []},
@@ -564,6 +597,10 @@ MARGINALS_FILES = {
         {"sites": 1, "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [0.5, 0]]]}]},
     "ragged.json": {"version": 1, "d": 2, "marginals": [
         {"sites": 1, "matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}]},
+    "negative-sites.json": {"version": 1, "d": 3, "marginals": [{"sites": -1, "matrix": []}]},
+    "repeat.json": {"version": 1, "d": 2, "marginals": [
+        {"sites": 1, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+        {"sites": 1, "matrix": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}]},
 }
 
 
@@ -662,7 +699,8 @@ def reconstruct_with(marginals, **changes):
     ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 4}),
      "ValueError: rank-scan.max_block: 3^8 exceeds the dense cap 2187"),
     (*reconstruct_with("empty3.json", sites=[2, 8]),
-     "ValueError: reconstruct.sites: a requested size exceeds the dense cap 2187"),
+     "ValueError: reconstruct.sites[1]: 3^8 exceeds the dense cap 2187"),
+    (*aklt_with(sites=[2, 8]), "ValueError: aklt.sites[1]: 3^8 exceeds the dense cap 2187"),
     # shot noise estimates the 2s+1 = 5-site marginal: 5^5 exceeds the cap
     # where the 4-site Omega of gaussian noise (5^4) fits it
     (*aklt_with(model={"kind": "random", "d_a": 5, "d_b": 2, "seed": 0},
@@ -680,6 +718,15 @@ def reconstruct_with(marginals, **changes):
      "ValueError: reconstruct: unknown keys ['dense_cap']"),
     (*aklt_with(model={"kind": "product", "state": [[0, 0], [0, 0]]}),
      "ValueError: aklt.model(product).state: the state vector is zero"),
+    (*aklt_with(model={"kind": "product", "state": [[1, 0, 0], [0, 0, 0]]}),
+     "ValueError: aklt.model(product).state[0]: expected a [re, im] pair, got 3 numbers"),
+    (*aklt_with(model={"kind": "product", "state": [[1, 0]]}),
+     "ValueError: aklt.model(product).state: the local dimension must be >= 2, got 1"),
+    (*reconstruct_with("negative-sites.json"),
+     "ValueError: marginals.marginals[0].sites: -1 is outside [1, inf]"),
+    (*reconstruct_with("repeat.json"),
+     "ValueError: marginals.marginals[1].sites: the 1-site marginal is already given by "
+     "marginals.marginals[0]"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
@@ -698,9 +745,12 @@ def reconstruct_with(marginals, **changes):
         "mixture-missing-base", "nested-mixture",
         "noise-factor-above-one", "negative-noise-factor", "chain-over-dense-cap",
         "rank-scan-over-dense-cap", "reconstruct-sites-over-dense-cap",
+        "aklt-sites-over-dense-cap",
         "shot-marginal-over-dense-cap", "block-size-over-dense-cap", "negative-pinv-tol",
         "aklt-dense-cap-key", "rank-scan-dense-cap-key",
-        "nonhomog-dense-cap-key", "reconstruct-dense-cap-key", "zero-product-state"])
+        "nonhomog-dense-cap-key", "reconstruct-dense-cap-key", "zero-product-state",
+        "product-state-entry-not-a-pair", "one-dimensional-product-state",
+        "negative-marginal-sites", "repeated-marginal-size"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback
