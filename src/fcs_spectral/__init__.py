@@ -19,7 +19,7 @@ _EXPORTS = {name: module for module, names in {
             "save_realization", "t_star"),
     "noise": ("make_rng", "perturb_matrix", "perturb_omega_data", "simulate_tomography",
               "spawn_rng"),
-    "opbasis": ("HermitianBasis", "expand_in_basis", "gellmann"),
+    "opbasis": ("expand_in_basis", "gellmann"),
     "spectral": ("ChainOmegaData", "OmegaData", "SvdTruncation", "build_chain_omega",
                  "build_omega", "build_omega_from_marginal", "nonhomog_reconstruct",
                  "spectral_realization", "truncate"),

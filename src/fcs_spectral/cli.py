@@ -67,7 +67,6 @@ with _environ(OPENBLAS_NUM_THREADS="1"):
 from . import analysis, fcs, noise, spectral
 from .linalg import (RANK_RTOL, blas_info, blas_threads, keep_heap, numerical_rank,
                      singular_values)
-from .opbasis import gellmann
 
 log = logging.getLogger("fcs_spectral")
 _LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
@@ -262,7 +261,7 @@ def _build_model(spec: dict, where: str):
         # + C sits in M_{d_b + 1}
         base_id, base, d_b = _build_model(spec["base"], f"{where}(mixture).base")
         xi, d = spec["xi"], base.d_a
-        maximally_mixed = fcs.product_realization(np.eye(d) / d, gellmann(d))
+        maximally_mixed = fcs.product_realization(np.eye(d) / d)
         r = fcs.direct_sum([base, maximally_mixed], [1 - xi, xi]).validate()
         return f"{base_id}+mix(xi={xi:g})", r, d_b + 1
     for i, pair in enumerate(spec["state"]):
@@ -277,8 +276,7 @@ def _build_model(spec: dict, where: str):
     if norm == 0:
         raise ValueError(f"{where}(product).state: the state vector is zero")
     vec = vec / norm
-    d = vec.size
-    return f"product(d={d})", fcs.product_realization(np.outer(vec, vec.conj()), gellmann(d)), 1
+    return f"product(d={vec.size})", fcs.product_realization(np.outer(vec, vec.conj())), 1
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +404,7 @@ def _prepare_ti_context(cfg: dict) -> dict:
     fcs.check_dense_cap(r.d_a, k, "aklt.block_size")
     for i, t in enumerate(cfg["sites"]):
         fcs.check_dense_cap(r.d_a, t, f"aklt.sites[{i}]")
-    basis = gellmann(r.d_a)
-    od = spectral.build_omega(r, basis, s_left=s, s_right=s)
+    od = spectral.build_omega(r, s_left=s, s_right=s)
     trunc = {cfg["truncation"]["mode"]: cfg["truncation"]["value"]}
     # resolve the truncation rank on exact data (threshold mode varies per
     # trial; the exact rank still fixes the surrogate scale)
@@ -415,10 +412,9 @@ def _prepare_ti_context(cfg: dict) -> dict:
     return {
         **cfg,
         "model_id": model_id,
-        "basis": basis,
         "od": od,
         # the one marginal that shot noise estimates
-        "marginal": fcs.marginal(r, k, basis) if mode != "gaussian_matrix" else None,
+        "marginal": fcs.marginal(r, k) if mode != "gaussian_matrix" else None,
         "trunc": trunc,
         "sweep": cfg[sweep_key],
         "sigma_exact": analysis.sigma_m(od.omega, exact_rank),
@@ -434,14 +430,14 @@ def _ti_trial(ctx: dict, value, rng):
     if mode == "gaussian_matrix":
         od_hat = noise.perturb_omega_data(ctx["od"], value, ctx["noise"]["epsilon_prime"], rng)
     else:  # one estimate of the (2s+1)-site marginal gives every field
-        est = noise.simulate_tomography(ctx["marginal"], ctx["basis"], value, rng, mode=mode)
-        od_hat = spectral.omega_data_from_coefficients(est, d_a=ctx["basis"].dim,
+        est = noise.simulate_tomography(ctx["marginal"], value, rng, mode=mode)
+        od_hat = spectral.omega_data_from_coefficients(est, d_a=ctx["exact"].d_a,
                                                        s=ctx["block_size"])
     tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
     sr = spectral.spectral_realization(od_hat, tr)
     params = analysis.surrogate_parameters(ctx["od"], od_hat, ctx["sigma_exact"], ctx["scale"],
                                            variant=ctx["bound_variant"])
-    diffs = fcs.marginal_difference(sr, ctx["exact"], ctx["sites"], ctx["basis"])
+    diffs = fcs.marginal_difference(sr, ctx["exact"], ctx["sites"])
     for t in ctx["sites"]:
         yield (t, next(diffs), sr.diagnostics["sigma_m_hat"], tr.rank,
                analysis.error_propagation_bound(params, t))
@@ -487,9 +483,8 @@ def _prepare_chain_context(cfg: dict) -> dict:
     n, d_a = spec["n_sites"], spec["d_a"]
     fcs.check_dense_cap(d_a, n, "nonhomog.chain.n_sites")
     chain = fcs.random_chain(n, d_a, spec["d_b"], spec["seed"], stationary=spec["stationary"])
-    basis = gellmann(d_a)
-    state = chain.state(basis)
-    cod = spectral.build_chain_omega(state, basis, cfg["left_width"], cfg["right_width"])
+    state = chain.state()
+    cod = spectral.build_chain_omega(state, cfg["left_width"], cfg["right_width"])
     # ranks[j-1] and sigmas[j-1]: numerical rank and smallest retained
     # singular value of the exact window form at site j
     svs = [singular_values(cod.omegas[j]) for j in range(1, n)]
@@ -501,7 +496,7 @@ def _prepare_chain_context(cfg: dict) -> dict:
     return {
         **cfg,
         "model_id": f"chain(n={n};d_a={d_a};d_b={spec['d_b']};seed={spec['seed']})",
-        "basis": basis, "exact": state.matrix, "cod": cod, "ranks": ranks, "sigmas": sigmas,
+        "exact": state.matrix, "cod": cod, "ranks": ranks, "sigmas": sigmas,
         "sweep": cfg["epsilons"],
     }
 
@@ -511,7 +506,7 @@ def _chain_trial(ctx: dict, eps: float, rng):
     cod, ranks = ctx["cod"], ctx["ranks"]
     cod_hat = noise.perturb_chain_omega(cod, eps, rng) if eps else cod
     recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
-    diff = recon.state(ctx["basis"]).matrix
+    diff = recon.state().matrix
     diff -= ctx["exact"]
     yield (cod.n_sites, diff, min(ctx["sigmas"]), max(ranks),
            analysis.chain_bound(cod, cod_hat, ranks, ctx["sigmas"]))
@@ -530,14 +525,11 @@ def cmd_lemma_check(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["lemma-check"], "lemma-check")
     seed, count, max_dim, slack = cfg["seed"], cfg["count"], cfg["max_dim"], cfg["slack"]
     rng = noise.make_rng(seed)
-    suites = {
-        "singular_value_perturbation": _sweep_sv_perturbation(rng, count, max_dim, slack),
-        "pseudoinverse_perturbation": _sweep_pinv_perturbation(rng, count, max_dim, slack),
-        "singular_subspace_stability": _sweep_subspace_stability(rng, count, max_dim, slack),
-        "projected_sigma_stability": _sweep_projected_sigma(rng, count, max_dim, slack),
-        "realization_estimate_bounds": _sweep_estimate_bounds(
-            seed, cfg["models_seeds"], cfg["noise_factors"], slack),
-    }
+    # each suite draws all its instances from rng before the next suite starts
+    suites = {name: _suite_summary([draw(rng, max_dim, slack) for _ in range(count)])
+              for name, draw in _RANDOM_SUITES.items()}
+    suites["realization_estimate_bounds"] = _sweep_estimate_bounds(
+        seed, cfg["models_seeds"], cfg["noise_factors"], slack)
     doc = {"version": 1, "seed": seed, "count": count, "max_dim": max_dim,
            "slack": slack, "suites": suites}
     out = out_dir / cfg["output"]
@@ -563,65 +555,61 @@ def _rand_shape(rng, max_dim):
     return int(rng.integers(2, max_dim + 1)), int(rng.integers(2, max_dim + 1))
 
 
-def _sweep_sv_perturbation(rng, count, max_dim, slack) -> dict:
-    reports = []
-    for _ in range(count):
-        rows, cols = _rand_shape(rng, max_dim)
-        a = rng.standard_normal((rows, cols)) * float(rng.uniform(0.1, 10.0))
-        e = rng.standard_normal((rows, cols)) * float(rng.uniform(1e-4, 10.0))
-        reports.append(analysis.check_singular_value_perturbation(a, e, slack=slack))
-    return _suite_summary(reports)
+def _draw_sv_perturbation(rng, max_dim, slack):
+    rows, cols = _rand_shape(rng, max_dim)
+    a = rng.standard_normal((rows, cols)) * float(rng.uniform(0.1, 10.0))
+    e = rng.standard_normal((rows, cols)) * float(rng.uniform(1e-4, 10.0))
+    return analysis.check_singular_value_perturbation(a, e, slack=slack)
 
 
-def _sweep_pinv_perturbation(rng, count, max_dim, slack) -> dict:
-    reports = []
-    for _ in range(count):
-        rows, cols = _rand_shape(rng, max_dim)
-        a = rng.standard_normal((rows, cols))
-        a_t = a + rng.standard_normal((rows, cols)) * float(rng.uniform(1e-6, 1.0))
-        reports.append(analysis.check_pseudoinverse_perturbation(a, a_t, slack=slack))
-    return _suite_summary(reports)
+def _draw_pinv_perturbation(rng, max_dim, slack):
+    rows, cols = _rand_shape(rng, max_dim)
+    a = rng.standard_normal((rows, cols))
+    a_t = a + rng.standard_normal((rows, cols)) * float(rng.uniform(1e-6, 1.0))
+    return analysis.check_pseudoinverse_perturbation(a, a_t, slack=slack)
 
 
-def _sweep_subspace_stability(rng, count, max_dim, slack) -> dict:
-    reports = []
-    for _ in range(count):
-        cols = int(rng.integers(2, max_dim + 1))
-        rows = int(rng.integers(cols, max_dim + 1))
-        a = rng.standard_normal((rows, cols))
-        eps = float(rng.uniform(0.05, 0.95))
-        sig_n = float(singular_values(a)[-1])
-        e = rng.standard_normal((rows, cols))
-        e *= eps * sig_n * float(rng.uniform(0.1, 1.0)) / float(singular_values(e)[0])
-        reports.append(analysis.check_singular_subspace_stability(a, e, eps, slack=slack))
-    return _suite_summary(reports)
+def _draw_subspace_stability(rng, max_dim, slack):
+    cols = int(rng.integers(2, max_dim + 1))
+    rows = int(rng.integers(cols, max_dim + 1))
+    a = rng.standard_normal((rows, cols))
+    eps = float(rng.uniform(0.05, 0.95))
+    sig_n = float(singular_values(a)[-1])
+    e = rng.standard_normal((rows, cols))
+    e *= eps * sig_n * float(rng.uniform(0.1, 1.0)) / float(singular_values(e)[0])
+    return analysis.check_singular_subspace_stability(a, e, eps, slack=slack)
 
 
-def _sweep_projected_sigma(rng, count, max_dim, slack) -> dict:
-    reports = []
-    for _ in range(count):
-        rows, cols = _rand_shape(rng, max_dim)
-        m = int(rng.integers(1, min(rows, cols) + 1))
-        u = np.linalg.qr(rng.standard_normal((rows, m)))[0]
-        v = np.linalg.qr(rng.standard_normal((cols, m)))[0]
-        s = np.sort(rng.uniform(0.1, 1.0, size=m))[::-1]
-        omega = (u * s) @ v.T
-        eps = float(rng.uniform(0.01, 0.49))
-        e = rng.standard_normal((rows, cols))
-        e *= eps * s[-1] * float(rng.uniform(0.1, 1.0)) / float(singular_values(e)[0])
-        reports.append(analysis.check_projected_sigma_stability(omega, omega + e, eps, m=m, slack=slack))
-    return _suite_summary(reports)
+def _draw_projected_sigma(rng, max_dim, slack):
+    rows, cols = _rand_shape(rng, max_dim)
+    m = int(rng.integers(1, min(rows, cols) + 1))
+    u = np.linalg.qr(rng.standard_normal((rows, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, m)))[0]
+    s = np.sort(rng.uniform(0.1, 1.0, size=m))[::-1]
+    omega = (u * s) @ v.T
+    eps = float(rng.uniform(0.01, 0.49))
+    e = rng.standard_normal((rows, cols))
+    e *= eps * s[-1] * float(rng.uniform(0.1, 1.0)) / float(singular_values(e)[0])
+    return analysis.check_projected_sigma_stability(omega, omega + e, eps, m=m, slack=slack)
+
+
+# suite name -> draw(rng, max_dim, slack) of one random instance's report,
+# in the order the suites take their draws from the one stream
+_RANDOM_SUITES = {
+    "singular_value_perturbation": _draw_sv_perturbation,
+    "pseudoinverse_perturbation": _draw_pinv_perturbation,
+    "singular_subspace_stability": _draw_subspace_stability,
+    "projected_sigma_stability": _draw_projected_sigma,
+}
 
 
 def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
     reports = []
-    basis3 = gellmann(3)
-    models = [("aklt", fcs.from_cstar(fcs.aklt()), basis3)]
+    models = [fcs.from_cstar(fcs.aklt())]
     for k in range(model_seeds):
-        r = fcs.from_cstar(fcs.random_cstar(2, 2, seed=seed + 1000 + k))
-        models.append((f"random-{k}", r, gellmann(2)))
-    for idx, (name, r, basis) in enumerate(models):
-        od = spectral.build_omega(r, basis)
+        models.append(fcs.from_cstar(fcs.random_cstar(2, 2, seed=seed + 1000 + k)))
+    for idx, r in enumerate(models):
+        od = spectral.build_omega(r)
         sv = singular_values(od.omega)
         rank = numerical_rank(sv, RANK_RTOL)
         sigma = float(sv[rank - 1])
@@ -687,15 +675,14 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> Path:
     if 2 * s + 1 not in marginals:
         raise ValueError(f"reconstruct: input lacks the {2 * s + 1}-site marginal "
                          f"that block_size {s} needs")
-    basis = gellmann(d)
-    od = spectral.build_omega_from_marginal(marginals[2 * s + 1], basis)
+    od = spectral.build_omega_from_marginal(marginals[2 * s + 1])
     tr = spectral.truncate(od.omega, **{cfg["truncation"]["mode"]: cfg["truncation"]["value"]})
     sr = spectral.spectral_realization(od, tr)
     out = out_dir / cfg["output"]
     fcs.save_realization(sr, out)
     log.info("wrote %s", out)
     if cfg["sites"]:
-        recon = {t: fcs.marginal(sr, t, basis) for t in cfg["sites"]}
+        recon = {t: fcs.marginal(sr, t) for t in cfg["sites"]}
         save_marginals(out_dir / cfg["marginals_output"], d, recon)
     return out
 

@@ -5,8 +5,8 @@ boundary vector e, boundary functional rho) evaluating correlation words as
 
     omega(A_1 x ... x A_t) = rho . K_{A_1} ... K_{A_t} . e,
 
-where K_A = sum_a Tr(g_a A) kappa[a] in a fixed orthonormal Hermitian basis
-{g_a} of the site algebra.  All realization data is real because memory
+where K_A = sum_a Tr(g_a A) kappa[a] in the site basis {g_a} = gellmann(d),
+fixed by the local dimension d.  All realization data is real because memory
 coordinates are taken in a Hermitian basis of the memory algebra.
 
 The module provides exact evaluation and dense marginals, constructors
@@ -26,7 +26,7 @@ import numpy as np
 
 from .linalg import (RANK_RTOL, blas_threads_for, hermitian_eigenvalues, numerical_rank,
                      singular_values)
-from .opbasis import HermitianBasis, _hermitian_basis, gellmann, matrix_units
+from .opbasis import _hermitian_basis, gellmann, matrix_units
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -218,11 +218,11 @@ class ChainRealization:
         k_maps[-1] = (k_maps[-1] @ e)[:, :, None]
         return cls(d_a=d_a, k_maps=k_maps)
 
-    def state(self, basis: HermitianBasis) -> DensityMatrix:
+    def state(self) -> DensityMatrix:
         """Dense chain state, the operator product of the maps; exactly
         Hermitian by construction."""
         one = np.ones(1)
-        matrix = dense_product(one, self.k_maps, one, basis)
+        matrix = dense_product(one, self.k_maps, one)
         return DensityMatrix(matrix=matrix, dim=self.d_a, sites=self.n_sites)
 
 
@@ -270,22 +270,22 @@ def word_rows(boundary, maps, from_right: bool = False) -> list[np.ndarray]:
     return rows
 
 
-def dense_product(left, maps, right, basis: HermitianBasis) -> np.ndarray:
+def dense_product(left, maps, right) -> np.ndarray:
     """Dense d^t x d^t matrix of the operator product over t = len(maps) sites,
 
         sum_w (left . maps[0][w_1] ... maps[t-1][w_t] . right) g_{w_1} x ... x g_{w_t},
 
-    with ``maps[k]`` of shape (d^2, p_k, q_k) in the Hermitian basis.  The
+    with ``maps[k]`` of shape (d^2, p_k, q_k) in the site basis.  The
     letters of each distinct map are rotated to matrix units once, so a word
     over them is one matrix entry, and ``_unit_product`` multiplies them out.
     The correlation coefficients are never formed.
     """
     distinct = {id(k): k for k in maps}
-    rotated = {i: matrix_units(k, basis) for i, k in distinct.items()}
-    return _unit_product(left, [rotated[id(k)] for k in maps], right, basis.dim)
+    rotated = {i: matrix_units(k) for i, k in distinct.items()}
+    return _unit_product(left, [rotated[id(k)] for k in maps], right)
 
 
-def _unit_product(left, units, right, d: int) -> np.ndarray:
+def _unit_product(left, units, right) -> np.ndarray:
     """``dense_product`` over letters already rotated to matrix units.
 
     Word rows grow from both ends, with their row and column indices
@@ -299,6 +299,7 @@ def _unit_product(left, units, right, d: int) -> np.ndarray:
     t = len(units)
     if t < 1:
         raise ValueError("t must be >= 1")
+    d = math.isqrt(len(units[0]))
     check_dense_cap(d, t, "dense_product")
     h = t // 2
     lefts = _split_rows(word_rows(left, units[:h])[-1], d, h)
@@ -325,21 +326,18 @@ def _split_rows(rows: np.ndarray, d: int, k: int) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(d ** (2 * k), rows.shape[1])
 
 
-def marginal(r: Realization, t: int, basis: HermitianBasis | None = None) -> DensityMatrix:
+def marginal(r: Realization, t: int) -> DensityMatrix:
     """Dense t-site marginal, the operator product of the realization.
 
     For a spectral estimate the result is Hermitian by construction; its
     trace is reported as computed (no renormalization, no positivity
     projection).
     """
-    if basis is None:
-        basis = gellmann(r.d_a)
-    matrix = dense_product(r.rho, [r.kappa] * t, r.e, basis)
+    matrix = dense_product(r.rho, [r.kappa] * t, r.e)
     return DensityMatrix(matrix=matrix, dim=r.d_a, sites=t)
 
 
-def marginal_difference(a: Realization, b: Realization, sizes,
-                        basis: HermitianBasis) -> Iterator[np.ndarray]:
+def marginal_difference(a: Realization, b: Realization, sizes) -> Iterator[np.ndarray]:
     """Dense differences of the t-site marginals of two realizations, one for
     each t of ``sizes`` in order: the operator products of their direct sum
     with weights (1, -1).
@@ -349,9 +347,9 @@ def marginal_difference(a: Realization, b: Realization, sizes,
     that drops each before asking holds one at a time.
     """
     r = direct_sum([a, b], [1.0, -1.0])
-    units = matrix_units(r.kappa, basis)
+    units = matrix_units(r.kappa)
     for t in sizes:
-        yield _unit_product(r.rho, [units] * t, r.e, basis.dim)
+        yield _unit_product(r.rho, [units] * t, r.e)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +374,11 @@ def _channel_maps(v: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     memory basis {mu_i}."""
     site_basis = gellmann(d_a)
     mem = _hermitian_basis(d_b)
-    kappa = np.zeros((site_basis.size, mem.size, mem.size))
-    for a in range(site_basis.size):
-        for j in range(mem.size):
-            w = v.conj().T @ np.kron(site_basis.elements[a], mem.elements[j]) @ v
-            col = np.einsum("iab,ba->i", mem.elements, w)
+    kappa = np.zeros((len(site_basis), len(mem), len(mem)))
+    for a, g in enumerate(site_basis):
+        for j, mu in enumerate(mem):
+            w = v.conj().T @ np.kron(g, mu) @ v
+            col = np.einsum("iab,ba->i", mem, w)
             if np.abs(col.imag).max() > 1e-10:
                 raise ValueError("transition coefficients are not real")
             kappa[a, :, j] = col.real
@@ -390,21 +388,22 @@ def _channel_maps(v: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 def _memory_boundaries(rho0, d_b: int) -> tuple[np.ndarray, np.ndarray]:
     """(e, rho): the trace functional and the memory state rho0 in the
     Hermitian memory basis."""
-    mem = _hermitian_basis(d_b).elements
+    mem = _hermitian_basis(d_b)
     e = np.array([np.trace(mu).real for mu in mem])
     rho = np.array([np.trace(np.asarray(rho0) @ mu).real for mu in mem])
     return e, rho
 
 
-def product_realization(site_state, basis: HermitianBasis) -> Realization:
-    """Rank-one realization of the product state site_state^(x infinity)."""
+def product_realization(site_state) -> Realization:
+    """Rank-one realization of the product state site_state^(x infinity)
+    of a d x d site state."""
     site_state = np.asarray(site_state)
-    d = basis.dim
+    d = len(site_state)
     if site_state.shape != (d, d):
         raise ValueError(f"site state has shape {site_state.shape}, expected ({d}, {d})")
     if abs(np.trace(site_state).real - 1.0) > 1e-10:
         raise ValueError("site state must have trace 1")
-    phi = np.array([np.trace(site_state @ g).real for g in basis.elements])
+    phi = np.array([np.trace(site_state @ g).real for g in gellmann(d)])
     kappa = phi.reshape(-1, 1, 1)
     return Realization(d_a=d, kappa=kappa, e=np.ones(1), rho=np.ones(1)).validate()
 

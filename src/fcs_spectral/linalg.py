@@ -8,7 +8,7 @@ deterministic for a fixed input, so downstream experiments are
 bit-reproducible per seed.  Exempt from these rules:
 
 * ``np.linalg.qr`` where it draws Haar-random isometries and random
-  lemma instances (``fcs._haar_isometry``, ``cli._sweep_projected_sigma``);
+  lemma instances (``fcs._haar_isometry``, ``cli._draw_projected_sigma``);
 * the batched ``eigh`` of the d^2 package-built basis elements in
   ``noise._product_outcomes``;
 * ``np.linalg.norm`` where it scales a random draw or a state vector or

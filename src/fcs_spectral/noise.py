@@ -5,8 +5,9 @@ Two noise families:
 * Gaussian matrix perturbation ``a + epsilon * P / ||P||_F`` with P drawn
   entrywise from N(0, 1), so the Schatten-2 distance of the perturbed
   object is exactly epsilon.
-* A shot-noise tomography simulator that measures each block basis element
-  on n copies, either by actual multinomial sampling of its eigenvalues or
+* A shot-noise tomography simulator that measures each element of the
+  block basis of ``gellmann(d)``, d the marginal's local dimension, on n
+  copies, either by actual multinomial sampling of its eigenvalues or
   by a Gaussian surrogate with the exact single-shot variance.  It uses the
   product structure of the block basis: the eigenprojectors of
   g_{a_1} x ... x g_{a_k} are products of single-site eigenprojectors, so
@@ -29,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .opbasis import HermitianBasis, _contract_sites
+from .opbasis import _contract_sites, gellmann
 from .spectral import ChainOmegaData, OmegaData
 
 __all__ = [
@@ -89,7 +90,7 @@ def perturb_chain_omega(cod: ChainOmegaData, epsilon: float, rng) -> ChainOmegaD
     return dataclasses.replace(cod, omegas=omegas, omega_dots=omega_dots)
 
 
-def _product_outcomes(rho, basis: HermitianBasis, sites: int):
+def _product_outcomes(rho, d: int, sites: int):
     """Outcome table of every block basis element, rows in flat block order.
 
     Returns (vals, probs) of shape ((d^2)^sites, d^sites): probs[w, o] =
@@ -98,14 +99,13 @@ def _product_outcomes(rho, basis: HermitianBasis, sites: int):
     eigenprojectors Pi_{a_1 o_1} x ... x Pi_{a_k o_k} with eigenvalues
     prod_j lambda_{a_j o_j}.
     """
-    d = basis.dim
-    site_vals, site_vecs = np.linalg.eigh(basis.elements)
+    site_vals, site_vecs = np.linalg.eigh(gellmann(d))
     # proj[a * d + o] = |v_ao><v_ao|, the o-th eigenprojector of element a
     proj = np.einsum("aio,ajo->aoij", site_vecs, site_vecs.conj()).reshape(-1, d, d)
     x = _contract_sites(np.asarray(rho), proj, sites).real
     # axes (a_1, o_1, ..., a_k, o_k) -> rows a_1..a_k, columns o_1..o_k
     perm = list(range(0, 2 * sites, 2)) + list(range(1, 2 * sites, 2))
-    probs = x.reshape((d * d, d) * sites).transpose(perm).reshape(basis.size ** sites, -1)
+    probs = x.reshape((d * d, d) * sites).transpose(perm).reshape(d ** (2 * sites), -1)
     del x
     vals = np.ones((1, 1))
     for _ in range(sites):
@@ -114,8 +114,7 @@ def _product_outcomes(rho, basis: HermitianBasis, sites: int):
     return vals, probs
 
 
-def simulate_tomography(dm, basis: HermitianBasis, shots: int, rng,
-                        mode: str = "shot_multinomial") -> np.ndarray:
+def simulate_tomography(dm, shots: int, rng, mode: str = "shot_multinomial") -> np.ndarray:
     """Estimated coefficient vector of a marginal from n measurement shots.
 
     For each block basis element G = sum_k g_k Pi_k the simulator draws n
@@ -131,7 +130,7 @@ def simulate_tomography(dm, basis: HermitianBasis, shots: int, rng,
         raise ValueError(f"unknown tomography mode {mode!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    vals, probs = _product_outcomes(dm.matrix, basis, dm.sites)
+    vals, probs = _product_outcomes(dm.matrix, dm.dim, dm.sites)
     lo = probs.min()
     if lo < -1e-9:
         warnings.warn(

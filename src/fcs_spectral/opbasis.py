@@ -1,9 +1,10 @@
-"""Orthonormal Hermitian operator bases and their block extensions.
+"""The orthonormal Hermitian site basis and its block extensions.
 
-The single-site basis is the normalized Gell-Mann family: element 0 is the
-normalized identity 1/sqrt(d), followed by the traceless generators ordered
-as symmetric pairs (lexicographic (j,k), j < k), then antisymmetric pairs,
-then diagonal generators.  All elements satisfy Tr(g_i g_j) = delta_ij.
+The site basis is a function of the local dimension d alone: the normalized
+Gell-Mann family, a read-only (d^2, d, d) array built once per d.  Element 0
+is the normalized identity 1/sqrt(d), followed by the traceless generators
+ordered as symmetric pairs (lexicographic (j,k), j < k), then antisymmetric
+pairs, then diagonal generators.  All elements satisfy Tr(g_i g_j) = delta_ij.
 
 Blocks of s sites use the Kronecker-product basis with the leftmost site as
 the most significant index: the flat index of (i_1, ..., i_s) is the usual
@@ -12,41 +13,28 @@ C-order value sum_k i_k * (d^2)^(s-k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
 
 import numpy as np
 
 __all__ = [
-    "HermitianBasis",
     "gellmann",
     "expand_in_basis",
     "matrix_units",
 ]
 
 
-@dataclass(frozen=True)
-class HermitianBasis:
-    """Orthonormal Hermitian basis of d x d matrices, identity at index 0."""
-
-    dim: int
-    elements: np.ndarray = field(repr=False)  # shape (dim^2, dim, dim), complex
-
-    def __post_init__(self):
-        self.elements.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.elements.shape[0]
-
-
-def gellmann(d: int) -> HermitianBasis:
-    """Normalized Gell-Mann basis for local dimension d >= 2."""
+def gellmann(d: int) -> np.ndarray:
+    """Normalized Gell-Mann basis for local dimension d >= 2: the read-only
+    (d^2, d, d) complex array of its elements, the same array on every call."""
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     return _hermitian_basis(d)
 
 
-def _hermitian_basis(d: int) -> HermitianBasis:
+@functools.cache
+def _hermitian_basis(d: int) -> np.ndarray:
     # Internal variant that also admits the trivial d = 1 memory algebra.
     elements = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for j in range(d):
@@ -65,22 +53,24 @@ def _hermitian_basis(d: int) -> HermitianBasis:
         v[:l] = 1.0
         v[l] = -float(l)
         elements.append(np.diag(v).astype(complex) / np.sqrt(l * (l + 1.0)))
-    return HermitianBasis(dim=d, elements=np.array(elements))
+    elements = np.array(elements)
+    elements.setflags(write=False)
+    return elements
 
 
-def expand_in_basis(m, basis: HermitianBasis, sites: int) -> np.ndarray:
+def expand_in_basis(m, d: int, sites: int) -> np.ndarray:
     """Real coefficient vector of a Hermitian block matrix.
 
-    Returns c with c[flat(i_1..i_s)] = Tr(g_{i_1} x ... x g_{i_s} m).  The
-    input must be Hermitian so the coefficients are real; imaginary parts
-    beyond 1e-10 (relative to the matrix norm) raise.
+    Returns c with c[flat(i_1..i_s)] = Tr(g_{i_1} x ... x g_{i_s} m) in the
+    site basis ``gellmann(d)``.  The input must be Hermitian so the
+    coefficients are real; imaginary parts beyond 1e-10 (relative to the
+    matrix norm) raise.
     """
     m = np.asarray(m)
-    d = basis.dim
     n = d ** sites
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for {sites} sites, got {m.shape}")
-    x = _contract_sites(m, basis.elements, sites)
+    x = _contract_sites(m, gellmann(d), sites)
     imag = np.abs(x.imag).max()
     if imag > 1e-10 * max(np.linalg.norm(m), 1.0):
         raise ValueError(f"coefficients are not real: max imaginary part {imag:.3e}")
@@ -103,19 +93,22 @@ def _contract_sites(m, ops, sites: int) -> np.ndarray:
     return x
 
 
-def matrix_units(letters, basis: HermitianBasis) -> np.ndarray:
-    """Letters rotated from the Hermitian basis to matrix units.
+def matrix_units(letters) -> np.ndarray:
+    """Letters rotated from the site basis to matrix units.
 
-    ``letters`` has shape (d^2, p, q), one p x q matrix per basis element.
-    Entry i*d + j of the result is sum_a (g_a)_{ij} letters[a], so a word
-    over the rotated letters is one entry of the block matrix.  Entries
-    (i, j) and (j, i) are made exact complex conjugates, so the products
-    built from them are Hermitian to the last bit wherever the arithmetic
-    treats both signs alike, and the Hermiticity check before an eigensolve
-    then copies nothing.
+    ``letters`` has shape (d^2, p, q), one p x q matrix per element of
+    ``gellmann(d)``, so d is the square root of the letter count.  Entry
+    i*d + j of the result is sum_a (g_a)_{ij} letters[a], so a word over the
+    rotated letters is one entry of the block matrix.  Entries (i, j) and
+    (j, i) are made exact complex conjugates, so the products built from
+    them are Hermitian to the last bit wherever the arithmetic treats both
+    signs alike, and the Hermiticity check before an eigensolve then copies
+    nothing.
     """
     letters = np.asarray(letters)
-    d = basis.dim
-    m = np.tensordot(basis.elements, letters, axes=(0, 0))
+    d = math.isqrt(len(letters))
+    if d < 2 or d * d != len(letters):
+        raise ValueError(f"matrix_units: {len(letters)} letters are not d^2 for a d >= 2")
+    m = np.tensordot(gellmann(d), letters, axes=(0, 0))
     m = 0.5 * (m + m.transpose(1, 0, 2, 3).conj())
     return m.reshape(d * d, *letters.shape[1:])

@@ -2,7 +2,8 @@
 
 Translation-invariant path
     1. collect the bilinear-form data (Omega, Omega_dot, Omega(1), tau Omega)
-       in a fixed Hermitian product basis, either exactly from a realization
+       in the product of the site basis ``gellmann(d)``, which the local
+       dimension d fixes, either exactly from a realization
        or from one (estimated) marginal: every field of block size s is a
        slice of the (2s+1)-site marginal's coefficient vector;
     2. truncate the SVD of Omega to a fixed rank or singular value threshold;
@@ -32,7 +33,7 @@ import numpy as np
 from . import fcs
 from .fcs import ChainRealization, DensityMatrix, Realization, check_dense_cap
 from .linalg import PINV_RTOL, numerical_rank, svd
-from .opbasis import HermitianBasis, expand_in_basis
+from .opbasis import expand_in_basis
 
 __all__ = [
     "OmegaData",
@@ -50,7 +51,7 @@ __all__ = [
 
 @dataclass
 class OmegaData:
-    """Bilinear-form data of a state in a Hermitian product basis.
+    """Bilinear-form data of a state in the product site basis.
 
     omega[j, i]        = omega(Y_j x X_i)          (left s_left, right s_right sites)
     omega_dot[k, j, i] = omega(Y_j x Z_k x X_i)    (one middle site)
@@ -67,11 +68,8 @@ class OmegaData:
     tau_omega: np.ndarray
 
 
-def build_omega(r: Realization, basis: HermitianBasis | None = None,
-                s_left: int = 1, s_right: int = 1) -> OmegaData:
+def build_omega(r: Realization, s_left: int = 1, s_right: int = 1) -> OmegaData:
     """Exact Omega data of a realization for given block sizes."""
-    if basis is not None and basis.dim != r.d_a:
-        raise ValueError("basis dimension does not match the realization")
     check_dense_cap(r.d_a, s_left + s_right, "build_omega")
     # (nL, m) rows rho.K_word and (nR, m) rows K_word.e
     left = fcs.word_rows(r.rho, [r.kappa] * s_left)[-1]
@@ -83,12 +81,12 @@ def build_omega(r: Realization, basis: HermitianBasis | None = None,
     return OmegaData(r.d_a, s_left, s_right, omega, omega_dot, omega_one, tau_omega)
 
 
-def build_omega_from_marginal(marg: DensityMatrix, basis: HermitianBasis) -> OmegaData:
+def build_omega_from_marginal(marg: DensityMatrix) -> OmegaData:
     """Omega data of block size s from the (2s+1)-site marginal alone."""
     if marg.sites < 3 or marg.sites % 2 == 0:
         raise ValueError(f"a {marg.sites}-site marginal is not of size 2s+1 with s >= 1")
-    c = expand_in_basis(marg.matrix, basis, marg.sites)
-    return omega_data_from_coefficients(c, d_a=basis.dim, s=marg.sites // 2)
+    c = expand_in_basis(marg.matrix, marg.dim, marg.sites)
+    return omega_data_from_coefficients(c, d_a=marg.dim, s=marg.sites // 2)
 
 
 def omega_data_from_coefficients(c, d_a: int, s: int) -> OmegaData:
@@ -211,8 +209,8 @@ class ChainOmegaData:
     omega_dots: dict[int, np.ndarray]   # j = 1..N, shape (d^2, nL_j, nR_j)
 
 
-def build_chain_omega(state: DensityMatrix, basis: HermitianBasis,
-                      left_width: int, right_width: int) -> ChainOmegaData:
+def build_chain_omega(state: DensityMatrix, left_width: int,
+                      right_width: int) -> ChainOmegaData:
     """Exact window forms of a dense finite-chain state from its n window
     marginals [max(1, j-l), min(n, j+r)], each expanded once.
 
@@ -221,7 +219,7 @@ def build_chain_omega(state: DensityMatrix, basis: HermitianBasis,
     slice of window j at the identity g_0 = 1/sqrt(d) on site j - l.
     """
     n, d = state.sites, state.dim
-    nb = basis.size
+    nb = d * d
     if left_width < 1 or right_width < 1:
         raise ValueError("block widths must be >= 1")
     omegas = {}
@@ -229,7 +227,7 @@ def build_chain_omega(state: DensityMatrix, basis: HermitianBasis,
     for j in range(1, n + 1):
         first, last = max(1, j - left_width), min(n, j + right_width)
         w = fcs.partial_trace_window(state.matrix, d, n, first, last)
-        c = expand_in_basis(w, basis, last - first + 1)
+        c = expand_in_basis(w, d, last - first + 1)
         omega_dots[j] = np.ascontiguousarray(
             c.reshape(nb ** (j - first), nb, -1).transpose(1, 0, 2))
         if j < n:

@@ -2,17 +2,6 @@ import numpy as np
 import pytest
 
 from fcs_spectral import aklt, build_omega, from_cstar, linalg
-from fcs_spectral.opbasis import gellmann
-
-
-@pytest.fixture(scope="session")
-def basis3():
-    return gellmann(3)
-
-
-@pytest.fixture(scope="session")
-def basis2():
-    return gellmann(2)
 
 
 @pytest.fixture(scope="session")
@@ -26,8 +15,8 @@ def aklt_realization(aklt_model):
 
 
 @pytest.fixture(scope="session")
-def aklt_omega(aklt_realization, basis3):
-    return build_omega(aklt_realization, basis3)
+def aklt_omega(aklt_realization):
+    return build_omega(aklt_realization)
 
 
 def spin1_matrices():

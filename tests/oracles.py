@@ -18,7 +18,7 @@ import numpy as np
 from fcs_spectral import fcs
 from fcs_spectral.fcs import (CStarRealization, DensityMatrix, Realization, _split_rows,
                               partial_trace_window, word_rows)
-from fcs_spectral.opbasis import HermitianBasis, expand_in_basis, matrix_units
+from fcs_spectral.opbasis import expand_in_basis, matrix_units
 from fcs_spectral.spectral import OmegaData
 
 
@@ -64,32 +64,33 @@ def multi_index(flat: int, sites: int, d: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def block_element(basis: HermitianBasis, multi: Iterable[int]) -> np.ndarray:
-    """Kronecker product of basis elements, leftmost site = leftmost factor."""
+def block_element(basis: np.ndarray, multi: Iterable[int]) -> np.ndarray:
+    """Kronecker product of elements of a (d^2, d, d) basis array, leftmost
+    site = leftmost factor."""
     multi = tuple(multi)
     if not multi:
         raise IndexError("empty block index")
     out = None
     for i in multi:
-        if not 0 <= i < basis.size:
-            raise IndexError(f"basis index {i} out of range [0, {basis.size})")
-        out = basis.elements[i] if out is None else np.kron(out, basis.elements[i])
+        if not 0 <= i < len(basis):
+            raise IndexError(f"basis index {i} out of range [0, {len(basis)})")
+        out = basis[i] if out is None else np.kron(out, basis[i])
     return out
 
 
-def assemble_from_coefficients(coeffs, basis: HermitianBasis, sites: int) -> np.ndarray:
-    """Block matrix sum_w c[w] g_{w_1} x ... x g_{w_s} from real coefficients,
-    the inverse of ``opbasis.expand_in_basis``."""
+def assemble_from_coefficients(coeffs, basis: np.ndarray, sites: int) -> np.ndarray:
+    """Block matrix sum_w c[w] g_{w_1} x ... x g_{w_s} from real coefficients
+    in a (d^2, d, d) basis array; in ``opbasis.gellmann(d)`` the inverse of
+    ``opbasis.expand_in_basis``."""
     coeffs = np.asarray(coeffs, dtype=float)
-    d = basis.dim
-    nb = basis.size
+    nb, d = len(basis), basis.shape[-1]
     if coeffs.size != nb ** sites:
         raise ValueError(
             f"expected {nb ** sites} coefficients for {sites} sites, got {coeffs.size}"
         )
     x = coeffs.reshape((nb,) * sites).astype(complex)
     for _ in range(sites):
-        x = np.tensordot(x, basis.elements, axes=([0], [0]))
+        x = np.tensordot(x, basis, axes=([0], [0]))
     # axes are now (r_1, c_1, ..., r_s, c_s); interleave back to block form
     perm = list(range(0, 2 * sites, 2)) + list(range(1, 2 * sites, 2))
     n = d ** sites
@@ -121,11 +122,11 @@ def validate_exact(od: OmegaData, atol=1e-10) -> OmegaData:
     return od
 
 
-def single_matmul_product(left, maps, right, basis: HermitianBasis) -> np.ndarray:
+def single_matmul_product(left, maps, right) -> np.ndarray:
     """``fcs.dense_product`` as one matmul of the full word rows and one
     contiguous copy of its transpose, without blocks."""
-    d, t = basis.dim, len(maps)
-    units = [matrix_units(k, basis) for k in maps]
+    d, t = math.isqrt(len(maps[0])), len(maps)
+    units = [matrix_units(k) for k in maps]
     h = t // 2
     lefts = _split_rows(word_rows(left, units[:h])[-1], d, h)
     rights = _split_rows(word_rows(right, units[h:], from_right=True)[-1], d, t - h)
@@ -133,8 +134,7 @@ def single_matmul_product(left, maps, right, basis: HermitianBasis) -> np.ndarra
     return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(d ** t, d ** t)
 
 
-def chain_window_form(state: DensityMatrix, basis: HermitianBasis,
-                      i: int, j: int, k: int) -> np.ndarray:
+def chain_window_form(state: DensityMatrix, i: int, j: int, k: int) -> np.ndarray:
     """Window bilinear form of a finite-chain state, as a matrix.
 
     Rows index the Hermitian product basis on sites [i, j], columns the one
@@ -147,20 +147,20 @@ def chain_window_form(state: DensityMatrix, basis: HermitianBasis,
     if not i - 1 <= j <= k:
         raise ValueError(f"invalid window split [{i}, {j}, {k}]")
     c = expand_in_basis(partial_trace_window(state.matrix, state.dim, n, i, k),
-                        basis, k - i + 1)
-    return c.reshape(basis.size ** (j - i + 1), basis.size ** (k - j))
+                        state.dim, k - i + 1)
+    nb = state.dim ** 2
+    return c.reshape(nb ** (j - i + 1), nb ** (k - j))
 
 
-def chain_forms(state: DensityMatrix, basis: HermitianBasis, left_width: int,
-                right_width: int) -> tuple[dict, dict]:
+def chain_forms(state: DensityMatrix, left_width: int, right_width: int) -> tuple[dict, dict]:
     """``spectral.build_chain_omega``'s (omegas, omega_dots), each of its
     2n - 1 forms expanded from its own window marginal."""
     n, l, r = state.sites, left_width, right_width
-    omegas = {j: chain_window_form(state, basis, j - l + 1, j, j + r) for j in range(1, n)}
+    omegas = {j: chain_window_form(state, j - l + 1, j, j + r) for j in range(1, n)}
     omega_dots = {}
     for j in range(1, n + 1):
-        f = chain_window_form(state, basis, j - l, j - 1, j + r)
-        omega_dots[j] = f.reshape(f.shape[0], basis.size, -1).transpose(1, 0, 2)
+        f = chain_window_form(state, j - l, j - 1, j + r)
+        omega_dots[j] = f.reshape(f.shape[0], state.dim ** 2, -1).transpose(1, 0, 2)
     return omegas, omega_dots
 
 

@@ -21,7 +21,7 @@ from fcs_spectral.fcs import (
     random_cstar,
     random_chain,
 )
-from fcs_spectral.opbasis import expand_in_basis, gellmann
+from fcs_spectral.opbasis import expand_in_basis
 from oracles import dense_state, word_coefficient_tensor
 
 _CACHE: dict = {}
@@ -30,9 +30,7 @@ _CACHE: dict = {}
 def _aklt_setup():
     if "aklt" not in _CACHE:
         r = from_cstar(aklt())
-        basis = gellmann(3)
-        od = spectral.build_omega(r, basis)
-        _CACHE["aklt"] = (r, basis, od)
+        _CACHE["aklt"] = (r, spectral.build_omega(r))
     return _CACHE["aklt"]
 
 
@@ -50,12 +48,12 @@ def report(capsys):
 def test_c1_aklt_exact_round_trip(report):
     """Exact rank-4 reconstruction reproduces every marginal up to t = 7."""
     t0 = time.perf_counter()
-    r, basis, od = _aklt_setup()
+    r, od = _aklt_setup()
     tr = spectral.truncate(od.omega, rank=4)
     sr = spectral.spectral_realization(od, tr)
     worst = 0.0
     sizes = range(1, 8)
-    for t, diff in zip(sizes, marginal_difference(sr, r, sizes, basis), strict=True):
+    for t, diff in zip(sizes, marginal_difference(sr, r, sizes), strict=True):
         td, _ = analysis.difference_distances(diff)
         assert td <= 1e-9, f"t={t}: trace distance {td:.3e} exceeds 1e-9"
         worst = max(worst, td)
@@ -67,7 +65,7 @@ def test_c1_aklt_exact_round_trip(report):
 
 def test_c2_aklt_omega_rank_four(report):
     """The exact 9x9 block form has numerical rank exactly 4."""
-    _, _, od = _aklt_setup()
+    _, od = _aklt_setup()
     s = np.linalg.svd(od.omega, compute_uv=False)
     rank = int((s > 1e-9 * s[0]).sum())
     assert rank == 4
@@ -82,22 +80,21 @@ def test_c3_oracle_equivalence_20_models(report):
     worst_td = 0.0
     n_models = 0
     for d_a, d_b in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        basis = gellmann(d_a)
         for seed in range(5):
             model = random_cstar(d_a, d_b, seed=100 * d_a + 10 * d_b + seed)
             r = from_cstar(model)
             t = 6
-            oracle = expand_in_basis(dense_state(model, t).matrix, basis, t)
+            oracle = expand_in_basis(dense_state(model, t).matrix, d_a, t)
             words = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
             dev = float(np.abs(words - oracle).max())
             assert dev <= 1e-10, f"model ({d_a},{d_b},{seed}): word dev {dev:.2e}"
             worst_word = max(worst_word, dev)
-            od = spectral.build_omega(r, basis, 2, 2)
+            od = spectral.build_omega(r, 2, 2)
             sv = np.linalg.svd(od.omega, compute_uv=False)
             rank = int((sv > 1e-9 * sv[0]).sum())
             sr = spectral.spectral_realization(od, spectral.truncate(od.omega, rank=rank))
             sizes = range(1, 6)
-            for tt, diff in zip(sizes, marginal_difference(sr, r, sizes, basis), strict=True):
+            for tt, diff in zip(sizes, marginal_difference(sr, r, sizes), strict=True):
                 td, _ = analysis.difference_distances(diff)
                 assert td <= 1e-8, f"model ({d_a},{d_b},{seed}) t={tt}: TD {td:.2e}"
                 worst_td = max(worst_td, td)
@@ -199,14 +196,13 @@ def test_c6_realization_estimate_bounds(report):
     """Estimate-vs-empirical realization inequalities hold on the spin-1
     model and on random channel models, 20 seeds x 3 admissible noise
     levels, zero violations."""
-    _, _, od_aklt = _aklt_setup()
+    _, od_aklt = _aklt_setup()
     checks = 0
     worst = math.inf
     configs = [(od_aklt, 4)]
-    basis2 = gellmann(2)
     for seed in range(20):
         r = from_cstar(random_cstar(2, 2, 5000 + seed))
-        od = spectral.build_omega(r, basis2)
+        od = spectral.build_omega(r)
         sv = np.linalg.svd(od.omega, compute_uv=False)
         rank = int((sv > 1e-9 * sv[0]).sum())
         configs.append((od, rank))
@@ -228,20 +224,19 @@ def test_c6_realization_estimate_bounds(report):
 
 def test_c7_nonhomogeneous_chains(report):
     """Exact recovery of random length-5 chains and monotone noisy error."""
-    basis2 = gellmann(2)
     worst_exact = 0.0
     for seed in (3, 8, 21, 34, 55):
         chain = random_chain(5, 2, 2, seed)
-        state = chain.state(basis2)
-        cod = spectral.build_chain_omega(state, basis2, 2, 2)
+        state = chain.state()
+        cod = spectral.build_chain_omega(state, 2, 2)
         recon = spectral.nonhomog_reconstruct(cod, threshold=1e-8)
-        td, _ = analysis.difference_distances(recon.state(basis2).matrix - state.matrix)
+        td, _ = analysis.difference_distances(recon.state().matrix - state.matrix)
         assert td <= 1e-8, f"chain seed {seed}: exact TD {td:.2e}"
         worst_exact = max(worst_exact, td)
     # noisy path: mean error monotone over three levels
     chain = random_chain(5, 2, 2, 3)
-    state = chain.state(basis2)
-    cod = spectral.build_chain_omega(state, basis2, 2, 2)
+    state = chain.state()
+    cod = spectral.build_chain_omega(state, 2, 2)
     ranks = []
     for j in range(1, 5):
         sv = np.linalg.svd(cod.omegas[j], compute_uv=False)
@@ -253,7 +248,7 @@ def test_c7_nonhomogeneous_chains(report):
             cod_hat = noise.perturb_chain_omega(cod, eps, noise.spawn_rng(13, lvl, trial))
             recon = spectral.nonhomog_reconstruct(cod_hat, ranks=ranks)
             tds.append(analysis.difference_distances(
-                recon.state(basis2).matrix - state.matrix)[0])
+                recon.state().matrix - state.matrix)[0])
         means.append(float(np.mean(tds)))
     assert means[0] < means[1] < means[2], f"means not monotone: {means}"
     report(f"criterion 7 chains: worst exact TD {worst_exact:.2e}, noisy "

@@ -32,6 +32,7 @@ from fcs_spectral.analysis import (
 )
 from fcs_spectral.fcs import from_cstar, random_chain, random_cstar
 from fcs_spectral.noise import make_rng, perturb_omega_data, spawn_rng
+from fcs_spectral.opbasis import gellmann
 from fcs_spectral.spectral import build_chain_omega, build_omega, truncate
 from oracles import assemble_from_coefficients
 
@@ -76,12 +77,12 @@ def test_hs_distance():
     assert hs_distance(np.zeros((2, 2)), np.eye(2)) == pytest.approx(math.sqrt(2.0))
 
 
-def test_difference_distances_match_pairwise(basis2):
+def test_difference_distances_match_pairwise():
     rng = np.random.default_rng(3)
     c1 = rng.standard_normal(16)
     c2 = rng.standard_normal(16)
-    a = assemble_from_coefficients(c1, basis2, 2)
-    b = assemble_from_coefficients(c2, basis2, 2)
+    a = assemble_from_coefficients(c1, gellmann(2), 2)
+    b = assemble_from_coefficients(c2, gellmann(2), 2)
     td, hs = difference_distances(a - b)
     assert td == pytest.approx(trace_distance(a, b), abs=1e-12)
     assert hs == pytest.approx(hs_distance(a, b), abs=1e-12)
@@ -89,7 +90,7 @@ def test_difference_distances_match_pairwise(basis2):
     assert hs == pytest.approx(np.linalg.norm(c1 - c2), rel=1e-13)
 
 
-def test_trial_evaluation_peak_memory(aklt_realization, aklt_omega, basis3):
+def test_trial_evaluation_peak_memory(aklt_realization, aklt_omega):
     # one trial's evaluation at t = 6 (TD and HS of a 729 x 729 difference)
     # allocates at most 2.5 such matrices: the product and its transposed copy
     from fcs_spectral.fcs import marginal_difference
@@ -99,8 +100,7 @@ def test_trial_evaluation_peak_memory(aklt_realization, aklt_omega, basis3):
     sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
     tracemalloc.start()
     try:
-        td, hs = difference_distances(next(marginal_difference(sr, aklt_realization, [6],
-                                                               basis3)))
+        td, hs = difference_distances(next(marginal_difference(sr, aklt_realization, [6])))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,9 +339,9 @@ def test_estimate_bounds_aklt_sweep(seed, aklt_omega, aklt_frame):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_estimate_bounds_random_model_sweep(seed, basis2):
+def test_estimate_bounds_random_model_sweep(seed):
     r = from_cstar(random_cstar(2, 2, 3000 + seed))
-    od = build_omega(r, basis2)
+    od = build_omega(r)
     sv = np.linalg.svd(od.omega, compute_uv=False)
     rank = int((sv > 1e-9 * sv[0]).sum())
     od_hat = perturb_omega_data(od, 1e-4, 1e-4, spawn_rng(31, seed))
@@ -386,11 +386,11 @@ def test_surrogate_parameters_bits_independent_of_blas_threads():
 @pytest.mark.parametrize("site, bits", [
     (1, "0x1.ab787c55aa998p-1"), (2, "0x1.ed5378480b02fp+9"), (4, "0x1.aea69cc61b2a4p+0"),
 ])
-def test_chain_bound_bits(basis2, site, bits):
+def test_chain_bound_bits(site, bits):
     # recorded before the chain bound moved into analysis.  A deviation at
     # one site alone makes its term the maximum: site 1 takes m = sigma = 1
     # on its frame side, and site n = 4 has no window form
-    cod = build_chain_omega(random_chain(4, 2, 2, 3).state(basis2), basis2, 2, 2)
+    cod = build_chain_omega(random_chain(4, 2, 2, 3).state(), 2, 2)
     sigmas = [sigma_m(cod.omegas[j], 4) for j in range(1, 4)]
     cod_hat = dataclasses.replace(cod, omegas=dict(cod.omegas), omega_dots=dict(cod.omega_dots))
     cod_hat.omega_dots[site] = cod.omega_dots[site] + 1e-4

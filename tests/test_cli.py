@@ -516,6 +516,25 @@ def test_cmd_lemma_check_report(tmp_path):
         assert suite["worst"]["margin"] >= -1e-9
 
 
+def test_suite_summary_counts_violations_and_keeps_the_first_ten():
+    # a report fails on its first failing inequality; the worst margin is
+    # the least over every inequality of every report
+    def report(k, lhs):
+        return analysis.CheckReport(name=f"r{k}", inequalities=[
+            analysis.InequalityCheck("a", lhs, 1.0, 0.0),
+            analysis.InequalityCheck("b", 2.0, 1.0, 0.0)])
+
+    reports = [report(k, 0.5 if k == 3 else 1.0 + k) for k in range(13)]
+    summary = cli._suite_summary(reports)
+    assert summary["count"] == 13
+    assert summary["violations"] == 13
+    assert summary["failures"] == [r.to_dict() for r in reports[:10]]
+    assert summary["worst"] == reports[12].inequalities[0].to_dict()
+    assert summary["worst"]["margin"] == -12.0
+    assert cli._suite_summary([]) == {"count": 0, "violations": 0, "worst": None,
+                                      "failures": []}
+
+
 @pytest.mark.parametrize("d, s", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_maximally_mixed_omega_closed_form(d, s):
     # the maximally mixed state's Omega data has one coefficient, 1/d^k on
@@ -527,10 +546,10 @@ def test_maximally_mixed_omega_closed_form(d, s):
     mm = spectral.omega_data_from_coefficients(c, d_a=d, s=s)
     base = {"kind": "random", "d_a": d, "d_b": 2, "seed": 3}
     _, r, _ = cli._build_model(base, "aklt.model")
-    od = spectral.build_omega(r, gellmann(d), s, s)
+    od = spectral.build_omega(r, s, s)
     for xi in (0.01, 0.1):
         _, mix, _ = cli._build_model(mixture(xi, base), "aklt.model")
-        got = spectral.build_omega(mix, gellmann(d), s, s)
+        got = spectral.build_omega(mix, s, s)
         for field in ("omega", "omega_dot", "omega_one", "tau_omega"):
             x, y, z = getattr(got, field), getattr(od, field), getattr(mm, field)
             assert x.shape == y.shape == z.shape, field
@@ -563,6 +582,16 @@ def test_cmd_aklt_on_mixture(tmp_path):
                              out="scan") / "rank_scan.csv")
     ranks = {(int(r["left_block"]), int(r["right_block"])): int(r["rank"]) for r in rows}
     assert ranks == {(1, 1): 4, (1, 2): 4, (2, 1): 4, (2, 2): 5}
+
+
+def test_cmd_aklt_on_product_state_is_exact_at_rank_one(tmp_path):
+    # the qubit state (|0> + i|1>)/sqrt(2) at every site
+    cfg = dict(AKLT_CFG, model={"kind": "product", "state": [[1, 0], [0, 1]]},
+               truncation={"mode": "rank", "value": 1}, epsilons=[0.0], output="product.csv")
+    rows = read_rows(run_cli(tmp_path, "aklt", cfg) / "product.csv")
+    assert [(r["model"], int(r["sites"])) for r in rows] == [("product(d=2)", t)
+                                                              for t in (2, 2, 3, 3)]
+    assert all(float(r["trace_distance"]) <= 1e-12 and int(r["rank_used"]) == 1 for r in rows)
 
 
 def aklt_with(**changes):
@@ -727,6 +756,10 @@ def reconstruct_with(marginals, **changes):
     (*reconstruct_with("repeat.json"),
      "ValueError: marginals.marginals[1].sites: the 1-site marginal is already given by "
      "marginals.marginals[0]"),
+    ("aklt", json.dumps({k: v for k, v in AKLT_CFG.items() if k != "epsilons"}),
+     "ValueError: aklt.epsilons: required by gaussian_matrix noise"),
+    (*aklt_with(noise={"mode": "shot_multinomial"}),
+     "ValueError: aklt.shots_sweep: required by shot_multinomial noise"),
 ], ids=["number-for-list", "truncated-json", "missing-file", "string-for-sites",
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
@@ -750,7 +783,8 @@ def reconstruct_with(marginals, **changes):
         "aklt-dense-cap-key", "rank-scan-dense-cap-key",
         "nonhomog-dense-cap-key", "reconstruct-dense-cap-key", "zero-product-state",
         "product-state-entry-not-a-pair", "one-dimensional-product-state",
-        "negative-marginal-sites", "repeated-marginal-size"])
+        "negative-marginal-sites", "repeated-marginal-size", "gaussian-noise-without-epsilons",
+        "shot-noise-without-shots-sweep"])
 def test_malformed_config_exits_2_with_named_error(tmp_path, caplog, command, content,
                                                    message):
     # an exception escaping main would fail the test with its traceback
@@ -830,8 +864,8 @@ def test_log_level_applies_on_every_call(tmp_path, caplog):
         logging.getLogger("fcs_spectral").setLevel(logging.NOTSET)
 
 
-def test_cmd_reconstruct_roundtrip(tmp_path, aklt_realization, basis3):
-    marginals = {k: marginal(aklt_realization, k, basis3) for k in (1, 2, 3)}
+def test_cmd_reconstruct_roundtrip(tmp_path, aklt_realization):
+    marginals = {k: marginal(aklt_realization, k) for k in (1, 2, 3)}
     cli.save_marginals(tmp_path / "marginals.json", 3, marginals)
     cfg = {
         "input": str(tmp_path / "marginals.json"),
@@ -854,14 +888,14 @@ def test_cmd_reconstruct_roundtrip(tmp_path, aklt_realization, basis3):
     assert np.abs(recs[2].matrix - marginals[2].matrix).max() <= 1e-8
 
 
-def test_save_realization_writes_the_cli_bytes(tmp_path, aklt_realization, basis3):
+def test_save_realization_writes_the_cli_bytes(tmp_path, aklt_realization):
     # the library writer and the reconstruct command give one file format
-    marginals = {3: marginal(aklt_realization, 3, basis3)}
+    marginals = {3: marginal(aklt_realization, 3)}
     cli.save_marginals(tmp_path / "marginals.json", 3, marginals)
     cfg = {"input": str(tmp_path / "marginals.json"), "block_size": 1,
            "truncation": {"mode": "rank", "value": 4}}
     out = run_cli(tmp_path, "reconstruct", cfg)
-    od = spectral.build_omega_from_marginal(marginals[3], basis3)
+    od = spectral.build_omega_from_marginal(marginals[3])
     sr = spectral.spectral_realization(od, spectral.truncate(od.omega, rank=4))
     fcs.save_realization(sr, tmp_path / "library.json")
     got = (tmp_path / "library.json").read_bytes()
@@ -869,7 +903,7 @@ def test_save_realization_writes_the_cli_bytes(tmp_path, aklt_realization, basis
     assert b"\r" not in got and got.startswith(b'{\n "d_a": 3,')
 
 
-def reconstruct_from_shots(tmp_path, aklt_realization, basis3):
+def reconstruct_from_shots(tmp_path, aklt_realization):
     """Simulate measurement statistics of the 1-3 site AKLT marginals, write
     the marginals document and reconstruct from it via the CLI."""
     from fcs_spectral.fcs import DensityMatrix
@@ -878,11 +912,11 @@ def reconstruct_from_shots(tmp_path, aklt_realization, basis3):
     rng = make_rng(12)
     marginals = {}
     for k in (1, 2, 3):
-        exact = marginal(aklt_realization, k, basis3)
-        est = simulate_tomography(exact, basis3, shots=10 ** 6, rng=rng,
+        exact = marginal(aklt_realization, k)
+        est = simulate_tomography(exact, shots=10 ** 6, rng=rng,
                                   mode="shot_gaussian")
         marginals[k] = DensityMatrix(
-            matrix=assemble_from_coefficients(est, basis3, k), dim=3, sites=k)
+            matrix=assemble_from_coefficients(est, gellmann(3), k), dim=3, sites=k)
     cli.save_marginals(tmp_path / "estimated.json", 3, marginals)
     cfg = {
         "input": str(tmp_path / "estimated.json"),
@@ -894,19 +928,19 @@ def reconstruct_from_shots(tmp_path, aklt_realization, basis3):
     return run_cli(tmp_path, "reconstruct", cfg)
 
 
-def test_cmd_reconstruct_from_shot_tomography(tmp_path, aklt_realization, basis3):
+def test_cmd_reconstruct_from_shot_tomography(tmp_path, aklt_realization):
     # full estimation path through the file interface
-    out = reconstruct_from_shots(tmp_path, aklt_realization, basis3)
+    out = reconstruct_from_shots(tmp_path, aklt_realization)
     assert (out / "realization.json").exists()
     _, recs = cli.load_marginals(out / "rec.json")
-    exact3 = marginal(aklt_realization, 3, basis3)
+    exact3 = marginal(aklt_realization, 3)
     from fcs_spectral.analysis import trace_distance
 
     assert trace_distance(recs[3].matrix, exact3.matrix, herm_tol=1e-6) < 0.05
 
 
-def test_load_realization_learned_from_shots(tmp_path, aklt_realization, basis3):
-    out = reconstruct_from_shots(tmp_path, aklt_realization, basis3)
+def test_load_realization_learned_from_shots(tmp_path, aklt_realization):
+    out = reconstruct_from_shots(tmp_path, aklt_realization)
     loaded = load_realization(out / "realization.json", validate=False)
     doc = json.loads((out / "realization.json").read_text())
     assert np.array_equal(loaded.kappa, np.asarray(doc["kappa"]))
@@ -916,8 +950,8 @@ def test_load_realization_learned_from_shots(tmp_path, aklt_realization, basis3)
         load_realization(out / "realization.json")
 
 
-def test_cmd_reconstruct_missing_marginal(tmp_path, caplog, aklt_realization, basis3):
-    marginals = {k: marginal(aklt_realization, k, basis3) for k in (1, 2)}
+def test_cmd_reconstruct_missing_marginal(tmp_path, caplog, aklt_realization):
+    marginals = {k: marginal(aklt_realization, k) for k in (1, 2)}
     cli.save_marginals(tmp_path / "marginals.json", 3, marginals)
     cfg_path = write_config(tmp_path, "cfg.json", {
         "input": str(tmp_path / "marginals.json"),
@@ -931,7 +965,7 @@ def test_cmd_reconstruct_missing_marginal(tmp_path, caplog, aklt_realization, ba
 
 
 @pytest.mark.parametrize("command", ["aklt", "reconstruct"])
-def test_rank_deficient_projected_omega_exits_2(tmp_path, caplog, aklt_realization, basis3,
+def test_rank_deficient_projected_omega_exits_2(tmp_path, caplog, aklt_realization,
                                                 command):
     # threshold 1e-20 keeps 8 directions of the exact rank-4 Omega; both
     # learners refuse the four that the inversion would drop
@@ -940,7 +974,7 @@ def test_rank_deficient_projected_omega_exits_2(tmp_path, caplog, aklt_realizati
         cfg = dict(AKLT_CFG, truncation=truncation, epsilons=[0.0])
     else:
         cli.save_marginals(tmp_path / "marginals.json", 3,
-                           {3: marginal(aklt_realization, 3, basis3)})
+                           {3: marginal(aklt_realization, 3)})
         cfg = {"input": str(tmp_path / "marginals.json"), "block_size": 1,
                "truncation": truncation}
     rc = cli.main([command, "--config", str(write_config(tmp_path, "cfg.json", cfg)),
@@ -952,8 +986,8 @@ def test_rank_deficient_projected_omega_exits_2(tmp_path, caplog, aklt_realizati
     assert not list((tmp_path / "out").glob("*"))
 
 
-def test_cmd_reconstruct_reads_only_the_odd_marginal(tmp_path, aklt_realization, basis3):
-    full = {k: marginal(aklt_realization, k, basis3) for k in (1, 2, 3)}
+def test_cmd_reconstruct_reads_only_the_odd_marginal(tmp_path, aklt_realization):
+    full = {k: marginal(aklt_realization, k) for k in (1, 2, 3)}
     cli.save_marginals(tmp_path / "full.json", 3, full)
     cli.save_marginals(tmp_path / "one.json", 3, {3: full[3]})
     cfg = {"block_size": 1, "truncation": {"mode": "rank", "value": 4}, "sites": [2]}

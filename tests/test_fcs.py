@@ -87,12 +87,12 @@ def test_evaluate_word_rejects_wrong_length(aklt_realization):
         evaluate_word(aklt_realization, [np.zeros(4)])
 
 
-def test_product_state_words_factorize(basis2):
+def test_product_state_words_factorize():
     rng = np.random.default_rng(2)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    r = product_realization(rho, basis2)
+    r = product_realization(rho)
     assert r.m == 1
     ca, cb = np.eye(4)[1], np.eye(4)[3]
     lone_a = evaluate_word(r, [ca])
@@ -104,10 +104,9 @@ def test_product_state_words_factorize(basis2):
 def test_words_match_sequential_channel_oracle(d_a, d_b, seed):
     model = random_cstar(d_a, d_b, seed)
     r = from_cstar(model)
-    basis = gellmann(d_a)
     t = 6 if d_a == 2 else 4
     oracle = dense_state(model, t)
-    oracle_coeffs = expand_in_basis(oracle.matrix, basis, t)
+    oracle_coeffs = expand_in_basis(oracle.matrix, d_a, t)
     got = word_coefficient_tensor(r.rho, r.kappa, r.e, t)
     assert np.abs(got - oracle_coeffs).max() <= 1e-10
 
@@ -124,7 +123,7 @@ def test_random_words_match_oracle_elementwise():
         coeffs = [np.eye(4)[i] for i in word_idx]
         block = None
         for i in word_idx:
-            el = basis.elements[i]
+            el = basis[i]
             block = el if block is None else np.kron(block, el)
         expected = np.trace(oracle.matrix @ block).real
         assert evaluate_word(r, coeffs) == pytest.approx(expected, abs=1e-10)
@@ -132,12 +131,12 @@ def test_random_words_match_oracle_elementwise():
 
 # -- constructors -------------------------------------------------------------
 
-def test_from_cstar_trivial_memory_is_product(basis2):
+def test_from_cstar_trivial_memory_is_product():
     psi = np.array([[1.0], [0.0]], dtype=complex)
     model = fcs.CStarRealization(d_a=2, d_b=1, v=psi, rho0=np.eye(1))
     r = from_cstar(model)
     assert r.m == 1
-    expected = product_realization(np.outer(psi[:, 0], psi[:, 0].conj()), basis2)
+    expected = product_realization(np.outer(psi[:, 0], psi[:, 0].conj()))
     assert np.allclose(r.kappa, expected.kappa, atol=1e-12)
 
 
@@ -154,7 +153,7 @@ def test_stationary_state_nonconvergence_is_linalg_error():
         fcs.stationary_state(model.v, 2, 2, max_iter=1)
 
 
-def test_random_cstar_trivial_memory_is_product(basis2):
+def test_random_cstar_trivial_memory_is_product():
     model = random_cstar(2, 1, 3)
     r = from_cstar(model)
     assert r.m == 1
@@ -192,27 +191,27 @@ def test_marginal_partial_trace_consistency(seed):
 
 
 @pytest.mark.parametrize("t", range(2, 8))
-def test_dense_product_blocks_equal_single_matmul(aklt_realization, basis3, t):
+def test_dense_product_blocks_equal_single_matmul(aklt_realization, t):
     # at t = 6 and 7 the product runs in blocks of the left row index, below
     # in one matmul; either way the bits are the unblocked formula's, and the
     # marginal is exactly Hermitian, so the eigensolve makes no symmetrized copy
     r = aklt_realization
-    got = fcs.dense_product(r.rho, [r.kappa] * t, r.e, basis3)
-    assert np.array_equal(got, single_matmul_product(r.rho, [r.kappa] * t, r.e, basis3))
+    got = fcs.dense_product(r.rho, [r.kappa] * t, r.e)
+    assert np.array_equal(got, single_matmul_product(r.rho, [r.kappa] * t, r.e))
     assert np.array_equal(got, got.conj().T)
 
 
-def test_marginal_difference_sizes_are_single_products(aklt_realization, basis3):
+def test_marginal_difference_sizes_are_single_products(aklt_realization):
     # each size, in the order asked for, has the bits of its own product
     a, b = aklt_realization, from_cstar(random_cstar(3, 2, 4))
     r = fcs.direct_sum([a, b], [1.0, -1.0])
     sizes = [4, 1, 3, 4, 2]
-    got = list(fcs.marginal_difference(a, b, sizes, basis3))
+    got = list(fcs.marginal_difference(a, b, sizes))
     assert len(got) == len(sizes)
     for t, diff in zip(sizes, got):
-        assert np.array_equal(diff, fcs.dense_product(r.rho, [r.kappa] * t, r.e, basis3))
+        assert np.array_equal(diff, fcs.dense_product(r.rho, [r.kappa] * t, r.e))
     with pytest.raises(ValueError, match="cap"):
-        list(fcs.marginal_difference(a, b, [2, 8], basis3))
+        list(fcs.marginal_difference(a, b, [2, 8]))
 
 
 def test_marginal_cap_enforced(aklt_realization):
@@ -225,17 +224,17 @@ def test_rank_profile_cap_enforced(aklt_realization):
         rank_profile(aklt_realization, 5)
 
 
-def test_chain_state_cap_enforced(basis2):
+def test_chain_state_cap_enforced():
     # 2^12 = 4096 exceeds the dense cap 2187
     chain = random_chain(12, 2, 2, 1)
     with pytest.raises(ValueError, match="cap"):
-        chain.state(basis2)
+        chain.state()
 
 
 # -- rank profile -------------------------------------------------------------
 
-def test_rank_profile_product_state(basis2):
-    r = product_realization(np.diag([0.7, 0.3]).astype(complex), basis2)
+def test_rank_profile_product_state():
+    r = product_realization(np.diag([0.7, 0.3]).astype(complex))
     profile = rank_profile(r, 3)
     assert np.all(profile == 1)
     assert t_star(profile) == (1, 1)
@@ -246,6 +245,12 @@ def test_rank_profile_aklt(aklt_realization):
     assert profile[0, 0] == 4
     assert np.all(profile == 4)
     assert t_star(profile) == (1, 1)
+
+
+def test_t_star_grows_the_narrower_block_until_the_rank_is_full():
+    # both edges reach rank 3 at width 2, the corner (2, 2) does not: the
+    # left block grows first on a tie
+    assert t_star(np.array([[1, 1, 1], [1, 2, 3], [1, 3, 3]])) == (3, 2)
 
 
 def test_rank_profile_random_monotone():
@@ -260,9 +265,9 @@ def test_rank_profile_random_monotone():
 
 # -- chains -------------------------------------------------------------------
 
-def test_chain_single_site(basis2):
+def test_chain_single_site():
     chain = random_chain(1, 2, 2, 4)
-    state = chain.state(basis2)
+    state = chain.state()
     state.validate()
     # matches one raw application of the channel (rho0 of a generic chain
     # is not stationary, so this is the only valid comparison)
@@ -271,19 +276,19 @@ def test_chain_single_site(basis2):
     assert np.abs(state.matrix - expected).max() <= 1e-12
 
 
-def test_stationary_chain_windows_translation_invariant(basis2):
+def test_stationary_chain_windows_translation_invariant():
     chain = random_chain(5, 2, 2, 9, stationary=True)
-    state = chain.state(basis2)
-    cod = build_chain_omega(state, basis2, 1, 1)
+    state = chain.state()
+    cod = build_chain_omega(state, 1, 1)
     # interior windows all equal
     for j in (3,):
         assert np.abs(cod.omegas[j] - cod.omegas[2]).max() <= 1e-10
         assert np.abs(cod.omega_dots[j] - cod.omega_dots[2]).max() <= 1e-10
 
 
-def test_random_chain_state_is_valid(basis2):
+def test_random_chain_state_is_valid():
     chain = random_chain(5, 2, 2, 3)
-    chain.state(basis2).validate(psd_tol=1e-9)
+    chain.state().validate(psd_tol=1e-9)
 
 
 def test_chain_validate_rejects_non_psd_rho0():
@@ -306,11 +311,11 @@ def test_chain_from_channels_rejects_non_isometry_and_empty_chain():
 @pytest.mark.parametrize("stationary", [False, True])
 @pytest.mark.parametrize("d_b", [1, 2, 3])
 @pytest.mark.parametrize("n_sites", range(1, 7))
-def test_chain_state_matches_channel_loop(n_sites, d_b, stationary, basis2):
+def test_chain_state_matches_channel_loop(n_sites, d_b, stationary):
     # the operator product of the per-site maps against the dense state grown
     # one channel at a time; the product is exactly Hermitian
     chain = random_chain(n_sites, 2, d_b, 10 * n_sites + d_b, stationary=stationary)
-    got = chain.state(basis2).matrix
+    got = chain.state().matrix
     isometries, rho0 = random_chain_channels(n_sites, 2, d_b, 10 * n_sites + d_b, stationary)
     want = apply_channels(rho0, isometries, 2, d_b)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

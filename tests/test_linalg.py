@@ -396,7 +396,7 @@ def test_eigensolve_gets_inherited_threads_from_cutoff(monkeypatch, fake_blas_th
     assert fake.calls == [2, 1] and seen == [1, 2]
 
 
-def test_dense_product_gets_inherited_threads_from_cutoff(fake_blas_threads, basis2):
+def test_dense_product_gets_inherited_threads_from_cutoff(fake_blas_threads):
     # qubit products of 2^(t-1) < cutoff <= 2^t rows
     from fcs_spectral import fcs
 
@@ -404,9 +404,9 @@ def test_dense_product_gets_inherited_threads_from_cutoff(fake_blas_threads, bas
     fake.count = 1
     r = fcs.from_cstar(fcs.random_cstar(2, 2, seed=0))
     t = (linalg._THREADED_MIN_DIM - 1).bit_length()
-    fcs.dense_product(r.rho, [r.kappa] * (t - 1), r.e, basis2)
+    fcs.dense_product(r.rho, [r.kappa] * (t - 1), r.e)
     assert fake.calls == []
-    fcs.dense_product(r.rho, [r.kappa] * t, r.e, basis2)
+    fcs.dense_product(r.rho, [r.kappa] * t, r.e)
     assert fake.calls == [2, 1]
 
 

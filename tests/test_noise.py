@@ -92,41 +92,41 @@ def test_direction_uniform_on_frobenius_sphere():
     assert chi2 < 27.9
 
 
-def test_tomography_identity_observable_is_exact(basis3):
+def test_tomography_identity_observable_is_exact():
     rho = DensityMatrix(matrix=np.eye(3, dtype=complex) / 3.0, dim=3, sites=1)
-    est = simulate_tomography(rho, basis3, shots=5, rng=make_rng(0))
+    est = simulate_tomography(rho, shots=5, rng=make_rng(0))
     assert est[0] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
     # identical across seeds: deterministic outcome
-    est2 = simulate_tomography(rho, basis3, shots=5, rng=make_rng(99))
+    est2 = simulate_tomography(rho, shots=5, rng=make_rng(99))
     assert est2[0] == est[0]
 
 
-def test_tomography_large_n_concentrates(basis3, aklt_realization):
-    m1 = marginal(aklt_realization, 1, basis3)
+def test_tomography_large_n_concentrates(aklt_realization):
+    m1 = marginal(aklt_realization, 1)
     shots = 10 ** 6
-    est = simulate_tomography(m1, basis3, shots=shots, rng=make_rng(7))
+    est = simulate_tomography(m1, shots=shots, rng=make_rng(7))
     # exact lambda_3 coefficient is 0; allow 5 standard errors
-    g = basis3.elements[3]
+    g = gellmann(3)[3]
     var = np.trace(g @ g @ m1.matrix).real  # <G^2> with <G> = 0
     assert abs(est[3]) <= 5 * np.sqrt(var / shots)
 
 
 @pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
-def test_tomography_unbiased_and_variance(mode, basis2):
+def test_tomography_unbiased_and_variance(mode):
     rng = np.random.default_rng(1)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho_m = g @ g.conj().T
     rho_m /= np.trace(rho_m).real
     dm = DensityMatrix(matrix=rho_m, dim=2, sites=1)
-    exact = np.array([np.trace(rho_m @ el).real for el in basis2.elements])
+    exact = np.array([np.trace(rho_m @ el).real for el in gellmann(2)])
     shots = 64
     reps = 1000
     samples = np.array([
-        simulate_tomography(dm, basis2, shots=shots, rng=spawn_rng(42, i), mode=mode)
+        simulate_tomography(dm, shots=shots, rng=spawn_rng(42, i), mode=mode)
         for i in range(reps)
     ])
     mean = samples.mean(axis=0)
-    g_sq = np.array([np.trace(el @ el @ rho_m).real for el in basis2.elements])
+    g_sq = np.array([np.trace(el @ el @ rho_m).real for el in gellmann(2)])
     var = (g_sq - exact ** 2) / shots
     se = np.sqrt(var / reps)
     nontrivial = var > 1e-18
@@ -136,24 +136,24 @@ def test_tomography_unbiased_and_variance(mode, basis2):
     assert np.all((ratio > 0.85) & (ratio < 1.15))
 
 
-def test_tomography_clips_negative_probabilities(basis2):
+def test_tomography_clips_negative_probabilities():
     # slightly non-PSD input triggers the clip-and-renormalize warning
     m = np.diag([1.001, -0.001]).astype(complex)
     dm = DensityMatrix(matrix=m, dim=2, sites=1)
     with pytest.warns(RuntimeWarning, match="clipping"):
-        est = simulate_tomography(dm, basis2, shots=10, rng=make_rng(0))
+        est = simulate_tomography(dm, shots=10, rng=make_rng(0))
     assert np.all(np.isfinite(est))
 
 
-def test_tomography_rejects_bad_args(basis2):
+def test_tomography_rejects_bad_args():
     dm = DensityMatrix(matrix=np.eye(2, dtype=complex) / 2, dim=2, sites=1)
     with pytest.raises(ValueError):
-        simulate_tomography(dm, basis2, shots=0, rng=make_rng(0))
+        simulate_tomography(dm, shots=0, rng=make_rng(0))
     with pytest.raises(ValueError):
-        simulate_tomography(dm, basis2, shots=5, rng=make_rng(0), mode="bogus")
+        simulate_tomography(dm, shots=5, rng=make_rng(0), mode="bogus")
 
 
-def test_reconstruction_error_monotone_in_epsilon(aklt_omega, basis3, aklt_realization):
+def test_reconstruction_error_monotone_in_epsilon(aklt_omega, aklt_realization):
     # mean trace distance over seeds grows with the perturbation scale
     from fcs_spectral.analysis import difference_distances
     from fcs_spectral.fcs import marginal_difference
@@ -166,7 +166,7 @@ def test_reconstruction_error_monotone_in_epsilon(aklt_omega, basis3, aklt_reali
             od_hat = perturb_omega_data(aklt_omega, eps, eps, spawn_rng(77, trial))
             sr = spectral_realization(od_hat, truncate(od_hat.omega, rank=4))
             tds.append(difference_distances(
-                next(marginal_difference(sr, aklt_realization, [3], basis3)))[0])
+                next(marginal_difference(sr, aklt_realization, [3])))[0])
         means.append(np.mean(tds))
     assert all(a < b for a, b in zip(means, means[1:]))
 
@@ -181,12 +181,12 @@ def _random_state(d, k, seed):
     return DensityMatrix(matrix=m / np.trace(m).real, dim=d, sites=k)
 
 
-def _reference_outcomes(dm, basis):
+def _reference_outcomes(dm):
     """Eigenvalues and outcome probabilities of every block element, one
     Kronecker product and one eigh per element."""
     out = []
-    for flat in range(basis.size ** dm.sites):
-        g = block_element(basis, multi_index(flat, dm.sites, basis.dim))
+    for flat in range(dm.dim ** (2 * dm.sites)):
+        g = block_element(gellmann(dm.dim), multi_index(flat, dm.sites, dm.dim))
         vals, vecs = np.linalg.eigh(g)
         probs = np.einsum("ik,ij,jk->k", vecs.conj(), dm.matrix, vecs).real
         out.append((vals, probs))
@@ -204,30 +204,29 @@ def _by_eigenvalue(vals, probs):
 
 @pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_product_outcomes_match_per_element_oracle(d, k):
-    basis = gellmann(d)
     dm = _random_state(d, k, seed=10 * d + k)
-    vals, probs = _product_outcomes(dm.matrix, basis, k)
-    assert vals.shape == probs.shape == (basis.size ** k, d ** k)
-    for w, (ref_vals, ref_probs) in enumerate(_reference_outcomes(dm, basis)):
+    vals, probs = _product_outcomes(dm.matrix, d, k)
+    assert vals.shape == probs.shape == (d ** (2 * k), d ** k)
+    for w, (ref_vals, ref_probs) in enumerate(_reference_outcomes(dm)):
         levels, dist = _by_eigenvalue(vals[w], probs[w])
         ref_levels, ref_dist = _by_eigenvalue(ref_vals, ref_probs)
         assert levels.shape == ref_levels.shape, w
         assert np.abs(levels - ref_levels).max() <= 1e-12, w
         assert np.abs(dist - ref_dist).max() <= 1e-12, w
     means = np.einsum("ij,ij->i", vals, probs)
-    assert np.abs(means - expand_in_basis(dm.matrix, basis, k)).max() <= 1e-12
+    assert np.abs(means - expand_in_basis(dm.matrix, d, k)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
-def test_tomography_two_site_unbiased_and_variance(mode, basis2):
+def test_tomography_two_site_unbiased_and_variance(mode):
     dm = _random_state(2, 2, seed=1)
-    exact = expand_in_basis(dm.matrix, basis2, 2)
-    elements = [block_element(basis2, multi_index(w, 2, 2)) for w in range(16)]
+    exact = expand_in_basis(dm.matrix, 2, 2)
+    elements = [block_element(gellmann(2), multi_index(w, 2, 2)) for w in range(16)]
     g_sq = np.array([np.trace(g @ g @ dm.matrix).real for g in elements])
     shots = 64
     reps = 1000
     samples = np.array([
-        simulate_tomography(dm, basis2, shots=shots, rng=spawn_rng(43, i), mode=mode)
+        simulate_tomography(dm, shots=shots, rng=spawn_rng(43, i), mode=mode)
         for i in range(reps)
     ])
     var = (g_sq - exact ** 2) / shots
@@ -243,16 +242,15 @@ def test_tomography_two_site_unbiased_and_variance(mode, basis2):
 @pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_tomography_identity_exact_at_three_sites(d, mode):
-    basis = gellmann(d)
     dm = _random_state(d, 3, seed=5)
-    est = [simulate_tomography(dm, basis, shots=7, rng=make_rng(seed), mode=mode)[0]
+    est = [simulate_tomography(dm, shots=7, rng=make_rng(seed), mode=mode)[0]
            for seed in (0, 1)]
     assert est[0] == est[1]
     assert est[0] == pytest.approx(d ** -1.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
-def test_tomography_one_batched_draw_per_marginal(mode, basis2):
+def test_tomography_one_batched_draw_per_marginal(mode):
     # the identity row has zero variance and draws nothing; every other
     # element is drawn in one call, rows in flat block order
     class Recorder:
@@ -268,7 +266,7 @@ def test_tomography_one_batched_draw_per_marginal(mode, basis2):
             return self.rng.standard_normal(size)
 
     rec = Recorder()
-    simulate_tomography(_random_state(2, 2, seed=3), basis2, shots=10, rng=rec, mode=mode)
+    simulate_tomography(_random_state(2, 2, seed=3), shots=10, rng=rec, mode=mode)
     expected = {"shot_multinomial": ("multinomial", (15, 4)),
                 "shot_gaussian": ("standard_normal", 15)}
     assert rec.calls == [expected[mode]]

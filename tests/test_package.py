@@ -2,8 +2,10 @@ import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fcs_spectral
@@ -50,13 +52,21 @@ def _public_definitions(tree: ast.Module):
                         yield f"{stmt.name}.{sub.name}", sub
 
 
-def test_every_public_name_is_used_or_exported():
-    # a name is used where it is read as a name or an attribute, outside its
-    # own definition; a method is matched by its name alone, so any attribute
-    # of that name counts.  The package's export table counts as a use.
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
-    del trees["__init__"]
-    exported = set(fcs_spectral._EXPORTS)
+# attributes of every array: a method of one of these names would pass for
+# used wherever any array's attribute of that name is read
+_ARRAY_ATTRIBUTES = frozenset(dir(np.ndarray))
+
+
+def unused_public_names(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """``module.qualified name`` of each public definition of the parsed
+    modules (see ``_public_definitions``) that is neither exported nor used.
+
+    A name is used where it is read as a name or an attribute, outside its
+    own definition.  A method or property is matched by its name alone, so
+    any attribute of that name counts, unless the name is also an attribute
+    of ``numpy.ndarray``: then only ``self.<name>`` in its own class or
+    ``<Class>.<name>`` counts.
+    """
     uses: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -64,16 +74,56 @@ def test_every_public_name_is_used_or_exported():
                 uses.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append(node)
+
+    def on(node, owner: str) -> bool:
+        return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == owner
+
     unused = []
     for module, tree in sorted(trees.items()):
+        classes = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
         for qual, definition in _public_definitions(tree):
             if qual in exported:
                 continue
             own = {id(node) for node in ast.walk(definition)}
-            name = qual.rsplit(".", 1)[-1]
-            if all(id(node) in own for node in uses.get(name, [])):
+            owner, _, name = qual.rpartition(".")
+            found = uses.get(name, [])
+            if owner and name in _ARRAY_ATTRIBUTES:
+                in_class = {id(node) for node in ast.walk(classes[owner])}
+                found = [node for node in found if on(node, owner)
+                         or on(node, "self") and id(node) in in_class]
+            if all(id(node) in own for node in found):
                 unused.append(f"{module}.{qual}")
+    return unused
+
+
+def test_every_public_name_is_used_or_exported():
+    # the package's export table counts as a use
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    del trees["__init__"]
+    unused = unused_public_names(trees, set(fcs_spectral._EXPORTS))
     assert not unused, f"no package path or __init__ export uses {unused}"
+
+
+def test_a_method_named_like_an_array_attribute_needs_its_class():
+    # a.copy() could be any array's copy; self.size() and OmegaData.sum
+    # name their class
+    tree = ast.parse(textwrap.dedent("""
+        class OmegaData:
+            def copy(self):
+                return self
+
+            def size(self):
+                return 1
+
+            def sum(self):
+                return self.size()
+
+        def _use(a):
+            return OmegaData(), a.copy(), OmegaData.sum
+    """))
+    assert unused_public_names({"synthetic": tree}, set()) == ["synthetic.OmegaData.copy"]
+    assert unused_public_names({"synthetic": tree}, {"OmegaData.copy"}) == []
 
 
 def _defaulted_parameters(tree: ast.AST, in_class: bool = False):
@@ -100,11 +150,10 @@ def test_every_defaulted_parameter_is_passed():
     by some call in the package or its tests: by keyword, by position or
     through a *args or **kwargs splat.
 
-    Calls are matched by the callee's name alone, as in the rule above, so a
-    call to any function or method of that name counts.  That cannot see
-    Realization.validate's tolerances: the positional tolerances that
-    CStarRealization.validate passes to DensityMatrix.validate would count
-    for them too.
+    Calls are matched by the callee's name alone, so a call to any function
+    or method of that name counts: three positional arguments of any
+    ``validate`` call would count for the three tolerances of
+    DensityMatrix.validate, whichever class the call's ``validate`` belongs to.
     """
     root = PACKAGE.parents[1]
     files = sorted(PACKAGE.glob("*.py")) + sorted((root / "tests").glob("*.py"))
