@@ -19,9 +19,12 @@ context, whose "sweep" values and "trials" make the tasks (sweep index,
 trial).  _run_sweep runs the tasks, in a spawn pool under aklt's "workers",
 and _run_task owns each one: its RNG stream, its timer and its keyed CSV
 rows.  A trial function (ctx, value, rng) only learns and yields one dense
-difference per size.  No sweep state outlives a call.  The wall_time_ms
-column is 0 unless the config sets "timing": true; real timings would
-break byte-identical reruns, which take precedence.
+difference per size.  A trial that draws nothing from its stream, as at a
+noiseless sweep point, runs once per sweep value: its measured distances
+and wall times make the rows of every other trial at that value.  No sweep
+state outlives a call.  The wall_time_ms column is 0 unless the config sets
+"timing": true; real timings would break byte-identical reruns, which take
+precedence.
 """
 
 from __future__ import annotations
@@ -339,7 +342,9 @@ def _run_sweep(ctx: dict, trial, workers: int, out: Path) -> Path:
     tasks = list(itertools.product(range(len(ctx["sweep"])), range(ctx["trials"])))
     # no more workers than tasks or cores: the CSV is the same for any count
     workers = min(workers, len(tasks), os.cpu_count() or 1)
-    run = functools.partial(_run_task, ctx, trial)
+    # the memo of noiseless sweep points (see _run_task); a pool worker
+    # gets a copy with each chunk
+    run = functools.partial(_run_task, ctx, trial, {})
     if workers > 1:
         # only a pooled sweep pays for these imports
         import multiprocessing
@@ -357,7 +362,20 @@ def _run_sweep(ctx: dict, trial, workers: int, out: Path) -> Path:
     return out
 
 
-def _run_task(ctx: dict, trial, task) -> list:
+def _measure(sizes, t0: float, timing: bool):
+    """``(t, td, hs, sigma_m, rank, bound, wall_ms)`` per ``(t, diff,
+    sigma_m, rank, bound)`` that a trial yields, each difference freed once
+    measured; ``wall_ms`` counts from ``t0`` under ``timing`` and is 0
+    otherwise."""
+    # no enumerate: its cached result tuple would keep the last difference
+    # alive while the next one is built
+    for t, diff, sigma, rank, bound in sizes:
+        td, hs = analysis.difference_distances(diff)
+        del diff
+        yield t, td, hs, sigma, rank, bound, (time.perf_counter() - t0) * 1e3 if timing else 0.0
+
+
+def _run_task(ctx: dict, trial, memo: dict, task) -> list:
     """Keyed CSV rows of one task (sweep index, trial number).
 
     The task's stream is ``noise.spawn_rng(seed, sweep index, trial)``, so a
@@ -366,23 +384,36 @@ def _run_task(ctx: dict, trial, task) -> list:
     difference to the exact t-site state, which the row takes over; a row
     warns when 2*TD exceeds ``bound``, and times from the task's start under
     ``timing``.
+
+    A trial that leaves its stream's state as it found it drew nothing, so
+    its measured tuples are a function of the sweep value alone: they go
+    into ``memo`` under the sweep index, and every later task at that index
+    makes its rows from them without running ``trial``, its wall times
+    included, so a reused row times the trial that solved the point.  This
+    holds because whether a trial draws depends only on ``(ctx, value)``,
+    never on the trial number, as for eps = 0 under Gaussian noise with no
+    positive ``epsilon_prime``.
     """
     idx, n = task
     t0 = time.perf_counter()
     value = ctx["sweep"][idx]
-    rows = []
-    # no enumerate: its cached result tuple would keep the last difference
-    # alive while the next one is built
-    for t, diff, sigma, rank, bound in trial(ctx, value, noise.spawn_rng(ctx["seed"], idx, n)):
-        td, hs = analysis.difference_distances(diff)
-        del diff
+    measured = memo.get(idx)
+    if measured is None:
+        rng = noise.spawn_rng(ctx["seed"], idx, n)
+        start = rng.bit_generator.state
+        measured = _measure(trial(ctx, value, rng), t0, ctx["timing"])
+    rows, results = [], []
+    for result in measured:
+        results.append(result)
+        t, td, hs, sigma, rank, bound, wall = result
         if 2.0 * td > bound + 1e-12:
             log.warning("monitored bound exceeded: model=%s t=%d eps=%s trial=%d 2*TD=%.3e > "
                         "surrogate bound=%.3e", ctx["model_id"], t, _fmt(float(value)), n,
                         2.0 * td, bound)
-        wall = (time.perf_counter() - t0) * 1e3 if ctx["timing"] else 0.0
         rows.append(((idx, len(rows), n), [ctx["model_id"], t, float(value), ctx["seed"], n,
                                            td, hs, sigma, rank, bound, wall, td / t]))
+    if idx not in memo and rng.bit_generator.state == start:
+        memo[idx] = results
     return rows
 
 

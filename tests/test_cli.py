@@ -65,6 +65,17 @@ AKLT_CFG = {
 }
 
 
+NONHOMOG_CFG = {
+    "chain": {"n_sites": 4, "d_a": 2, "d_b": 2, "seed": 3},
+    "left_width": 2,
+    "right_width": 2,
+    "epsilons": [0.0, 1e-4],
+    "trials": 2,
+    "seed": 11,
+    "output": "chain.csv",
+}
+
+
 def test_cmd_aklt_zero_noise_row(tmp_path):
     out = run_cli(tmp_path, "aklt", AKLT_CFG)
     rows = read_rows(out / "aklt.csv")
@@ -176,6 +187,65 @@ def test_mixture_sweep_workers_byte_identical(tmp_path):
     seq = run_cli(tmp_path, "aklt", MIXTURE_CFG, out="seq")
     par = run_cli(tmp_path, "aklt", dict(MIXTURE_CFG, workers=2), out="par")
     assert (seq / "mixture.csv").read_bytes() == (par / "mixture.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, cfg, runs", [
+    ("aklt", dict(AKLT_CFG, epsilons=[0.0, 1e-3], trials=4), [0.0] + [1e-3] * 4),
+    ("nonhomog", dict(NONHOMOG_CFG, trials=4), [0.0] + [1e-4] * 4),
+    # epsilon_prime > 0 perturbs Omega_dot at eps = 0, so every trial draws
+    ("aklt", dict(AKLT_CFG, epsilons=[0.0], trials=4,
+                  noise={"mode": "gaussian_matrix", "epsilon_prime": 1e-3}), [0.0] * 4),
+], ids=["aklt", "nonhomog", "aklt-epsilon-prime"])
+def test_a_trial_that_draws_nothing_runs_once_per_sweep_value(tmp_path, monkeypatch, command,
+                                                              cfg, runs):
+    # the other trials at that value take its rows, but for the trial column
+    values = []
+
+    def spy(trial):
+        def counted(ctx, value, rng):
+            values.append(value)
+            return trial(ctx, value, rng)
+        return counted
+
+    run_sweep = cli._run_sweep
+    monkeypatch.setattr(cli, "_run_sweep",
+                        lambda ctx, trial, workers, out: run_sweep(ctx, spy(trial), workers, out))
+    rows = read_rows(run_cli(tmp_path, command, cfg) / cfg["output"])
+    assert values == runs
+    for value in cfg["epsilons"]:
+        for t in {r["sites"] for r in rows}:
+            same = [r for r in rows if float(r["epsilon"]) == value and r["sites"] == t]
+            assert len(same) == cfg["trials"]
+            if runs.count(value) == 1:
+                assert all(dict(r, trial="") == dict(same[0], trial="") for r in same)
+            else:
+                assert len({r["trace_distance"] for r in same}) == cfg["trials"]
+
+
+def test_reused_rows_warn_per_row(tmp_path, caplog):
+    # rank 2 < 4 on exact data: zero deviations, a zero bound and 2*TD > 0
+    cfg = dict(AKLT_CFG, truncation={"mode": "rank", "value": 2}, epsilons=[0.0], sites=[2],
+               trials=3)
+    run_cli(tmp_path, "aklt", cfg)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert [re.search(r"trial=(\d+)", m).group(1) for m in warnings] == ["0", "1", "2"]
+
+
+def test_reused_rows_time_the_trial_that_solved_the_point(tmp_path):
+    cfg = dict(AKLT_CFG, epsilons=[0.0], trials=3, timing=True)
+    rows = read_rows(run_cli(tmp_path, "aklt", cfg) / cfg["output"])
+    for t in {r["sites"] for r in rows}:
+        walls = {r["wall_time_ms"] for r in rows if r["sites"] == t}
+        assert len(walls) == 1 and float(walls.pop()) > 0.0
+
+
+def test_noiseless_sweep_workers_byte_identical(tmp_path):
+    # 9 tasks in chunks of 5 and 4: the noiseless point's trials are split
+    # between the two workers, and each chunk solves it once
+    cfg = dict(AKLT_CFG, epsilons=[1e-4, 0.0, 1e-3], trials=3)
+    seq = run_cli(tmp_path, "aklt", cfg, out="seq")
+    par = run_cli(tmp_path, "aklt", dict(cfg, workers=2), out="par")
+    assert (seq / cfg["output"]).read_bytes() == (par / cfg["output"]).read_bytes()
 
 
 def test_shot_trial_estimates_one_marginal(tmp_path, monkeypatch):
@@ -440,17 +510,6 @@ def test_cmd_aklt_threshold_truncation(tmp_path):
     assert all(int(r["rank_used"]) == 4 for r in rows)
     zero = [r for r in rows if float(r["epsilon"]) == 0.0]
     assert all(float(r["trace_distance"]) <= 1e-9 for r in zero)
-
-
-NONHOMOG_CFG = {
-    "chain": {"n_sites": 4, "d_a": 2, "d_b": 2, "seed": 3},
-    "left_width": 2,
-    "right_width": 2,
-    "epsilons": [0.0, 1e-4],
-    "trials": 2,
-    "seed": 11,
-    "output": "chain.csv",
-}
 
 
 def test_cmd_nonhomog_exact_and_noisy(tmp_path):

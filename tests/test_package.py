@@ -126,44 +126,82 @@ def test_a_method_named_like_an_array_attribute_needs_its_class():
     assert unused_public_names({"synthetic": tree}, {"OmegaData.copy"}) == []
 
 
-def _defaulted_parameters(tree: ast.AST, in_class: bool = False):
-    """(function name, parameter name, position) of each defaulted parameter
-    of each function and method, nested ones included.  The position counts
-    the arguments a call passes, so a method's ``self`` is not counted; a
-    keyword-only parameter has position None."""
+def _defaulted_parameters(tree: ast.AST, cls: str | None = None):
+    """(class or None, function name, parameter name, position) of each
+    defaulted parameter of each function and method, nested ones included.
+    The position counts the arguments a call through an instance passes, so
+    a method's ``self`` is not counted; a keyword-only parameter has
+    position None."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.FunctionDef):
             args = node.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
-            skip = 1 if in_class else 0
+            skip = 1 if cls else 0
             for k in range(first, len(positional)):
-                yield node.name, positional[k].arg, k - skip
+                yield cls, node.name, positional[k].arg, k - skip
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield node.name, arg.arg, None
-        yield from _defaulted_parameters(node, isinstance(node, ast.ClassDef))
+                    yield cls, node.name, arg.arg, None
+        yield from _defaulted_parameters(
+            node, node.name if isinstance(node, ast.ClassDef) else None)
 
 
-def test_every_defaulted_parameter_is_passed():
-    """Every defaulted parameter of a package function or method is passed
-    by some call in the package or its tests: by keyword, by position or
-    through a *args or **kwargs splat.
+# receiver of a call through an attribute that names no class
+_ANY = object()
 
-    Calls are matched by the callee's name alone, so a call to any function
-    or method of that name counts: three positional arguments of any
-    ``validate`` call would count for the three tolerances of
-    DensityMatrix.validate, whichever class the call's ``validate`` belongs to.
+
+def _calls(tree: ast.AST, classes: set[str], cls: str | None = None):
+    """(receiver, callee name, call) of each call in a parsed module.  The
+    receiver is None for a call of a plain name, the class for a call
+    through ``self.<m>`` or ``cls.<m>`` in that class, through ``<Class>.<m>``
+    or through ``<Class>(...).<m>``, a class being one of ``classes``
+    (plain or module-qualified), and ``_ANY`` for any other receiver."""
+    def class_named(node) -> str | None:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name if name in classes else None
+
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield None, func.id, node
+            elif isinstance(func, ast.Attribute):
+                receiver = func.value
+                if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls") and cls:
+                    owner = cls
+                else:
+                    owner = class_named(receiver.func if isinstance(receiver, ast.Call)
+                                        else receiver) or _ANY
+                yield owner, func.attr, node
+        yield from _calls(node, classes, node.name if isinstance(node, ast.ClassDef) else cls)
+
+
+def unset_defaulted_parameters(package: dict[str, ast.Module],
+                               others: list[ast.Module]) -> list[str]:
+    """``module.[class.]function(parameter)`` of each defaulted parameter of
+    the parsed package modules that no call in them or in ``others`` passes:
+    by keyword, by position or through a *args or **kwargs splat.
+
+    A function is called by its name, plain or as an attribute.  A method
+    ``<Class>.<m>`` of a package class is called through ``self.<m>`` in its
+    class, ``<Class>.<m>`` or ``<Class>(...).<m>``; a call through any other
+    receiver counts only when no other package class defines ``<m>``.
+    Positions are counted as for a call through an instance.
     """
-    root = PACKAGE.parents[1]
-    files = sorted(PACKAGE.glob("*.py")) + sorted((root / "tests").glob("*.py"))
-    calls: dict[str, list[ast.Call]] = {}
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+    # every class, nested ones included, as _defaulted_parameters reads them
+    defs = [node for tree in package.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)]
+    classes = {node.name for node in defs}
+    definers: dict[str, set[str]] = {}
+    for node in defs:
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef):
+                definers.setdefault(sub.name, set()).add(node.name)
+    calls: dict[str, list[tuple]] = {}
+    for tree in [*package.values(), *others]:
+        for owner, name, call in _calls(tree, classes):
+            calls.setdefault(name, []).append((owner, call))
 
     def passes(call: ast.Call, param: str, position) -> bool:
         if any(kw.arg in (param, None) for kw in call.keywords):
@@ -172,10 +210,58 @@ def test_every_defaulted_parameter_is_passed():
             return False
         return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
+    def reaches(owner, cls, func) -> bool:
+        if cls is None:
+            return owner is None or owner is _ANY
+        return owner == cls or owner is _ANY and definers[func] == {cls}
+
     unset = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for func, param, position in _defaulted_parameters(tree):
-            if not any(passes(c, param, position) for c in calls.get(func, [])):
-                unset.append(f"{path.stem}.{func}({param})")
+    for module, tree in sorted(package.items()):
+        for cls, func, param, position in _defaulted_parameters(tree):
+            if not any(reaches(owner, cls, func) and passes(call, param, position)
+                       for owner, call in calls.get(func, [])):
+                unset.append(f"{module}.{cls + '.' if cls else ''}{func}({param})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every defaulted parameter of a package function or method is passed
+    by some call in the package or its tests (see
+    ``unset_defaulted_parameters``)."""
+    root = PACKAGE.parents[1]
+    package = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    tests = [ast.parse(p.read_text(encoding="utf-8")) for p in (root / "tests").glob("*.py")]
+    unset = unset_defaulted_parameters(package, tests)
     assert not unset, f"no call in the package or its tests sets {unset}"
+
+
+def test_a_method_call_counts_for_its_class_only():
+    # x.validate(1e-6) could be either class's validate, so it counts for
+    # neither; x.check(2) can only be Strict's and x.tune(3) only the nested
+    # class's
+    tree = ast.parse(textwrap.dedent("""
+        class Strict:
+            def validate(self, tol=1e-9):
+                return self
+
+            def check(self, level=0):
+                return self
+
+        class Loose:
+            def validate(self, tol=1e-3):
+                return self
+
+            def again(self):
+                return self.validate(0.5)
+
+        class Outer:
+            class Nested:
+                def tune(self, gain=1.0):
+                    return self
+
+        def _use(x):
+            return x.validate(1e-6), x.check(2), x.tune(3)
+    """))
+    assert unset_defaulted_parameters({"synthetic": tree}, []) == ["synthetic.Strict.validate(tol)"]
+    for use in ("Strict.validate(Strict(), tol=0.0)", "synthetic.Strict().validate(0.0)"):
+        assert unset_defaulted_parameters({"synthetic": tree}, [ast.parse(use)]) == []
