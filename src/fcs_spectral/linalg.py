@@ -18,10 +18,11 @@ bit-reproducible per seed.  Exempt from these rules:
   eigenvalue driver ``zheevd_2stage`` in the LAPACK that numpy's own
   ``_umath_linalg`` extension links.  numpy offers no two-stage driver;
   ``_eigvalsh`` calls it from ``_TWO_STAGE_MIN_DIM`` rows on;
-* ``_GET_THREADS``, ``_SET_THREADS``, ``_GET_PROCS`` and ``_GET_CONFIG``,
-  the ctypes bindings of OpenBLAS's thread count, processor count and build
-  string in the same library, behind ``blas_threads`` and ``blas_info``.
-  numpy offers no runtime thread control.  The CLI loads numpy's BLAS at one
+* ``_GET_THREADS``, ``_SET_THREADS``, ``_GET_PROCS``, ``_GET_CONFIG`` and
+  ``_GET_TIMEOUT``, the ctypes bindings of OpenBLAS's thread count,
+  processor count, build string and idle-thread timeout in the same
+  library, behind ``blas_threads`` and ``blas_info``.  numpy offers no
+  runtime thread control.  The CLI loads numpy's BLAS at one
   thread and runs its commands there, and ``blas_threads_for`` gives work on
   matrices of ``_THREADED_MIN_DIM`` rows or more the count the environment
   gives OpenBLAS (``_INHERITED``);
@@ -225,6 +226,10 @@ _GET_THREADS = _bind("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
 _SET_THREADS = _bind("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
 _GET_PROCS = _bind("scipy_openblas_get_num_procs64_", [], ctypes.c_int)
 _GET_CONFIG = _bind("scipy_openblas_get_config64_", [], ctypes.c_char_p)
+# OPENBLAS_THREAD_TIMEOUT as read at load, 0 where unset: an idle worker
+# spins for 2^timeout cycles (clamped to 4..30; 2^28 at 0).  Exported
+# without the scipy prefix.
+_GET_TIMEOUT = _bind("openblas_thread_timeout", [], ctypes.c_int)
 
 
 def _env_threads() -> int:
@@ -275,8 +280,10 @@ def blas_threads(n: int):
 
 def blas_info() -> dict:
     """BLAS thread counts at load and of the environment (None where numpy's
-    BLAS exports no thread control) and the BLAS build string."""
+    BLAS exports no thread control), OpenBLAS's idle-thread timeout as read
+    at load (None where not exported) and the BLAS build string."""
     return {"threads_at_load": _AT_LOAD, "inherited": _INHERITED,
+            "thread_timeout": _GET_TIMEOUT() if _GET_TIMEOUT else None,
             "blas": _GET_CONFIG().decode() if _GET_CONFIG else "unknown"}
 
 

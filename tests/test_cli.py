@@ -403,16 +403,20 @@ def test_main_restores_process_blas_threads(tmp_path):
     assert linalg._GET_THREADS() == before
 
 
-_LOAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_LOAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "OPENBLAS_THREAD_TIMEOUT")
 
 
 @pytest.mark.skipif(linalg._INHERITED is None, reason="numpy's BLAS has no thread control")
+@pytest.mark.skipif(linalg._GET_TIMEOUT is None, reason="numpy's BLAS exports no thread timeout")
 @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
-                                 {"OMP_NUM_THREADS": "1"}, {"GOTO_NUM_THREADS": "1"}],
-                         ids=["unset", "openblas-1", "openblas-2", "omp-1", "goto-1"])
+                                 {"OMP_NUM_THREADS": "1"}, {"GOTO_NUM_THREADS": "1"},
+                                 {"OPENBLAS_THREAD_TIMEOUT": "12"}],
+                         ids=["unset", "openblas-1", "openblas-2", "omp-1", "goto-1", "timeout-12"])
 def test_cli_process_loads_blas_at_one_thread(tmp_path, monkeypatch, env):
     # the CLI loads numpy's BLAS at one thread under any environment, and
-    # reads the count that OpenBLAS itself takes from that environment
+    # reads the count that OpenBLAS itself takes from that environment; the
+    # idle timeout is the CLI's unless the environment sets one
     for var in _LOAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
@@ -421,7 +425,7 @@ def test_cli_process_loads_blas_at_one_thread(tmp_path, monkeypatch, env):
     proc = run_cli_process(tmp_path, "lemma-check", cfg, level="debug")
     assert proc.returncode == 0, proc.stderr
     [line] = [ln for ln in proc.stderr.splitlines() if "start-up:" in ln]
-    fields = dict(f.split("=", 1) for f in line.split("start-up: ")[1].split()[:6])
+    fields = dict(f.split("=", 1) for f in line.split("start-up: ")[1].split()[:7])
     src = str(Path(cli.__file__).resolve().parents[1])
     plain = subprocess.run(
         [sys.executable, "-c", "import numpy; from fcs_spectral import linalg; "
@@ -433,6 +437,24 @@ def test_cli_process_loads_blas_at_one_thread(tmp_path, monkeypatch, env):
     assert fields["nproc"] == str(os.cpu_count()) and fields["numpy"] == np.__version__
     assert fields["heap"] == ("default" if linalg._MALLOPT is None
                               else "mmap:4194304,trim:8388608")
+    assert fields["thread_timeout"] == env.get("OPENBLAS_THREAD_TIMEOUT",
+                                               cli._BLAS_THREAD_TIMEOUT)
+
+
+@pytest.mark.skipif(linalg._GET_TIMEOUT is None, reason="numpy's BLAS exports no thread timeout")
+def test_blas_thread_timeout_keeps_outputs_at_t6(tmp_path, monkeypatch):
+    # 729 rows is the first size whose solve and product run at the
+    # inherited thread count; how long an idle thread spins changes no bit
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    cfg = dict(AKLT_CFG, epsilons=[1e-3], sites=[6], trials=1, seed=11)
+    for out, timeout in (("cli", None), ("caller", "28")):
+        if timeout is not None:
+            monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", timeout)
+        proc = run_cli_process(tmp_path, "aklt", cfg, out=out)
+        assert proc.returncode == 0, proc.stderr
+    name = cfg["output"]
+    assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "caller" / name).read_bytes()
 
 
 def test_blas_thread_env_reaches_spawned_workers_only():
