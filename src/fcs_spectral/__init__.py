@@ -11,6 +11,8 @@ import importlib
 # export name -> the module of the package that defines it
 _EXPORTS = {name: module for module, names in {
     "analysis": ("CheckReport", "ErrorParameters", "PrecisionBudget", "PreconditionError",
+                 "check_projected_sigma_stability", "check_pseudoinverse_perturbation",
+                 "check_singular_subspace_stability", "check_singular_value_perturbation",
                  "error_propagation_bound", "hs_distance", "precision_budget",
                  "trace_distance"),
     "fcs": ("AKLT_THETA", "CStarRealization", "ChainRealization", "DensityMatrix",

@@ -321,7 +321,12 @@ class CheckReport:
 # perturbation checkers
 # ---------------------------------------------------------------------------
 
-def check_singular_value_perturbation(a, e, slack: float = 1e-9) -> CheckReport:
+# slack of every inequality of the four lemma checkers below; the
+# realization-estimate check takes its slack from the caller
+_SLACK = 1e-9
+
+
+def check_singular_value_perturbation(a, e) -> CheckReport:
     """Singular values move by at most the spectral norm of the perturbation."""
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -335,12 +340,12 @@ def check_singular_value_perturbation(a, e, slack: float = 1e-9) -> CheckReport:
     for i, (x, y) in enumerate(zip(s, s_t), start=1):
         report.inequalities.append(
             InequalityCheck(name=f"|sigma_{i} - sigma_{i}'| <= ||E||", lhs=abs(x - y),
-                            rhs=bound, slack=slack)
+                            rhs=bound, slack=_SLACK)
         )
     return report
 
 
-def check_pseudoinverse_perturbation(a, a_tilde, slack: float = 1e-9) -> CheckReport:
+def check_pseudoinverse_perturbation(a, a_tilde) -> CheckReport:
     """Pseudoinverse perturbation bound with the (1+sqrt(5))/2 constant."""
     a = np.asarray(a, dtype=float)
     a_tilde = np.asarray(a_tilde, dtype=float)
@@ -355,12 +360,12 @@ def check_pseudoinverse_perturbation(a, a_tilde, slack: float = 1e-9) -> CheckRe
                          precondition={"shape": list(a.shape)})
     report.inequalities.append(
         InequalityCheck(name="||A~+ - A+|| <= phi max(||A~+||, ||A+||)^2 ||A~ - A||",
-                        lhs=lhs, rhs=rhs, slack=slack)
+                        lhs=lhs, rhs=rhs, slack=_SLACK)
     )
     return report
 
 
-def check_singular_subspace_stability(a, e, epsilon: float, slack: float = 1e-9) -> CheckReport:
+def check_singular_subspace_stability(a, e, epsilon: float) -> CheckReport:
     """Left-singular-subspace stability under a bounded perturbation.
 
     Requires a tall a of full column rank (by the inversion cutoff) and
@@ -391,7 +396,7 @@ def check_singular_subspace_stability(a, e, epsilon: float, slack: float = 1e-9)
     report.inequalities.append(
         InequalityCheck(name="sigma_n' >= (1 - eps) sigma_n",
                         lhs=(1 - epsilon) * float(s[-1]), rhs=float(s_t[cols - 1]),
-                        slack=slack)
+                        slack=_SLACK)
     )
     if rows > cols:
         # ||U_perp'^T U|| = ||(I - U' U'^T) U|| with the thin left frame U'
@@ -399,13 +404,13 @@ def check_singular_subspace_stability(a, e, epsilon: float, slack: float = 1e-9)
         rhs2 = e_norm / float(s_t[cols - 1])
         report.inequalities.append(
             InequalityCheck(name="||U_perp'^T U|| <= ||E|| / sigma_n'",
-                            lhs=lhs2, rhs=rhs2, slack=slack)
+                            lhs=lhs2, rhs=rhs2, slack=_SLACK)
         )
     return report
 
 
-def check_projected_sigma_stability(omega, omega_hat, epsilon: float, m: int | None = None,
-                   slack: float = 1e-9) -> CheckReport:
+def check_projected_sigma_stability(omega, omega_hat, epsilon: float,
+                                    m: int | None = None) -> CheckReport:
     """Projected singular value bounds for a rank-m Omega under perturbation.
 
     Requires ||Omega - Omega_hat|| <= epsilon * sigma_m(Omega), epsilon < 1/2,
@@ -445,13 +450,13 @@ def check_projected_sigma_stability(omega, omega_hat, epsilon: float, m: int | N
     )
     report.inequalities.append(InequalityCheck(
         name="sigma_m(U'^T Omega') >= (1 - eps) sigma_m",
-        lhs=(1 - epsilon) * sig, rhs=s_hat_m, slack=slack))
+        lhs=(1 - epsilon) * sig, rhs=s_hat_m, slack=_SLACK))
     report.inequalities.append(InequalityCheck(
         name="sigma_m(U'^T U) >= sqrt(1 - eps0)",
-        lhs=math.sqrt(max(1 - eps0, 0.0)), rhs=s_overlap, slack=slack))
+        lhs=math.sqrt(max(1 - eps0, 0.0)), rhs=s_overlap, slack=_SLACK))
     report.inequalities.append(InequalityCheck(
         name="sigma_m(U'^T Omega) >= sqrt(1 - eps0) sigma_m",
-        lhs=math.sqrt(max(1 - eps0, 0.0)) * sig, rhs=s_cross, slack=slack))
+        lhs=math.sqrt(max(1 - eps0, 0.0)) * sig, rhs=s_cross, slack=_SLACK))
     return report
 
 

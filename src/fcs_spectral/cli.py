@@ -6,7 +6,8 @@ Subcommands (all driven by a single JSON config file):
                              translation-invariant model (Figure-style runs)
     fcs-spectral rank-scan   --config cfg.json --out DIR   block-rank profile
     fcs-spectral nonhomog    --config cfg.json --out DIR   finite-chain sweep
-    fcs-spectral lemma-check --config cfg.json --out DIR   perturbation suites
+    fcs-spectral lemma-check --config cfg.json --out DIR   realization-estimate
+                             bounds of the learner on model sweeps
     fcs-spectral reconstruct --config cfg.json --out DIR   marginals JSON in,
                              realization JSON out
 
@@ -239,8 +240,8 @@ TABLES = {
         "output": (str, "nonhomog.csv"), "timing": (bool, False),
     },
     "lemma-check": {
-        "version": _VERSION, "seed": _SEED, "count": (Ints(0), 1000),
-        "max_dim": (Ints(2), 30), "slack": (float, 1e-9), "output": (str, "lemma_report.json"),
+        "version": _VERSION, "seed": _SEED, "slack": (float, 1e-9),
+        "output": (str, "lemma_report.json"),
         "models_seeds": (Ints(0), 20), "noise_factors": ([Floats(0.0, 1.0)], [0.01, 0.1, 0.9]),
     },
     "reconstruct": {
@@ -564,15 +565,10 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
 
 def cmd_lemma_check(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["lemma-check"], "lemma-check")
-    seed, count, max_dim, slack = cfg["seed"], cfg["count"], cfg["max_dim"], cfg["slack"]
-    rng = noise.make_rng(seed)
-    # each suite draws all its instances from rng before the next suite starts
-    suites = {name: _suite_summary([draw(rng, max_dim, slack) for _ in range(count)])
-              for name, draw in _RANDOM_SUITES.items()}
-    suites["realization_estimate_bounds"] = _sweep_estimate_bounds(
-        seed, cfg["models_seeds"], cfg["noise_factors"], slack)
-    doc = {"version": 1, "seed": seed, "count": count, "max_dim": max_dim,
-           "slack": slack, "suites": suites}
+    seed, slack = cfg["seed"], cfg["slack"]
+    suites = {"realization_estimate_bounds": _sweep_estimate_bounds(
+        seed, cfg["models_seeds"], cfg["noise_factors"], slack)}
+    doc = {"version": 1, "seed": seed, "slack": slack, "suites": suites}
     out = out_dir / cfg["output"]
     _write_json(out, doc)
     return out
@@ -590,58 +586,6 @@ def _suite_summary(reports) -> dict:
                 break
     return {"count": len(reports), "violations": len(failures),
             "worst": worst, "failures": failures[:10]}
-
-
-def _rand_shape(rng, max_dim):
-    return int(rng.integers(2, max_dim + 1)), int(rng.integers(2, max_dim + 1))
-
-
-def _draw_sv_perturbation(rng, max_dim, slack):
-    rows, cols = _rand_shape(rng, max_dim)
-    a = rng.standard_normal((rows, cols)) * float(rng.uniform(0.1, 10.0))
-    e = rng.standard_normal((rows, cols)) * float(rng.uniform(1e-4, 10.0))
-    return analysis.check_singular_value_perturbation(a, e, slack=slack)
-
-
-def _draw_pinv_perturbation(rng, max_dim, slack):
-    rows, cols = _rand_shape(rng, max_dim)
-    a = rng.standard_normal((rows, cols))
-    a_t = a + rng.standard_normal((rows, cols)) * float(rng.uniform(1e-6, 1.0))
-    return analysis.check_pseudoinverse_perturbation(a, a_t, slack=slack)
-
-
-def _draw_subspace_stability(rng, max_dim, slack):
-    cols = int(rng.integers(2, max_dim + 1))
-    rows = int(rng.integers(cols, max_dim + 1))
-    a = rng.standard_normal((rows, cols))
-    eps = float(rng.uniform(0.05, 0.95))
-    sig_n = float(singular_values(a)[-1])
-    e = rng.standard_normal((rows, cols))
-    e *= eps * sig_n * float(rng.uniform(0.1, 1.0)) / float(singular_values(e)[0])
-    return analysis.check_singular_subspace_stability(a, e, eps, slack=slack)
-
-
-def _draw_projected_sigma(rng, max_dim, slack):
-    rows, cols = _rand_shape(rng, max_dim)
-    m = int(rng.integers(1, min(rows, cols) + 1))
-    u = np.linalg.qr(rng.standard_normal((rows, m)))[0]
-    v = np.linalg.qr(rng.standard_normal((cols, m)))[0]
-    s = np.sort(rng.uniform(0.1, 1.0, size=m))[::-1]
-    omega = (u * s) @ v.T
-    eps = float(rng.uniform(0.01, 0.49))
-    e = rng.standard_normal((rows, cols))
-    e *= eps * s[-1] * float(rng.uniform(0.1, 1.0)) / float(singular_values(e)[0])
-    return analysis.check_projected_sigma_stability(omega, omega + e, eps, m=m, slack=slack)
-
-
-# suite name -> draw(rng, max_dim, slack) of one random instance's report,
-# in the order the suites take their draws from the one stream
-_RANDOM_SUITES = {
-    "singular_value_perturbation": _draw_sv_perturbation,
-    "pseudoinverse_perturbation": _draw_pinv_perturbation,
-    "singular_subspace_stability": _draw_subspace_stability,
-    "projected_sigma_stability": _draw_projected_sigma,
-}
 
 
 def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:

@@ -7,13 +7,14 @@ the one Hermiticity rule (``_check_hermitian``).  The SVD backend is
 deterministic for a fixed input, so downstream experiments are
 bit-reproducible per seed.  Exempt from these rules:
 
-* ``np.linalg.qr`` where it draws Haar-random isometries and random
-  lemma instances (``fcs._haar_isometry``, ``cli._draw_projected_sigma``);
-* the batched ``eigh`` of the d^2 package-built basis elements in
-  ``noise._product_outcomes``;
+* ``np.linalg.qr`` where it draws Haar-random isometries
+  (``fcs._haar_isometry``);
+* ``np.linalg.eigh``, batched over the d^2 package-built basis elements
+  (``noise._product_outcomes``);
 * ``np.linalg.norm`` where it scales a random draw or a state vector or
-  sets a tolerance (``noise``, ``cli._build_model``, ``expand_in_basis``);
-  it is not a decomposition, and no reported norm goes through it;
+  sets a tolerance (``noise.perturb_matrix``, ``cli._build_model``,
+  ``opbasis.expand_in_basis``); it is not a decomposition, and no reported
+  norm goes through it;
 * ``_ZHEEVD_2STAGE``, the ctypes binding of LAPACKE's two-stage Hermitian
   eigenvalue driver ``zheevd_2stage`` in the LAPACK that numpy's own
   ``_umath_linalg`` extension links.  numpy offers no two-stage driver;

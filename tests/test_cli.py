@@ -421,7 +421,7 @@ def test_cli_process_loads_blas_at_one_thread(tmp_path, monkeypatch, env):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    cfg = {"count": 0, "models_seeds": 0, "noise_factors": [], "seed": 0}
+    cfg = {"models_seeds": 0, "noise_factors": [], "seed": 0}
     proc = run_cli_process(tmp_path, "lemma-check", cfg, level="debug")
     assert proc.returncode == 0, proc.stderr
     [line] = [ln for ln in proc.stderr.splitlines() if "start-up:" in ln]
@@ -568,7 +568,9 @@ def test_cmd_nonhomog_warns_once_per_row_over_bound(tmp_path, caplog, monkeypatc
     ("nonhomog", dict(NONHOMOG_CFG, chain=dict(NONHOMOG_CFG["chain"], n_sites=8),
                       epsilons=[1e-4], trials=2)),
     ("aklt", dict(AKLT_CFG, epsilons=[1e-3], sites=[2, 6, 7], trials=1, seed=11)),
-], ids=["chain", "aklt-t7"])
+    ("lemma-check", {"seed": 3, "models_seeds": 1, "noise_factors": [0.1],
+                     "output": "lemma_report.json"}),
+], ids=["chain", "aklt-t7", "lemma"])
 def test_outputs_byte_identical_across_blas_threads(tmp_path, monkeypatch, command, cfg):
     # small work runs at one thread either way; the t = 6 and 7 solves and
     # products take the 1 or 2 threads the process starts with
@@ -582,19 +584,17 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path, monkeypatch, comma
 
 
 def test_cmd_lemma_check_report(tmp_path):
-    cfg = {"seed": 1, "count": 20, "max_dim": 10, "models_seeds": 2,
-           "output": "report.json"}
+    # the one suite runs the learner: the AKLT model and 2 random models at
+    # the 3 default noise factors
+    cfg = {"seed": 1, "models_seeds": 2, "output": "report.json"}
     out = run_cli(tmp_path, "lemma-check", cfg)
     doc = json.loads((out / "report.json").read_text())
-    assert doc["version"] == 1
-    assert set(doc["suites"]) == {
-        "singular_value_perturbation", "pseudoinverse_perturbation",
-        "singular_subspace_stability", "projected_sigma_stability",
-        "realization_estimate_bounds",
-    }
-    for suite in doc["suites"].values():
-        assert suite["violations"] == 0
-        assert suite["worst"]["margin"] >= -1e-9
+    assert set(doc) == {"version", "seed", "slack", "suites"}
+    assert (doc["version"], doc["seed"], doc["slack"]) == (1, 1, 1e-9)
+    [(name, suite)] = doc["suites"].items()
+    assert name == "realization_estimate_bounds"
+    assert suite["count"] == 9 and suite["violations"] == 0
+    assert suite["worst"]["margin"] >= -1e-9
 
 
 def test_suite_summary_counts_violations_and_keeps_the_first_ten():
@@ -770,8 +770,8 @@ def reconstruct_with(marginals, **changes):
      "ValueError: aklt.shots_sweep[1]: 0 is outside [1, inf]"),
     (*aklt_with(workers=0), "ValueError: aklt.workers: 0 is outside [1, inf]"),
     (*lemma_with(seed=-1), "ValueError: lemma-check.seed: -1 is outside [0, inf]"),
-    (*lemma_with(max_dim=1), "ValueError: lemma-check.max_dim: 1 is outside [2, inf]"),
-    (*lemma_with(count=-1), "ValueError: lemma-check.count: -1 is outside [0, inf]"),
+    (*lemma_with(max_dim=30), "ValueError: lemma-check: unknown keys ['max_dim']"),
+    (*lemma_with(count=1000), "ValueError: lemma-check: unknown keys ['count']"),
     (*lemma_with(models_seeds=-1),
      "ValueError: lemma-check.models_seeds: -1 is outside [0, inf]"),
     (*reconstruct_with("list.json", sites=[2, 0]),
@@ -851,7 +851,7 @@ def reconstruct_with(marginals, **changes):
         "chain-site-dim-1", "chain-memory-dim-0", "negative-chain-seed",
         "negative-nonhomog-seed", "random-site-dim-1", "random-memory-dim-0",
         "negative-random-seed", "negative-seed", "zero-shots", "zero-workers",
-        "negative-lemma-seed", "lemma-max-dim-1", "negative-lemma-count",
+        "negative-lemma-seed", "lemma-max-dim-key", "lemma-count-key",
         "negative-models-seeds", "zero-reconstruct-site", "marginals-dim-1",
         "negative-epsilon", "negative-epsilon-prime", "negative-nonhomog-epsilon",
         "zero-truncation-rank", "zero-threshold", "negative-threshold",

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -265,3 +266,97 @@ def test_a_method_call_counts_for_its_class_only():
     assert unset_defaulted_parameters({"synthetic": tree}, []) == ["synthetic.Strict.validate(tol)"]
     for use in ("Strict.validate(Strict(), tol=0.0)", "synthetic.Strict().validate(0.0)"):
         assert unset_defaulted_parameters({"synthetic": tree}, [ast.parse(use)]) == []
+
+
+# the calls of numpy.linalg outside linalg.py, (module, function, name): the
+# exemptions that linalg's docstring lists
+_NUMPY_LINALG_EXEMPT = {
+    ("fcs", "_haar_isometry", "qr"),
+    ("noise", "_product_outcomes", "eigh"),
+    ("noise", "perturb_matrix", "norm"),
+    ("cli", "_build_model", "norm"),
+    ("opbasis", "expand_in_basis", "norm"),
+}
+
+
+def numpy_linalg_calls(tree: ast.Module, module: str) -> set[tuple[str, str, str]]:
+    """(module, function, name) of each call of a ``numpy.linalg`` function
+    in a parsed module, through the names the module binds to numpy; the
+    function is the qualified name of the innermost enclosing function or
+    method, ``""`` at module level.  Raising an exception class such as
+    ``LinAlgError`` is not a call of a function.  An import of
+    ``numpy.linalg`` itself, which would hide its calls, is reported as a
+    call of ``"import"``."""
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "numpy"}
+    found = set()
+
+    def visit(node, where: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import) and any(
+                    a.name.startswith("numpy.linalg") for a in child.names) \
+                    or isinstance(child, ast.ImportFrom) and (
+                        (child.module or "").startswith("numpy.linalg")
+                        or child.module == "numpy"
+                        and any(a.name == "linalg" for a in child.names)):
+                found.add((module, where, "import"))
+            func = child.func if isinstance(child, ast.Call) else None
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute) \
+                    and func.value.attr == "linalg" and isinstance(func.value.value, ast.Name) \
+                    and func.value.value.id in aliases:
+                target = getattr(np.linalg, func.attr, None)
+                if not (isinstance(target, type) and issubclass(target, BaseException)):
+                    found.add((module, where, func.attr))
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def _docstring_exemptions(doc: str, modules: set[str]) -> set[tuple[str, str, str]]:
+    """(module, function, name) of each ``module.function`` that a bullet
+    ``* ``np.linalg.<name>`` ...`` of a docstring names."""
+    exempt = set()
+    for name, text in re.findall(r"^\* ``np\.linalg\.(\w+)``(.*?)(?=^\*|^$)", doc,
+                                 flags=re.MULTILINE | re.DOTALL):
+        for mod, func in re.findall(r"``(\w+)\.([\w.]+)``", text):
+            if mod in modules:
+                exempt.add((mod, func, name))
+    return exempt
+
+
+def test_dense_linear_algebra_goes_through_linalg():
+    """Outside ``linalg`` a package module calls ``numpy.linalg`` only where
+    linalg's docstring exempts the call, and each exemption still occurs."""
+    from fcs_spectral import linalg
+
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    calls = set().union(*(numpy_linalg_calls(tree, module)
+                          for module, tree in trees.items() if module != "linalg"))
+    assert calls - _NUMPY_LINALG_EXEMPT == set(), "numpy.linalg called outside linalg"
+    assert _NUMPY_LINALG_EXEMPT - calls == set(), "exempt numpy.linalg calls no longer occur"
+    assert _docstring_exemptions(linalg.__doc__, set(trees)) == _NUMPY_LINALG_EXEMPT
+
+
+def test_numpy_linalg_calls_are_found_by_alias_and_enclosing_function():
+    tree = ast.parse(textwrap.dedent("""
+        import numpy as xp
+        from numpy.linalg import svd
+
+        class Model:
+            def fit(self, a):
+                def inner(b):
+                    return xp.linalg.eigvalsh(b)
+                return inner(a), xp.linalg.norm(a)
+
+        def fail(a):
+            raise xp.linalg.LinAlgError("no")
+
+        top = xp.linalg.qr(xp.eye(2))
+    """))
+    assert numpy_linalg_calls(tree, "m") == {
+        ("m", "", "import"), ("m", "Model.fit.inner", "eigvalsh"),
+        ("m", "Model.fit", "norm"), ("m", "", "qr")}
