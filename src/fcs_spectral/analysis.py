@@ -47,6 +47,7 @@ __all__ = [
     "VARIANTS",
     "GOLDEN_PINV_CONSTANT",
     "GUARANTEE_CONSTANT",
+    "SLACK",
     "PreconditionError",
     "ErrorParameters",
     "PrecisionBudget",
@@ -270,25 +271,27 @@ def sigma_m(omega, m: int) -> float:
 # checker reports
 # ---------------------------------------------------------------------------
 
+# slack of every checked inequality: lhs <= rhs + SLACK
+SLACK = 1e-9
+
+
 @dataclass
 class InequalityCheck:
     name: str
     lhs: float
     rhs: float
-    slack: float
 
     def __post_init__(self):
         self.lhs = float(self.lhs)
         self.rhs = float(self.rhs)
-        self.slack = float(self.slack)
 
     @property
     def margin(self) -> float:
-        return self.rhs + self.slack - self.lhs
+        return self.rhs + SLACK - self.lhs
 
     @property
     def ok(self) -> bool:
-        return self.lhs <= self.rhs + self.slack
+        return self.lhs <= self.rhs + SLACK
 
     def to_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
@@ -321,10 +324,6 @@ class CheckReport:
 # perturbation checkers
 # ---------------------------------------------------------------------------
 
-# slack of every inequality of the four lemma checkers below; the
-# realization-estimate check takes its slack from the caller
-_SLACK = 1e-9
-
 
 def check_singular_value_perturbation(a, e) -> CheckReport:
     """Singular values move by at most the spectral norm of the perturbation."""
@@ -339,9 +338,7 @@ def check_singular_value_perturbation(a, e) -> CheckReport:
                          precondition={"shape": list(a.shape)})
     for i, (x, y) in enumerate(zip(s, s_t), start=1):
         report.inequalities.append(
-            InequalityCheck(name=f"|sigma_{i} - sigma_{i}'| <= ||E||", lhs=abs(x - y),
-                            rhs=bound, slack=_SLACK)
-        )
+            InequalityCheck(name=f"|sigma_{i} - sigma_{i}'| <= ||E||", lhs=abs(x - y), rhs=bound))
     return report
 
 
@@ -360,7 +357,7 @@ def check_pseudoinverse_perturbation(a, a_tilde) -> CheckReport:
                          precondition={"shape": list(a.shape)})
     report.inequalities.append(
         InequalityCheck(name="||A~+ - A+|| <= phi max(||A~+||, ||A+||)^2 ||A~ - A||",
-                        lhs=lhs, rhs=rhs, slack=_SLACK)
+                        lhs=lhs, rhs=rhs)
     )
     return report
 
@@ -395,17 +392,14 @@ def check_singular_subspace_stability(a, e, epsilon: float) -> CheckReport:
     )
     report.inequalities.append(
         InequalityCheck(name="sigma_n' >= (1 - eps) sigma_n",
-                        lhs=(1 - epsilon) * float(s[-1]), rhs=float(s_t[cols - 1]),
-                        slack=_SLACK)
+                        lhs=(1 - epsilon) * float(s[-1]), rhs=float(s_t[cols - 1]))
     )
     if rows > cols:
         # ||U_perp'^T U|| = ||(I - U' U'^T) U|| with the thin left frame U'
         lhs2 = operator_norm_2to2(u - u_t @ (u_t.T @ u))
         rhs2 = e_norm / float(s_t[cols - 1])
         report.inequalities.append(
-            InequalityCheck(name="||U_perp'^T U|| <= ||E|| / sigma_n'",
-                            lhs=lhs2, rhs=rhs2, slack=_SLACK)
-        )
+            InequalityCheck(name="||U_perp'^T U|| <= ||E|| / sigma_n'", lhs=lhs2, rhs=rhs2))
     return report
 
 
@@ -450,13 +444,13 @@ def check_projected_sigma_stability(omega, omega_hat, epsilon: float,
     )
     report.inequalities.append(InequalityCheck(
         name="sigma_m(U'^T Omega') >= (1 - eps) sigma_m",
-        lhs=(1 - epsilon) * sig, rhs=s_hat_m, slack=_SLACK))
+        lhs=(1 - epsilon) * sig, rhs=s_hat_m))
     report.inequalities.append(InequalityCheck(
         name="sigma_m(U'^T U) >= sqrt(1 - eps0)",
-        lhs=math.sqrt(max(1 - eps0, 0.0)), rhs=s_overlap, slack=_SLACK))
+        lhs=math.sqrt(max(1 - eps0, 0.0)), rhs=s_overlap))
     report.inequalities.append(InequalityCheck(
         name="sigma_m(U'^T Omega) >= sqrt(1 - eps0) sigma_m",
-        lhs=math.sqrt(max(1 - eps0, 0.0)) * sig, rhs=s_cross, slack=_SLACK))
+        lhs=math.sqrt(max(1 - eps0, 0.0)) * sig, rhs=s_cross))
     return report
 
 
@@ -468,7 +462,7 @@ def _flattened_k_norm(k_a: np.ndarray, k_b: np.ndarray) -> float:
 
 
 def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData,
-                                      exact: SvdTruncation, slack: float = 1e-9) -> CheckReport:
+                                      exact: SvdTruncation) -> CheckReport:
     """Estimate-vs-empirical realization bounds at fixed truncation rank.
 
     ``exact`` is the exact Omega's frame at the rank m checked,
@@ -525,12 +519,12 @@ def check_realization_estimate_bounds(od_exact: OmegaData, od_noisy: OmegaData,
         precondition={"rank": rank, "sigma_m": sig, "d_omega_2to2": d_op},
     )
     report.inequalities.append(InequalityCheck(
-        name="||K~ - K^||_2->2 bound", lhs=lhs_k, rhs=rhs_k, slack=slack))
+        name="||K~ - K^||_2->2 bound", lhs=lhs_k, rhs=rhs_k))
     report.inequalities.append(InequalityCheck(
-        name="||e^ - e~||_2 <= ||dOmega(1)||_2", lhs=lhs_e, rhs=rhs_e, slack=slack))
+        name="||e^ - e~||_2 <= ||dOmega(1)||_2", lhs=lhs_e, rhs=rhs_e))
     report.inequalities.append(InequalityCheck(
-        name="||rho^ - rho~||_2 bound", lhs=lhs_rho, rhs=rhs_rho, slack=slack))
+        name="||rho^ - rho~||_2 bound", lhs=lhs_rho, rhs=rhs_rho))
     report.inequalities.append(InequalityCheck(
         name="||(U'^T U)^{-1}||_2->2 <= 2/sqrt(3)",
-        lhs=lhs_u, rhs=2.0 / math.sqrt(3.0), slack=slack))
+        lhs=lhs_u, rhs=2.0 / math.sqrt(3.0)))
     return report

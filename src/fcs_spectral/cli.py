@@ -233,15 +233,13 @@ TABLES = {
     "nonhomog": {
         "version": _VERSION,
         "chain": ({"n_sites": (Ints(2), REQUIRED), "d_a": (Ints(2), REQUIRED),
-                   "d_b": (Ints(1), REQUIRED), "seed": _SEED, "stationary": (bool, False)},
-                  REQUIRED),
+                   "d_b": (Ints(1), REQUIRED), "seed": _SEED}, REQUIRED),
         "left_width": (Ints(1), REQUIRED), "right_width": (Ints(1), REQUIRED),
         "epsilons": ([Floats(0.0)], REQUIRED), "trials": (Ints(0), REQUIRED), "seed": _SEED,
         "output": (str, "nonhomog.csv"), "timing": (bool, False),
     },
     "lemma-check": {
-        "version": _VERSION, "seed": _SEED, "slack": (float, 1e-9),
-        "output": (str, "lemma_report.json"),
+        "version": _VERSION, "seed": _SEED, "output": (str, "lemma_report.json"),
         "models_seeds": (Ints(0), 20), "noise_factors": ([Floats(0.0, 1.0)], [0.01, 0.1, 0.9]),
     },
     "reconstruct": {
@@ -468,11 +466,10 @@ def _prepare_ti_context(cfg: dict) -> dict:
 def _ti_trial(ctx: dict, value, rng):
     """Perturbs once (epsilon or shot count ``value``) and reconstructs all
     sizes."""
-    mode = ctx["noise"]["mode"]
-    if mode == "gaussian_matrix":
+    if ctx["noise"]["mode"] == "gaussian_matrix":
         od_hat = noise.perturb_omega_data(ctx["od"], value, ctx["noise"]["epsilon_prime"], rng)
     else:  # one estimate of the (2s+1)-site marginal gives every field
-        est = noise.simulate_tomography(ctx["marginal"], value, rng, mode=mode)
+        est = noise.simulate_tomography(ctx["marginal"], value, rng)
         od_hat = spectral.omega_data_from_coefficients(est, d_a=ctx["exact"].d_a,
                                                        s=ctx["block_size"])
     tr = spectral.truncate(od_hat.omega, **ctx["trunc"])
@@ -524,7 +521,7 @@ def _prepare_chain_context(cfg: dict) -> dict:
     spec = cfg["chain"]
     n, d_a = spec["n_sites"], spec["d_a"]
     fcs.check_dense_cap(d_a, n, "nonhomog.chain.n_sites")
-    chain = fcs.random_chain(n, d_a, spec["d_b"], spec["seed"], stationary=spec["stationary"])
+    chain = fcs.random_chain(n, d_a, spec["d_b"], spec["seed"])
     state = chain.state()
     cod = spectral.build_chain_omega(state, cfg["left_width"], cfg["right_width"])
     # ranks[j-1] and sigmas[j-1]: numerical rank and smallest retained
@@ -565,10 +562,10 @@ def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
 
 def cmd_lemma_check(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["lemma-check"], "lemma-check")
-    seed, slack = cfg["seed"], cfg["slack"]
+    seed = cfg["seed"]
     suites = {"realization_estimate_bounds": _sweep_estimate_bounds(
-        seed, cfg["models_seeds"], cfg["noise_factors"], slack)}
-    doc = {"version": 1, "seed": seed, "slack": slack, "suites": suites}
+        seed, cfg["models_seeds"], cfg["noise_factors"])}
+    doc = {"version": 1, "seed": seed, "slack": analysis.SLACK, "suites": suites}
     out = out_dir / cfg["output"]
     _write_json(out, doc)
     return out
@@ -588,7 +585,7 @@ def _suite_summary(reports) -> dict:
             "worst": worst, "failures": failures[:10]}
 
 
-def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
+def _sweep_estimate_bounds(seed, model_seeds, noise_factors) -> dict:
     reports = []
     models = [fcs.from_cstar(fcs.aklt())]
     for k in range(model_seeds):
@@ -603,7 +600,7 @@ def _sweep_estimate_bounds(seed, model_seeds, noise_factors, slack) -> dict:
             eps = factor * sigma / 3.0
             rng = noise.spawn_rng(seed, idx, f_idx)
             od_hat = noise.perturb_omega_data(od, eps, eps, rng)
-            reports.append(analysis.check_realization_estimate_bounds(od, od_hat, exact, slack=slack))
+            reports.append(analysis.check_realization_estimate_bounds(od, od_hat, exact))
     return _suite_summary(reports)
 
 

@@ -7,8 +7,7 @@ Two noise families:
   object is exactly epsilon.
 * A shot-noise tomography simulator that measures each element of the
   block basis of ``gellmann(d)``, d the marginal's local dimension, on n
-  copies, either by actual multinomial sampling of its eigenvalues or
-  by a Gaussian surrogate with the exact single-shot variance.  It uses the
+  copies by multinomial sampling of its eigenvalues.  It uses the
   product structure of the block basis: the eigenprojectors of
   g_{a_1} x ... x g_{a_k} are products of single-site eigenprojectors, so
   one eigendecomposition of the d^2 single-site elements and one
@@ -18,9 +17,9 @@ RNG contract: streams come from numpy's PCG64 generator.  Per-trial
 sub-streams are derived with ``numpy.random.SeedSequence(seed, spawn_key)``
 where the spawn key is the tuple of loop indices; statistical (not
 bit-level cross-language) reproducibility is the contract.  The tomography
-simulator makes one batched draw per marginal (``multinomial`` with one row
-of outcome probabilities per element, or ``standard_normal`` with one value
-per element), rows in flat block order; zero-variance elements draw nothing.
+simulator makes one batched ``multinomial`` draw per marginal, one row of
+outcome probabilities per element in flat block order; zero-variance
+elements draw nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ __all__ = [
     "simulate_tomography",
 ]
 
-NOISE_MODES = ("gaussian_matrix", "shot_gaussian", "shot_multinomial")
+NOISE_MODES = ("gaussian_matrix", "shot_multinomial")
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -114,20 +113,17 @@ def _product_outcomes(rho, d: int, sites: int):
     return vals, probs
 
 
-def simulate_tomography(dm, shots: int, rng, mode: str = "shot_multinomial") -> np.ndarray:
+def simulate_tomography(dm, shots: int, rng) -> np.ndarray:
     """Estimated coefficient vector of a marginal from n measurement shots.
 
     For each block basis element G = sum_k g_k Pi_k the simulator draws n
-    outcomes with probabilities Tr(Pi_k rho) and returns the sample mean
-    (mode "shot_multinomial"), or a Gaussian surrogate with the identical
-    mean and variance (<G^2> - <G>^2)/n (mode "shot_gaussian").  Estimates
-    are unbiased; a zero-variance observable is returned exactly.
+    outcomes with probabilities Tr(Pi_k rho) and returns the sample mean:
+    unbiased, with variance (<G^2> - <G>^2)/n.  A zero-variance observable
+    is returned exactly.
 
     All elements are drawn in one call on ``rng``, one row per element in
     flat block order; zero-variance rows draw nothing.
     """
-    if mode not in ("shot_multinomial", "shot_gaussian"):
-        raise ValueError(f"unknown tomography mode {mode!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     vals, probs = _product_outcomes(dm.matrix, dm.dim, dm.sites)
@@ -149,9 +145,6 @@ def simulate_tomography(dm, shots: int, rng, mode: str = "shot_multinomial") -> 
     # a deterministic outcome (degenerate spectrum), up to roundoff, keeps
     # its exact mean
     live = ~(var <= 1e-18 * np.maximum(1.0, vals.max(axis=1) ** 2))
-    if mode == "shot_multinomial":
-        counts = rng.multinomial(shots, probs[live])
-        est[live] = np.einsum("ij,ij->i", vals[live], counts) / shots
-    else:
-        est[live] += rng.standard_normal(np.count_nonzero(live)) * np.sqrt(var[live] / shots)
+    counts = rng.multinomial(shots, probs[live])
+    est[live] = np.einsum("ij,ij->i", vals[live], counts) / shots
     return est

@@ -472,7 +472,7 @@ def test_cmd_aklt_shot_noise_block_size_two(tmp_path):
         "model": {"kind": "aklt"},
         "block_size": 2,
         "truncation": {"mode": "rank", "value": 4},
-        "noise": {"mode": "shot_gaussian"},
+        "noise": {"mode": "shot_multinomial"},
         "shots_sweep": [1000000],
         "sites": [2, 4],
         "trials": 1,
@@ -500,7 +500,7 @@ def test_cmd_aklt_shot_noise_mode(tmp_path):
     cfg = {
         "model": {"kind": "aklt"},
         "truncation": {"mode": "rank", "value": 4},
-        "noise": {"mode": "shot_gaussian"},
+        "noise": {"mode": "shot_multinomial"},
         "shots_sweep": [1000000],
         "sites": [2],
         "trials": 2,
@@ -602,8 +602,8 @@ def test_suite_summary_counts_violations_and_keeps_the_first_ten():
     # the least over every inequality of every report
     def report(k, lhs):
         return analysis.CheckReport(name=f"r{k}", inequalities=[
-            analysis.InequalityCheck("a", lhs, 1.0, 0.0),
-            analysis.InequalityCheck("b", 2.0, 1.0, 0.0)])
+            analysis.InequalityCheck("a", lhs, 1.0),
+            analysis.InequalityCheck("b", 2.0, 1.0)])
 
     reports = [report(k, 0.5 if k == 3 else 1.0 + k) for k in range(13)]
     summary = cli._suite_summary(reports)
@@ -611,7 +611,7 @@ def test_suite_summary_counts_violations_and_keeps_the_first_ten():
     assert summary["violations"] == 13
     assert summary["failures"] == [r.to_dict() for r in reports[:10]]
     assert summary["worst"] == reports[12].inequalities[0].to_dict()
-    assert summary["worst"]["margin"] == -12.0
+    assert summary["worst"]["margin"] == 1.0 + analysis.SLACK - 13.0
     assert cli._suite_summary([]) == {"count": 0, "violations": 0, "worst": None,
                                       "failures": []}
 
@@ -733,15 +733,14 @@ def reconstruct_with(marginals, **changes):
      "TypeError: aklt.model(aklt).theta: expected a number"),
     (*aklt_with(truncation={"mode": "rank", "value": [4]}),
      "TypeError: aklt.truncation(rank).value: expected an integer"),
-    (*aklt_with(noise=["shot_gaussian"]), "TypeError: aklt.noise: expected an object"),
+    (*aklt_with(noise=["shot_multinomial"]), "TypeError: aklt.noise: expected an object"),
     (*aklt_with(sites=[0]), "ValueError: aklt.sites[0]: 0 is outside [1, inf]"),
     (*aklt_with(trials=-1), "ValueError: aklt.trials: -1 is outside [0, inf]"),
     (*aklt_with(block_size=0), "ValueError: aklt.block_size: 0 is outside [1, inf]"),
     (*reconstruct_with("list.json"), "TypeError: marginals: expected an object"),
     ("rank-scan", json.dumps({"model": {"kind": "aklt"}, "max_block": 1, "tol": math.nan}),
      "ValueError: rank-scan: unknown keys ['tol']"),
-    ("lemma-check", json.dumps({"seed": 0, "slack": math.nan}),
-     "ValueError: lemma-check.slack: expected a finite number, got nan"),
+    (*lemma_with(slack=1e-9), "ValueError: lemma-check: unknown keys ['slack']"),
     (*reconstruct_with("list.json", pinv_tol=math.nan),
      "ValueError: reconstruct: unknown keys ['pinv_tol']"),
     (*reconstruct_with("nan.json"),
@@ -749,8 +748,11 @@ def reconstruct_with(marginals, **changes):
     (*aklt_with(noise={"epsilon_prime": math.inf}),
      "ValueError: aklt.noise.epsilon_prime: expected a finite number, got inf"),
     (*aklt_with(noise={"mode": "bogus"}),
-     "ValueError: aklt.noise.mode: expected one of ['gaussian_matrix', 'shot_gaussian', "
-     "'shot_multinomial'], got \"bogus\""),
+     "ValueError: aklt.noise.mode: expected one of ['gaussian_matrix', 'shot_multinomial'], "
+     "got \"bogus\""),
+    (*aklt_with(noise={"mode": "shot_gaussian"}),
+     "ValueError: aklt.noise.mode: expected one of ['gaussian_matrix', 'shot_multinomial'], "
+     "got \"shot_gaussian\""),
     (*reconstruct_with("ragged.json"),
      "ValueError: marginals.marginals[0].matrix: a 1-site marginal must be a 2 x 2 grid"),
     (*aklt_with(svg="sweep.svg"), "ValueError: aklt: unknown keys ['svg']"),
@@ -760,13 +762,14 @@ def reconstruct_with(marginals, **changes):
     (*chain_with(d_a=1), "ValueError: nonhomog.chain.d_a: 1 is outside [2, inf]"),
     (*chain_with(d_b=0), "ValueError: nonhomog.chain.d_b: 0 is outside [1, inf]"),
     (*chain_with(seed=-1), "ValueError: nonhomog.chain.seed: -1 is outside [0, inf]"),
+    (*chain_with(stationary=True), "ValueError: nonhomog.chain: unknown keys ['stationary']"),
     (*nonhomog_with(seed=-1), "ValueError: nonhomog.seed: -1 is outside [0, inf]"),
     (*random_model_with(d_a=1), "ValueError: aklt.model(random).d_a: 1 is outside [2, inf]"),
     (*random_model_with(d_b=0), "ValueError: aklt.model(random).d_b: 0 is outside [1, inf]"),
     (*random_model_with(seed=-1),
      "ValueError: aklt.model(random).seed: -1 is outside [0, inf]"),
     (*aklt_with(seed=-1), "ValueError: aklt.seed: -1 is outside [0, inf]"),
-    (*aklt_with(noise={"mode": "shot_gaussian"}, shots_sweep=[1000, 0]),
+    (*aklt_with(noise={"mode": "shot_multinomial"}, shots_sweep=[1000, 0]),
      "ValueError: aklt.shots_sweep[1]: 0 is outside [1, inf]"),
     (*aklt_with(workers=0), "ValueError: aklt.workers: 0 is outside [1, inf]"),
     (*lemma_with(seed=-1), "ValueError: lemma-check.seed: -1 is outside [0, inf]"),
@@ -845,10 +848,11 @@ def reconstruct_with(marginals, **changes):
         "fractional-trials", "bool-trials", "string-timing", "unknown-version",
         "string-theta", "list-truncation-value", "list-noise", "zero-site",
         "negative-trials", "zero-block-size", "list-marginals-file", "nan-tol",
-        "nan-slack", "nan-pinv-tol", "nan-marginal-entry", "infinite-epsilon-prime",
-        "unknown-noise-mode", "ragged-marginal-matrix", "unknown-svg-key",
-        "unknown-bound-variant", "one-site-chain",
+        "lemma-slack-key", "nan-pinv-tol", "nan-marginal-entry", "infinite-epsilon-prime",
+        "unknown-noise-mode", "shot-gaussian-noise-mode", "ragged-marginal-matrix",
+        "unknown-svg-key", "unknown-bound-variant", "one-site-chain",
         "chain-site-dim-1", "chain-memory-dim-0", "negative-chain-seed",
+        "chain-stationary-key",
         "negative-nonhomog-seed", "random-site-dim-1", "random-memory-dim-0",
         "negative-random-seed", "negative-seed", "zero-shots", "zero-workers",
         "negative-lemma-seed", "lemma-max-dim-key", "lemma-count-key",
@@ -994,8 +998,7 @@ def reconstruct_from_shots(tmp_path, aklt_realization):
     marginals = {}
     for k in (1, 2, 3):
         exact = marginal(aklt_realization, k)
-        est = simulate_tomography(exact, shots=10 ** 6, rng=rng,
-                                  mode="shot_gaussian")
+        est = simulate_tomography(exact, shots=10 ** 6, rng=rng)
         marginals[k] = DensityMatrix(
             matrix=assemble_from_coefficients(est, gellmann(3), k), dim=3, sites=k)
     cli.save_marginals(tmp_path / "estimated.json", 3, marginals)

@@ -111,7 +111,8 @@ def test_tomography_large_n_concentrates(aklt_realization):
     assert abs(est[3]) <= 5 * np.sqrt(var / shots)
 
 
-@pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
+# simulate_tomography has one shot model; "mode" only names it in the test ids
+@pytest.mark.parametrize("mode", ["shot_multinomial"])
 def test_tomography_unbiased_and_variance(mode):
     rng = np.random.default_rng(1)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -122,7 +123,7 @@ def test_tomography_unbiased_and_variance(mode):
     shots = 64
     reps = 1000
     samples = np.array([
-        simulate_tomography(dm, shots=shots, rng=spawn_rng(42, i), mode=mode)
+        simulate_tomography(dm, shots=shots, rng=spawn_rng(42, i))
         for i in range(reps)
     ])
     mean = samples.mean(axis=0)
@@ -149,8 +150,6 @@ def test_tomography_rejects_bad_args():
     dm = DensityMatrix(matrix=np.eye(2, dtype=complex) / 2, dim=2, sites=1)
     with pytest.raises(ValueError):
         simulate_tomography(dm, shots=0, rng=make_rng(0))
-    with pytest.raises(ValueError):
-        simulate_tomography(dm, shots=5, rng=make_rng(0), mode="bogus")
 
 
 def test_reconstruction_error_monotone_in_epsilon(aklt_omega, aklt_realization):
@@ -217,7 +216,7 @@ def test_product_outcomes_match_per_element_oracle(d, k):
     assert np.abs(means - expand_in_basis(dm.matrix, d, k)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
+@pytest.mark.parametrize("mode", ["shot_multinomial"])
 def test_tomography_two_site_unbiased_and_variance(mode):
     dm = _random_state(2, 2, seed=1)
     exact = expand_in_basis(dm.matrix, 2, 2)
@@ -226,7 +225,7 @@ def test_tomography_two_site_unbiased_and_variance(mode):
     shots = 64
     reps = 1000
     samples = np.array([
-        simulate_tomography(dm, shots=shots, rng=spawn_rng(43, i), mode=mode)
+        simulate_tomography(dm, shots=shots, rng=spawn_rng(43, i))
         for i in range(reps)
     ])
     var = (g_sq - exact ** 2) / shots
@@ -239,17 +238,16 @@ def test_tomography_two_site_unbiased_and_variance(mode):
     assert np.all((ratio > 0.85) & (ratio < 1.15))
 
 
-@pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
+@pytest.mark.parametrize("mode", ["shot_multinomial"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_tomography_identity_exact_at_three_sites(d, mode):
     dm = _random_state(d, 3, seed=5)
-    est = [simulate_tomography(dm, shots=7, rng=make_rng(seed), mode=mode)[0]
-           for seed in (0, 1)]
+    est = [simulate_tomography(dm, shots=7, rng=make_rng(seed))[0] for seed in (0, 1)]
     assert est[0] == est[1]
     assert est[0] == pytest.approx(d ** -1.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["shot_multinomial", "shot_gaussian"])
+@pytest.mark.parametrize("mode", ["shot_multinomial"])
 def test_tomography_one_batched_draw_per_marginal(mode):
     # the identity row has zero variance and draws nothing; every other
     # element is drawn in one call, rows in flat block order
@@ -261,12 +259,6 @@ def test_tomography_one_batched_draw_per_marginal(mode):
             self.calls.append(("multinomial", np.shape(pvals)))
             return self.rng.multinomial(n, pvals)
 
-        def standard_normal(self, size):
-            self.calls.append(("standard_normal", size))
-            return self.rng.standard_normal(size)
-
     rec = Recorder()
-    simulate_tomography(_random_state(2, 2, seed=3), shots=10, rng=rec, mode=mode)
-    expected = {"shot_multinomial": ("multinomial", (15, 4)),
-                "shot_gaussian": ("standard_normal", 15)}
-    assert rec.calls == [expected[mode]]
+    simulate_tomography(_random_state(2, 2, seed=3), shots=10, rng=rec)
+    assert rec.calls == [("multinomial", (15, 4))]

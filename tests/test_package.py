@@ -128,22 +128,26 @@ def test_a_method_named_like_an_array_attribute_needs_its_class():
 
 
 def _defaulted_parameters(tree: ast.AST, cls: str | None = None):
-    """(class or None, function name, parameter name, position) of each
-    defaulted parameter of each function and method, nested ones included.
-    The position counts the arguments a call through an instance passes, so
-    a method's ``self`` is not counted; a keyword-only parameter has
-    position None."""
+    """(class or None, function name, parameter name, position, bound) of
+    each defaulted parameter of each function and method, nested ones
+    included.  The position counts the arguments a call through an instance
+    passes, so a method's ``self`` or a classmethod's ``cls`` is not
+    counted; a keyword-only parameter has position None.  ``bound`` is true
+    for a method that takes ``self``: a call through its bare class passes
+    the instance as the first argument."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.FunctionDef):
             args = node.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
-            skip = 1 if cls else 0
+            kinds = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+            skip = 1 if cls and "staticmethod" not in kinds else 0
+            bound = bool(cls) and not kinds & {"classmethod", "staticmethod"}
             for k in range(first, len(positional)):
-                yield cls, node.name, positional[k].arg, k - skip
+                yield cls, node.name, positional[k].arg, k - skip, bound
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield cls, node.name, arg.arg, None
+                    yield cls, node.name, arg.arg, None, bound
         yield from _defaulted_parameters(
             node, node.name if isinstance(node, ast.ClassDef) else None)
 
@@ -153,11 +157,12 @@ _ANY = object()
 
 
 def _calls(tree: ast.AST, classes: set[str], cls: str | None = None):
-    """(receiver, callee name, call) of each call in a parsed module.  The
-    receiver is None for a call of a plain name, the class for a call
-    through ``self.<m>`` or ``cls.<m>`` in that class, through ``<Class>.<m>``
-    or through ``<Class>(...).<m>``, a class being one of ``classes``
-    (plain or module-qualified), and ``_ANY`` for any other receiver."""
+    """(receiver, callee name, call, through the class) of each call in a
+    parsed module.  The receiver is None for a call of a plain name, the
+    class for a call through ``self.<m>`` or ``cls.<m>`` in that class,
+    through ``<Class>.<m>`` or through ``<Class>(...).<m>``, a class being
+    one of ``classes`` (plain or module-qualified), and ``_ANY`` for any
+    other receiver.  The last field is true only for ``<Class>.<m>``."""
     def class_named(node) -> str | None:
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
         return name if name in classes else None
@@ -166,15 +171,16 @@ def _calls(tree: ast.AST, classes: set[str], cls: str | None = None):
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name):
-                yield None, func.id, node
+                yield None, func.id, node, False
             elif isinstance(func, ast.Attribute):
                 receiver = func.value
                 if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls") and cls:
-                    owner = cls
+                    yield cls, func.attr, node, False
+                elif isinstance(receiver, ast.Call):
+                    yield class_named(receiver.func) or _ANY, func.attr, node, False
                 else:
-                    owner = class_named(receiver.func if isinstance(receiver, ast.Call)
-                                        else receiver) or _ANY
-                yield owner, func.attr, node
+                    owner = class_named(receiver)
+                    yield owner or _ANY, func.attr, node, owner is not None
         yield from _calls(node, classes, node.name if isinstance(node, ast.ClassDef) else cls)
 
 
@@ -188,7 +194,9 @@ def unset_defaulted_parameters(package: dict[str, ast.Module],
     ``<Class>.<m>`` of a package class is called through ``self.<m>`` in its
     class, ``<Class>.<m>`` or ``<Class>(...).<m>``; a call through any other
     receiver counts only when no other package class defines ``<m>``.
-    Positions are counted as for a call through an instance.
+    Positions are counted as for a call through an instance; a call
+    ``<Class>.<m>(instance, ...)`` of a method that takes ``self`` passes
+    the instance first, so its arguments count from the second.
     """
     # every class, nested ones included, as _defaulted_parameters reads them
     defs = [node for tree in package.values() for node in ast.walk(tree)
@@ -201,14 +209,16 @@ def unset_defaulted_parameters(package: dict[str, ast.Module],
                 definers.setdefault(sub.name, set()).add(node.name)
     calls: dict[str, list[tuple]] = {}
     for tree in [*package.values(), *others]:
-        for owner, name, call in _calls(tree, classes):
-            calls.setdefault(name, []).append((owner, call))
+        for owner, name, call, through_class in _calls(tree, classes):
+            calls.setdefault(name, []).append((owner, call, through_class))
 
-    def passes(call: ast.Call, param: str, position) -> bool:
+    def passes(call: ast.Call, through_class: bool, param: str, position, bound: bool) -> bool:
         if any(kw.arg in (param, None) for kw in call.keywords):
             return True
         if position is None:
             return False
+        if through_class and bound:
+            position += 1
         return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
     def reaches(owner, cls, func) -> bool:
@@ -218,9 +228,9 @@ def unset_defaulted_parameters(package: dict[str, ast.Module],
 
     unset = []
     for module, tree in sorted(package.items()):
-        for cls, func, param, position in _defaulted_parameters(tree):
-            if not any(reaches(owner, cls, func) and passes(call, param, position)
-                       for owner, call in calls.get(func, [])):
+        for cls, func, param, position, bound in _defaulted_parameters(tree):
+            if not any(reaches(owner, cls, func) and passes(call, through, param, position, bound)
+                       for owner, call, through in calls.get(func, [])):
                 unset.append(f"{module}.{cls + '.' if cls else ''}{func}({param})")
     return unset
 
@@ -248,6 +258,14 @@ def test_a_method_call_counts_for_its_class_only():
             def check(self, level=0):
                 return self
 
+            @classmethod
+            def make(cls, level=0):
+                return cls()
+
+            @staticmethod
+            def scale(x, factor=1.0):
+                return x
+
         class Loose:
             def validate(self, tol=1e-3):
                 return self
@@ -261,11 +279,17 @@ def test_a_method_call_counts_for_its_class_only():
                     return self
 
         def _use(x):
-            return x.validate(1e-6), x.check(2), x.tune(3)
+            return x.validate(1e-6), x.check(2), x.tune(3), Strict.make(1), Strict.scale(x, 2)
     """))
     assert unset_defaulted_parameters({"synthetic": tree}, []) == ["synthetic.Strict.validate(tol)"]
-    for use in ("Strict.validate(Strict(), tol=0.0)", "synthetic.Strict().validate(0.0)"):
+    for use in ("Strict.validate(Strict(), tol=0.0)", "synthetic.Strict().validate(0.0)",
+                "Strict.validate(Strict(), 0.0)"):
         assert unset_defaulted_parameters({"synthetic": tree}, [ast.parse(use)]) == []
+    # through the bare class a method's first argument is its instance, but a
+    # classmethod's or staticmethod's is its first parameter (make and scale)
+    instance_only = [ast.parse("Strict.validate(Strict())")]
+    assert unset_defaulted_parameters({"synthetic": tree}, instance_only) == [
+        "synthetic.Strict.validate(tol)"]
 
 
 # the calls of numpy.linalg outside linalg.py, (module, function, name): the
