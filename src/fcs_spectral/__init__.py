@@ -3,7 +3,8 @@ states from estimates of small marginals, with empirical validation of the
 associated perturbation bounds.
 
 The exports resolve on first use (PEP 562), so importing the package loads
-no numpy: ``fcs_spectral.cli`` can then load numpy's BLAS at one thread.
+no numpy: ``fcs_spectral.cli`` can then set OpenBLAS's idle-thread timeout
+before numpy loads.
 """
 
 import importlib

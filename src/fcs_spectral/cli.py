@@ -60,21 +60,18 @@ def _environ(**values: str):
                 os.environ[k] = v
 
 
-# OpenBLAS takes its thread count and its idle timeout from the environment
-# when numpy loads it.  A second thread spins through the whole load, so
-# where numpy is not loaded yet it loads here at one thread;
-# linalg.blas_threads_for raises the count to the environment's for the
-# large solves only.  Only OpenBLAS's count can be raised again, so no other
-# BLAS's variable is set.  After a threaded call OpenBLAS's worker spins for
-# 2^timeout cycles before it sleeps, 2^28 (about 0.1 s) by default: through
-# the one-thread stages after each large product and solve, all counted as
-# CPU time.  2^20 is under a millisecond, yet longer than the gaps between
-# the BLAS-2 calls of one solve; at 2^4 the worker slept between them and
-# each call had to wake it.  A timeout the caller's environment sets is
-# OpenBLAS's own setting and wins.
+# OpenBLAS takes its idle timeout from the environment when numpy loads it,
+# so where numpy is not loaded yet it loads here with the CLI's timeout; the
+# thread count stays the environment's, which linalg.blas_threads_for gives
+# the large solves while main runs everything else at one thread.  After a
+# threaded call OpenBLAS's worker spins for 2^timeout cycles before it
+# sleeps, 2^28 (about 0.1 s) by default: through the one-thread stages after
+# each large product and solve, all counted as CPU time.  2^20 is under a
+# millisecond, yet longer than the gaps between the BLAS-2 calls of one
+# solve; at 2^4 the worker slept between them and each call had to wake it.
+# A timeout the caller's environment sets is OpenBLAS's own setting and wins.
 _BLAS_THREAD_TIMEOUT = "20"
-with _environ(OPENBLAS_NUM_THREADS="1",
-              OPENBLAS_THREAD_TIMEOUT=os.environ.get("OPENBLAS_THREAD_TIMEOUT",
+with _environ(OPENBLAS_THREAD_TIMEOUT=os.environ.get("OPENBLAS_THREAD_TIMEOUT",
                                                      _BLAS_THREAD_TIMEOUT)):
     import numpy as np
 
@@ -702,9 +699,8 @@ def main(argv=None) -> int:
     # freed trial workspaces stay in the heap for the next trial
     heap = keep_heap()
     info = blas_info()
-    log.debug("start-up: nproc=%s threads_at_load=%s inherited=%s numpy=%s heap=%s "
-              "thread_timeout=%s blas=%s",
-              os.cpu_count(), info["threads_at_load"], info["inherited"], np.__version__,
+    log.debug("start-up: nproc=%s threads=%s numpy=%s heap=%s thread_timeout=%s blas=%s",
+              os.cpu_count(), info["threads"], np.__version__,
               "default" if heap is None else f"mmap:{heap['mmap']},trim:{heap['trim']}",
               info["thread_timeout"], info["blas"])
     out_dir = Path(args.out)

@@ -488,23 +488,16 @@ def random_cstar(d_a: int, d_b: int, seed: int) -> CStarRealization:
     return CStarRealization(d_a=d_a, d_b=d_b, v=v, rho0=rho0).validate()
 
 
-def random_chain(n_sites: int, d_a: int, d_b: int, seed: int,
-                 stationary: bool = False) -> ChainRealization:
-    """Seeded chain of Haar-random per-site channels.
-
-    With ``stationary=True`` all sites share one isometry and rho0 is its
-    stationary state (useful for translation-invariance checks).
-    """
+def random_chain(n_sites: int, d_a: int, d_b: int, seed: int) -> ChainRealization:
+    """Seeded chain of Haar-random per-site channels and a random memory
+    state rho0.  A chain of one channel repeated from its stationary state
+    is ``ChainRealization.from_channels([c.v] * n_sites, c.rho0, d_a, d_b)``
+    for ``c = random_cstar(d_a, d_b, seed)``."""
     rng = np.random.default_rng(seed)
-    if stationary:
-        v = _haar_isometry(d_a * d_b, d_b, rng)
-        isometries = [v] * n_sites
-        rho0 = stationary_state(v, d_a, d_b)
-    else:
-        isometries = [_haar_isometry(d_a * d_b, d_b, rng) for _ in range(n_sites)]
-        g = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
-        rho0 = g @ g.conj().T
-        rho0 /= np.trace(rho0).real
+    isometries = [_haar_isometry(d_a * d_b, d_b, rng) for _ in range(n_sites)]
+    g = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
+    rho0 = g @ g.conj().T
+    rho0 /= np.trace(rho0).real
     return ChainRealization.from_channels(isometries, rho0, d_a, d_b)
 
 

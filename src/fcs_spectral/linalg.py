@@ -19,14 +19,13 @@ bit-reproducible per seed.  Exempt from these rules:
   eigenvalue driver ``zheevd_2stage`` in the LAPACK that numpy's own
   ``_umath_linalg`` extension links.  numpy offers no two-stage driver;
   ``_eigvalsh`` calls it from ``_TWO_STAGE_MIN_DIM`` rows on;
-* ``_GET_THREADS``, ``_SET_THREADS``, ``_GET_PROCS``, ``_GET_CONFIG`` and
-  ``_GET_TIMEOUT``, the ctypes bindings of OpenBLAS's thread count,
-  processor count, build string and idle-thread timeout in the same
-  library, behind ``blas_threads`` and ``blas_info``.  numpy offers no
-  runtime thread control.  The CLI loads numpy's BLAS at one
-  thread and runs its commands there, and ``blas_threads_for`` gives work on
-  matrices of ``_THREADED_MIN_DIM`` rows or more the count the environment
-  gives OpenBLAS (``_INHERITED``);
+* ``_GET_THREADS``, ``_SET_THREADS``, ``_GET_CONFIG`` and ``_GET_TIMEOUT``,
+  the ctypes bindings of OpenBLAS's thread count, build string and
+  idle-thread timeout in the same library, behind ``blas_threads`` and
+  ``blas_info``.  numpy offers no runtime thread control.  The CLI runs its
+  commands at one BLAS thread, and ``blas_threads_for`` gives work on
+  matrices of ``_THREADED_MIN_DIM`` rows or more the count OpenBLAS had
+  when this module loaded (``_INHERITED``);
 * ``_MALLOPT``, the ctypes binding of glibc's ``mallopt``, bound only where
   the C library is glibc, behind ``keep_heap``.  Python offers no allocator
   control; the CLI sets the heap thresholds once per process with it.
@@ -54,7 +53,6 @@ import contextlib
 import ctypes
 import math
 import os
-import re
 from typing import NamedTuple
 
 import numpy as np
@@ -225,36 +223,17 @@ _ZHEEVD_2STAGE = _bind("scipy_LAPACKE_zheevd_2stage64_",
                         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p], ctypes.c_int64)
 _GET_THREADS = _bind("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
 _SET_THREADS = _bind("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
-_GET_PROCS = _bind("scipy_openblas_get_num_procs64_", [], ctypes.c_int)
 _GET_CONFIG = _bind("scipy_openblas_get_config64_", [], ctypes.c_char_p)
 # OPENBLAS_THREAD_TIMEOUT as read at load, 0 where unset: an idle worker
 # spins for 2^timeout cycles (clamped to 4..30; 2^28 at 0).  Exported
 # without the scipy prefix.
 _GET_TIMEOUT = _bind("openblas_thread_timeout", [], ctypes.c_int)
 
-
-def _env_threads() -> int:
-    """The thread count OpenBLAS takes from the environment when it loads:
-    the first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS, each read as C's ``atoi`` reads it, else the processor
-    count; never above that count."""
-    procs = _GET_PROCS()
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        lead = re.match(r"\s*[+-]?\d+", os.environ.get(name, ""))
-        if lead and int(lead[0]) > 0:
-            return min(int(lead[0]), procs)
-    return procs
-
-
-# The BLAS thread count of the process's environment by OpenBLAS's own rule,
-# which OPENBLAS_NUM_THREADS or a pool worker's one-thread environment sets,
-# whatever count numpy's BLAS was loaded at.  No rule here goes above it.
-# None where the thread control is not bound.
-_INHERITED = (None if None in (_GET_THREADS, _SET_THREADS, _GET_PROCS)
-              else _env_threads())
-# The count when this module loaded, which in a CLI process is the count
-# numpy's BLAS was loaded at.
-_AT_LOAD = None if _GET_THREADS is None else _GET_THREADS()
+# The BLAS thread count when this module loaded, which OpenBLAS takes from
+# the process's environment (OPENBLAS_NUM_THREADS, or a pool worker's
+# one-thread environment) unless the process set it before.  No rule here
+# goes above it.  None where the thread control is not bound.
+_INHERITED = None if None in (_GET_THREADS, _SET_THREADS) else _GET_THREADS()
 
 # Rows from which a matrix gets the inherited BLAS threads under
 # ``blas_threads_for``.  On the AKLT differences (12 alternating series, 2
@@ -280,10 +259,10 @@ def blas_threads(n: int):
 
 
 def blas_info() -> dict:
-    """BLAS thread counts at load and of the environment (None where numpy's
-    BLAS exports no thread control), OpenBLAS's idle-thread timeout as read
-    at load (None where not exported) and the BLAS build string."""
-    return {"threads_at_load": _AT_LOAD, "inherited": _INHERITED,
+    """BLAS thread count at load (None where numpy's BLAS exports no thread
+    control), OpenBLAS's idle-thread timeout as read at load (None where not
+    exported) and the BLAS build string."""
+    return {"threads": _INHERITED,
             "thread_timeout": _GET_TIMEOUT() if _GET_TIMEOUT else None,
             "blas": _GET_CONFIG().decode() if _GET_CONFIG else "unknown"}
 

@@ -184,14 +184,11 @@ def dense_state(c: CStarRealization, t: int) -> DensityMatrix:
                          dim=c.d_a, sites=t)
 
 
-def random_chain_channels(n_sites: int, d_a: int, d_b: int, seed: int,
-                          stationary: bool = False) -> tuple[list, np.ndarray]:
+def random_chain_channels(n_sites: int, d_a: int, d_b: int,
+                          seed: int) -> tuple[list, np.ndarray]:
     """The isometries and memory state rho0 that ``fcs.random_chain`` draws
     for the same arguments."""
     rng = np.random.default_rng(seed)
-    if stationary:
-        v = fcs._haar_isometry(d_a * d_b, d_b, rng)
-        return [v] * n_sites, fcs.stationary_state(v, d_a, d_b)
     isometries = [fcs._haar_isometry(d_a * d_b, d_b, rng) for _ in range(n_sites)]
     g = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
     rho0 = g @ g.conj().T

@@ -277,8 +277,8 @@ def test_chain_single_site():
 
 
 def test_stationary_chain_windows_translation_invariant():
-    chain = random_chain(5, 2, 2, 9, stationary=True)
-    state = chain.state()
+    c = random_cstar(2, 2, 9)
+    state = fcs.ChainRealization.from_channels([c.v] * 5, c.rho0, 2, 2).state()
     cod = build_chain_omega(state, 1, 1)
     # interior windows all equal
     for j in (3,):
@@ -313,10 +313,17 @@ def test_chain_from_channels_rejects_non_isometry_and_empty_chain():
 @pytest.mark.parametrize("n_sites", range(1, 7))
 def test_chain_state_matches_channel_loop(n_sites, d_b, stationary):
     # the operator product of the per-site maps against the dense state grown
-    # one channel at a time; the product is exactly Hermitian
-    chain = random_chain(n_sites, 2, d_b, 10 * n_sites + d_b, stationary=stationary)
+    # one channel at a time; the product is exactly Hermitian.  A stationary
+    # chain repeats one channel from its stationary state
+    seed = 10 * n_sites + d_b
+    if stationary:
+        c = random_cstar(2, d_b, seed)
+        isometries, rho0 = [c.v] * n_sites, c.rho0
+        chain = fcs.ChainRealization.from_channels(isometries, rho0, 2, d_b)
+    else:
+        chain = random_chain(n_sites, 2, d_b, seed)
+        isometries, rho0 = random_chain_channels(n_sites, 2, d_b, seed)
     got = chain.state().matrix
-    isometries, rho0 = random_chain_channels(n_sites, 2, d_b, 10 * n_sites + d_b, stationary)
     want = apply_channels(rho0, isometries, 2, d_b)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.array_equal(got, got.conj().T)

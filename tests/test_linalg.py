@@ -354,26 +354,6 @@ def test_blas_threads_caps_at_inherited_and_restores(fake_blas_threads):
     assert fake.count == 2
 
 
-@pytest.mark.parametrize("env, want", [
-    ({}, 4),
-    ({"OPENBLAS_NUM_THREADS": "3"}, 3),
-    ({"OPENBLAS_NUM_THREADS": "9"}, 4),
-    ({"OPENBLAS_NUM_THREADS": " 2x", "GOTO_NUM_THREADS": "3"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
-    ({"OPENBLAS_NUM_THREADS": "-2", "OMP_NUM_THREADS": "1,2"}, 1),
-    ({"GOTO_NUM_THREADS": "two", "OMP_NUM_THREADS": "0"}, 4),
-])
-def test_env_threads_follows_openblas_rule(monkeypatch, env, want):
-    # OpenBLAS's own rule: the first positive count of the three variables,
-    # parsed by atoi, else the processor count, and never above it
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(linalg, "_GET_PROCS", lambda: 4)
-    assert linalg._env_threads() == want
-
-
 def test_blas_threads_does_nothing_without_binding(monkeypatch, fake_blas_threads):
     # no inherited count is read unless both symbols bind
     monkeypatch.setattr(linalg, "_INHERITED", None)

@@ -15,8 +15,8 @@ PACKAGE = Path(fcs_spectral.__file__).parent
 
 
 def test_package_import_loads_no_numpy():
-    # the CLI loads numpy's BLAS at one thread only if numpy is not loaded
-    # before it, and `python -m fcs_spectral.cli` imports the package first
+    # the CLI sets OpenBLAS's idle timeout only if numpy is not loaded before
+    # it, and `python -m fcs_spectral.cli` imports the package first
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c",
@@ -363,6 +363,33 @@ def test_dense_linear_algebra_goes_through_linalg():
     assert calls - _NUMPY_LINALG_EXEMPT == set(), "numpy.linalg called outside linalg"
     assert _NUMPY_LINALG_EXEMPT - calls == set(), "exempt numpy.linalg calls no longer occur"
     assert _docstring_exemptions(linalg.__doc__, set(trees)) == _NUMPY_LINALG_EXEMPT
+
+
+def _docstring_bindings(doc: str) -> set[str]:
+    """The names that a bullet ``* ``<name>``, ... the ctypes binding(s)
+    ...`` of a docstring lists before those words."""
+    return {name for head in re.findall(r"^\* ([^*]*?),? the ctypes bindings? ", doc,
+                                         flags=re.MULTILINE)
+            for name in re.findall(r"``(\w+)``", head)}
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Module-level names assigned the result of ``_bind(...)`` or
+    ``_bind_mallopt()``."""
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+            and node.value.func.id in ("_bind", "_bind_mallopt")
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_linalg_docstring_lists_its_ctypes_bindings():
+    """Each ctypes binding of ``linalg`` is listed in its docstring, and each
+    listed binding is still bound."""
+    from fcs_spectral import linalg
+
+    bound = _bound_names(ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8")))
+    assert "_GET_THREADS" in bound and "_MALLOPT" in bound
+    assert _docstring_bindings(linalg.__doc__) == bound
 
 
 def test_numpy_linalg_calls_are_found_by_alias_and_enclosing_function():
