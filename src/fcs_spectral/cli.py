@@ -17,13 +17,14 @@ endings, a fixed header, and %.12e numeric formatting; JSON artifacts carry
 
 aklt and nonhomog share one sweep engine.  A prepare step builds the
 context, whose "sweep" values and "trials" make the tasks (sweep index,
-trial).  _run_sweep runs the tasks, in a spawn pool under aklt's "workers",
-and _run_task owns each one: its RNG stream, its timer and its keyed CSV
-rows.  A trial function (ctx, value, rng) only learns and yields one dense
+trial).  _run_sweep runs the tasks, on a thread pool of up to "workers"
+threads (aklt's key; the core count by default and for nonhomog), and
+_run_task owns each one: its RNG stream, its timer and its keyed CSV rows.
+A trial function (ctx, value, rng) only learns and yields one dense
 difference per size.  A trial that draws nothing from its stream, as at a
-noiseless sweep point, runs once per sweep value: its measured distances
-and wall times make the rows of every other trial at that value.  No sweep
-state outlives a call.  The wall_time_ms column is 0 unless the config sets
+noiseless sweep point, runs at most once per sweep value and thread: its
+measured distances and wall times make the rows of every other trial at
+that value.  No sweep state outlives a call.  The wall_time_ms column is 0 unless the config sets
 "timing": true; real timings would break byte-identical reruns, which take
 precedence.
 """
@@ -31,7 +32,6 @@ precedence.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -44,22 +44,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 
-@contextlib.contextmanager
-def _environ(**values: str):
-    """Sets environment variables for the block; the caller's values are
-    restored on exit."""
-    saved = {k: os.environ.get(k) for k in values}
-    os.environ.update(values)
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 # OpenBLAS takes its idle timeout from the environment when numpy loads it,
 # so where numpy is not loaded yet it loads here with the CLI's timeout; the
 # thread count stays the environment's, which linalg.blas_threads_for gives
@@ -69,11 +53,16 @@ def _environ(**values: str):
 # each large product and solve, all counted as CPU time.  2^20 is under a
 # millisecond, yet longer than the gaps between the BLAS-2 calls of one
 # solve; at 2^4 the worker slept between them and each call had to wake it.
-# A timeout the caller's environment sets is OpenBLAS's own setting and wins.
+# A timeout the caller's environment sets is OpenBLAS's own setting and
+# wins; one the CLI sets is taken out of the environment after the load.
 _BLAS_THREAD_TIMEOUT = "20"
-with _environ(OPENBLAS_THREAD_TIMEOUT=os.environ.get("OPENBLAS_THREAD_TIMEOUT",
-                                                     _BLAS_THREAD_TIMEOUT)):
+_TIMEOUT_UNSET = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _BLAS_THREAD_TIMEOUT)
+try:
     import numpy as np
+finally:
+    if _TIMEOUT_UNSET:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 from . import analysis, fcs, noise, spectral
 from .linalg import (RANK_RTOL, blas_info, blas_threads, keep_heap, numerical_rank,
@@ -96,6 +85,8 @@ RANK_CSV_COLUMNS = ("model", "left_block", "right_block", "rank")
 # ---------------------------------------------------------------------------
 
 REQUIRED = object()  # table default of a key that has no default
+# default size of a sweep's thread pool
+_CORES = os.cpu_count() or 1
 
 
 class Ints(NamedTuple):
@@ -216,7 +207,7 @@ _TI = {
                "epsilon_prime": (Floats(0.0), None)},
               {"mode": "gaussian_matrix", "epsilon_prime": None}),
     "epsilons": ([Floats(0.0)], None), "shots_sweep": ([Ints(1)], None),
-    "timing": (bool, False), "workers": (Ints(1), 1),
+    "timing": (bool, False), "workers": (Ints(1), _CORES),
     "bound_variant": (OneOf(analysis.VARIANTS), "general"),
 }
 
@@ -317,54 +308,33 @@ def _write_json(path: Path, doc: dict):
 # sweep engine (aklt, nonhomog)
 # ---------------------------------------------------------------------------
 
-def _init_worker(level: int):
-    """A spawned pool worker starts with unconfigured logging and the default
-    heap thresholds, so it takes the caller's format and level and keeps its
-    heap as ``main`` does."""
-    keep_heap()
-    logging.basicConfig(stream=sys.stderr, level=level, format=_LOG_FORMAT)
-    log.setLevel(level)
-
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _single_thread_blas_env():
-    """Environment under which spawned workers start with one thread of any
-    BLAS.
-
-    A BLAS library reads its thread count when it loads, so the variables
-    must be set before a worker imports numpy; the caller's environment is
-    restored on exit.  One thread per worker keeps a pool from
-    oversubscribing the cores.
-    """
-    return _environ(**dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-
-
 def _run_sweep(ctx: dict, trial, workers: int, out: Path) -> Path:
     """Runs ``trial`` on every task (sweep index, trial number) of the
-    context's ``sweep`` and ``trials``, serially or in a spawn pool, and
-    writes the rows to ``out`` in key order."""
+    context's ``sweep`` and ``trials``, serially or on a thread pool, and
+    writes the rows to ``out`` in key order.
+
+    The trials overlap where LAPACK releases the GIL, in the eigensolves
+    that take most of a trial.  Each pool thread runs at one BLAS thread,
+    which ``linalg.blas_threads_for`` leaves as it is, so the pool does not
+    oversubscribe the cores; a serial sweep runs on the calling thread,
+    whose large solves take the inherited BLAS threads.
+    """
     tasks = list(itertools.product(range(len(ctx["sweep"])), range(ctx["trials"])))
-    # no more workers than tasks or cores: the CSV is the same for any count
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    # the memo of noiseless sweep points (see _run_task); a pool worker
-    # gets a copy with each chunk
+    # no more threads than tasks or cores: the CSV is the same for any count
+    workers = max(1, min(workers, len(tasks), os.cpu_count() or 1))
+    log.debug("sweep: %d tasks on %d threads", len(tasks), workers)
+    # the memo of noiseless sweep points (see _run_task), shared by the threads
     run = functools.partial(_run_task, ctx, trial, {})
     if workers > 1:
-        # only a pooled sweep pays for these imports
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        # only a pooled sweep pays for this import
+        from concurrent.futures import ThreadPoolExecutor
 
-        with _single_thread_blas_env(), ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_init_worker, initargs=(log.getEffectiveLevel(),)) as pool:
-            # one chunk per worker, so each receives the context once
-            chunks = list(pool.map(run, tasks, chunksize=-(-len(tasks) // workers)))
+        with blas_threads(1), ThreadPoolExecutor(workers) as pool:
+            task_rows = list(pool.map(run, tasks))
     else:
-        chunks = map(run, tasks)
+        task_rows = map(run, tasks)
     # keys are unique, so the sort never compares two rows
-    _write_csv(out, CSV_COLUMNS, [row for _, row in sorted(itertools.chain(*chunks))])
+    _write_csv(out, CSV_COLUMNS, [row for _, row in sorted(itertools.chain(*task_rows))])
     return out
 
 
@@ -385,11 +355,11 @@ def _run_task(ctx: dict, trial, memo: dict, task) -> list:
     """Keyed CSV rows of one task (sweep index, trial number).
 
     The task's stream is ``noise.spawn_rng(seed, sweep index, trial)``, so a
-    row depends on these three alone.  ``trial(ctx, value, rng)`` yields
-    ``(t, diff, sigma_m, rank, bound)`` per size, ``diff`` being the dense
-    difference to the exact t-site state, which the row takes over; a row
-    warns when 2*TD exceeds ``bound``, and times from the task's start under
-    ``timing``.
+    row depends on these three alone, on any thread.  ``trial(ctx, value,
+    rng)`` yields ``(t, diff, sigma_m, rank, bound)`` per size, ``diff``
+    being the dense difference to the exact t-site state, which the row
+    takes over; a row warns when 2*TD exceeds ``bound``, and times from the
+    task's start under ``timing``.
 
     A trial that leaves its stream's state as it found it drew nothing, so
     its measured tuples are a function of the sweep value alone: they go
@@ -398,7 +368,8 @@ def _run_task(ctx: dict, trial, memo: dict, task) -> list:
     included, so a reused row times the trial that solved the point.  This
     holds because whether a trial draws depends only on ``(ctx, value)``,
     never on the trial number, as for eps = 0 under Gaussian noise with no
-    positive ``epsilon_prime``.
+    positive ``epsilon_prime``.  Pool threads share ``memo``: a task that
+    starts before the point is stored solves it again, with the same bits.
     """
     idx, n = task
     t0 = time.perf_counter()
@@ -550,7 +521,7 @@ def _chain_trial(ctx: dict, eps: float, rng):
 
 def cmd_nonhomog(cfg: dict, out_dir: Path) -> Path:
     cfg = _read(cfg, TABLES["nonhomog"], "nonhomog")
-    return _run_sweep(_prepare_chain_context(cfg), _chain_trial, 1, out_dir / cfg["output"])
+    return _run_sweep(_prepare_chain_context(cfg), _chain_trial, _CORES, out_dir / cfg["output"])
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +672,7 @@ def main(argv=None) -> int:
     info = blas_info()
     log.debug("start-up: nproc=%s threads=%s numpy=%s heap=%s thread_timeout=%s blas=%s",
               os.cpu_count(), info["threads"], np.__version__,
-              "default" if heap is None else f"mmap:{heap['mmap']},trim:{heap['trim']}",
+              "default" if heap is None else ",".join(f"{k}:{v}" for k, v in heap.items()),
               info["thread_timeout"], info["blas"])
     out_dir = Path(args.out)
     try:

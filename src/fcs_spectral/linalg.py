@@ -15,20 +15,26 @@ bit-reproducible per seed.  Exempt from these rules:
   sets a tolerance (``noise.perturb_matrix``, ``cli._build_model``,
   ``opbasis.expand_in_basis``); it is not a decomposition, and no reported
   norm goes through it;
-* ``_ZHEEVD_2STAGE``, the ctypes binding of LAPACKE's two-stage Hermitian
-  eigenvalue driver ``zheevd_2stage`` in the LAPACK that numpy's own
-  ``_umath_linalg`` extension links.  numpy offers no two-stage driver;
-  ``_eigvalsh`` calls it from ``_TWO_STAGE_MIN_DIM`` rows on;
+* ``_ZHEEVD`` and ``_ZHEEVD_2STAGE``, the ctypes bindings of LAPACKE's
+  Hermitian eigenvalue routines ``zheevd`` and ``zheevd_2stage`` in the
+  LAPACK that numpy's own ``_umath_linalg`` extension links.  numpy offers
+  no two-stage solver, and its ``eigvalsh`` does not overlap across
+  threads: two threads solving 243-256-row matrices ran 0.70-0.98 times as
+  fast as one thread solving them in turn, and 1.21-1.97 times with
+  ``zheevd`` through ctypes, which gives the same bits.  ``_eigvalsh``
+  calls ``zheevd`` below ``_TWO_STAGE_MIN_DIM`` rows, ``zheevd_2stage``
+  from there on;
 * ``_GET_THREADS``, ``_SET_THREADS``, ``_GET_CONFIG`` and ``_GET_TIMEOUT``,
   the ctypes bindings of OpenBLAS's thread count, build string and
   idle-thread timeout in the same library, behind ``blas_threads`` and
   ``blas_info``.  numpy offers no runtime thread control.  The CLI runs its
-  commands at one BLAS thread, and ``blas_threads_for`` gives work on
-  matrices of ``_THREADED_MIN_DIM`` rows or more the count OpenBLAS had
-  when this module loaded (``_INHERITED``);
+  commands at one BLAS thread, and ``blas_threads_for`` gives work of the
+  main thread on matrices of ``_THREADED_MIN_DIM`` rows or more the count
+  OpenBLAS had when this module loaded (``_INHERITED``);
 * ``_MALLOPT``, the ctypes binding of glibc's ``mallopt``, bound only where
   the C library is glibc, behind ``keep_heap``.  Python offers no allocator
-  control; the CLI sets the heap thresholds once per process with it.
+  control; the CLI sets the heap thresholds and the arena count once per
+  process with it.
 
 One numerical-rank rule: ``numerical_rank`` alone compares singular values
 with a relative cutoff, counting those above ``rtol * sigma_1``.
@@ -53,6 +59,7 @@ import contextlib
 import ctypes
 import math
 import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -176,15 +183,18 @@ def _check_hermitian(a, herm_tol=1e-8) -> np.ndarray:
 
     The check compares each block of rows right of the diagonal with its
     mirror, so it makes no full-size temporary, and an exactly Hermitian
-    input is returned as is: the dense evaluation path copies nothing.
+    input is returned as is: the dense evaluation path copies nothing.  A
+    block equal to its mirror has deviation 0, so ``|a - a^dag|`` is formed
+    only for the blocks that are not.
     """
     a = _as_finite(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     dev = 0.0
     for i in range(0, a.shape[0], _HERM_ROWS):
-        mirror = a[i:, i:i + _HERM_ROWS].conj().T
-        dev = max(dev, float(np.abs(a[i:i + _HERM_ROWS, i:] - mirror).max()))
+        block, mirror = a[i:i + _HERM_ROWS, i:], a[i:, i:i + _HERM_ROWS].conj().T
+        if not np.array_equal(block, mirror):
+            dev = max(dev, float(np.abs(block - mirror).max()))
     # max|a| is only needed, and only computed, once dev exceeds herm_tol
     if dev > herm_tol and dev > herm_tol * float(np.abs(a).max()):
         raise ValueError(
@@ -194,8 +204,8 @@ def _check_hermitian(a, herm_tol=1e-8) -> np.ndarray:
     return a if dev == 0.0 else 0.5 * (a + a.conj().T)
 
 
-# Rows from which ``_eigvalsh`` uses the two-stage driver.  Against numpy's
-# ``eigvalsh`` (zheevd) at 2 BLAS threads it was 8-26% slower at n = 243-256
+# Rows from which ``_eigvalsh`` uses the two-stage solver.  Against ``zheevd``
+# (numpy's ``eigvalsh``) at 2 BLAS threads it was 8-26% slower at n = 243-256
 # and 16-22% and 40-43% faster at n = 1024 and 2048 in every series
 # measured; in between the series disagreed (n = 512: +13% and -16%).
 _TWO_STAGE_MIN_DIM = 1024
@@ -218,9 +228,10 @@ def _bind(name: str, argtypes, restype):
 
 
 # (matrix_layout, jobz, uplo, n, a, lda, w) -> info
-_ZHEEVD_2STAGE = _bind("scipy_LAPACKE_zheevd_2stage64_",
-                       [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p], ctypes.c_int64)
+_ZHEEVD_ARGS = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+_ZHEEVD = _bind("scipy_LAPACKE_zheevd64_", _ZHEEVD_ARGS, ctypes.c_int64)
+_ZHEEVD_2STAGE = _bind("scipy_LAPACKE_zheevd_2stage64_", _ZHEEVD_ARGS, ctypes.c_int64)
 _GET_THREADS = _bind("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
 _SET_THREADS = _bind("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
 _GET_CONFIG = _bind("scipy_openblas_get_config64_", [], ctypes.c_char_p)
@@ -230,9 +241,9 @@ _GET_CONFIG = _bind("scipy_openblas_get_config64_", [], ctypes.c_char_p)
 _GET_TIMEOUT = _bind("openblas_thread_timeout", [], ctypes.c_int)
 
 # The BLAS thread count when this module loaded, which OpenBLAS takes from
-# the process's environment (OPENBLAS_NUM_THREADS, or a pool worker's
-# one-thread environment) unless the process set it before.  No rule here
-# goes above it.  None where the thread control is not bound.
+# the process's environment (OPENBLAS_NUM_THREADS) unless the process set
+# it before.  No rule here goes above it.  None where the thread control is
+# not bound.
 _INHERITED = None if None in (_GET_THREADS, _SET_THREADS) else _GET_THREADS()
 
 # Rows from which a matrix gets the inherited BLAS threads under
@@ -269,8 +280,10 @@ def blas_info() -> dict:
 
 def blas_threads_for(rows: int):
     """Context for work on a matrix of ``rows`` rows: the inherited BLAS
-    threads from ``_THREADED_MIN_DIM`` rows on, else the current count."""
-    if rows < _THREADED_MIN_DIM:
+    threads from ``_THREADED_MIN_DIM`` rows on, else the current count.
+    The count is one for the whole process, so only the main thread changes
+    it; the threads of a sweep pool keep their one thread."""
+    if rows < _THREADED_MIN_DIM or threading.current_thread() is not threading.main_thread():
         return contextlib.nullcontext()
     return blas_threads(_INHERITED)
 
@@ -290,55 +303,57 @@ def _bind_mallopt():
 
 
 _MALLOPT = _bind_mallopt()
-# mallopt parameters of glibc's malloc.h
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-# Heap thresholds of a CLI process.  Every per-trial workspace (the 9 x 81 x
+# mallopt parameters of glibc's malloc.h: M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+# and M_ARENA_MAX
+_M_PARAMS = {"mmap": -3, "trim": -1, "arenas": -8}
+# Heap settings of a CLI process.  Every per-trial workspace (the 9 x 81 x
 # 81 omega_dot of block size 2, a 256-row complex chain difference: at most
 # about 1 MB) lies below the mmap threshold, which equals the matmul block
 # bound ``fcs._PRODUCT_CHUNK_BYTES``, and up to the trim threshold of freed
 # memory stays in the heap, so the next trial reuses it instead of faulting
 # it in again.  A larger array, such as a 3^7-site difference, is still
 # mapped and unmapped on its own.  Setting either value also stops glibc's
-# dynamic adjustment of both.
-_HEAP_THRESHOLDS = {"mmap": 4 << 20, "trim": 8 << 20}
+# dynamic adjustment of both.  One arena: the threads of a sweep pool reuse
+# the one kept heap instead of each keeping an arena of its own.
+_HEAP = {"mmap": 4 << 20, "trim": 8 << 20, "arenas": 1}
 
 
 def keep_heap() -> dict | None:
-    """Sets glibc's mmap and trim thresholds to ``_HEAP_THRESHOLDS`` for the
-    rest of the process, so freed trial workspaces stay in the heap; calling
-    it again changes nothing.  Returns the thresholds, or None where the C
-    library is not glibc (the allocator keeps its defaults) or refuses them.
-    Only CLI processes call it; a library caller's allocator is left alone."""
-    if _MALLOPT is None:
+    """Sets glibc's mmap and trim thresholds and its arena count to
+    ``_HEAP`` for the rest of the process, so freed trial workspaces stay in
+    one heap; calling it again changes nothing.  Returns the settings, or
+    None where the C library is not glibc (the allocator keeps its defaults)
+    or refuses them.  Only CLI processes call it; a library caller's
+    allocator is left alone."""
+    if _MALLOPT is None or any(_MALLOPT(_M_PARAMS[k], v) != 1 for k, v in _HEAP.items()):
         return None
-    if (_MALLOPT(_M_MMAP_THRESHOLD, _HEAP_THRESHOLDS["mmap"]) != 1
-            or _MALLOPT(_M_TRIM_THRESHOLD, _HEAP_THRESHOLDS["trim"]) != 1):
-        return None
-    return dict(_HEAP_THRESHOLDS)
+    return dict(_HEAP)
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a matrix that passed ``_check_hermitian``.
 
-    From ``_TWO_STAGE_MIN_DIM`` rows on, LAPACK's two-stage driver solves it
-    in place: a writeable C-ordered complex ``h`` is overwritten, any other
-    ``h`` is converted to one first.  The driver reads the array as
-    column-major, that is as the transpose of ``h``, which for a Hermitian
-    matrix is its conjugate and has the same eigenvalues.  Below that size,
-    or where numpy's LAPACK lacks the driver, numpy's ``eigvalsh`` solves it
-    and ``h`` is kept.
+    LAPACK solves it in place, with ``zheevd`` below ``_TWO_STAGE_MIN_DIM``
+    rows and the two-stage solver from there on: a writeable C-ordered
+    complex ``h`` is overwritten, any other ``h`` is converted to one first.
+    LAPACK reads the array as column-major, that is as the transpose of
+    ``h``, which for a Hermitian matrix is its conjugate and has the same
+    eigenvalues; below the cutoff they have the bits of numpy's ``eigvalsh``.
+    The call releases the GIL, so solves on different threads overlap.
+    Where the two-stage solver is not bound ``zheevd`` solves every size,
+    and where neither is, numpy's ``eigvalsh`` does and ``h`` is kept.
     """
     n = h.shape[0]
+    solver = _ZHEEVD_2STAGE if n >= _TWO_STAGE_MIN_DIM and _ZHEEVD_2STAGE else _ZHEEVD
     with blas_threads_for(n):
-        if n < _TWO_STAGE_MIN_DIM or _ZHEEVD_2STAGE is None:
+        if solver is None:
             return _lapack("eigensolver", np.linalg.eigvalsh, h)
         a = np.require(h, np.complex128, ["C", "A", "W"])
         w = np.empty(n)
-        info = _ZHEEVD_2STAGE(_LAPACK_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
+        info = solver(_LAPACK_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
     if info != 0:
         raise np.linalg.LinAlgError(
-            f"eigensolver did not converge for {n}x{n} matrix (zheevd_2stage info {info})")
+            f"eigensolver did not converge for {n}x{n} matrix (LAPACK info {info})")
     return w
 
 
@@ -346,9 +361,8 @@ def trace_norm_hermitian(a, herm_tol=1e-8) -> float:
     """Schatten-1 norm of a Hermitian matrix, as the sum of |eigenvalues|.
 
     The input must be Hermitian up to ``herm_tol`` (see ``_check_hermitian``);
-    its Hermitian part is eigensolved.  The norm takes ``a`` over: from
-    ``_TWO_STAGE_MIN_DIM`` rows on the solve overwrites it, so a caller that
-    still needs the matrix passes a copy.
+    its Hermitian part is eigensolved.  The norm takes ``a`` over: the solve
+    overwrites it, so a caller that still needs the matrix passes a copy.
     """
     return float(np.abs(_eigvalsh(_check_hermitian(a, herm_tol))).sum())
 

@@ -4,12 +4,10 @@ import functools
 import json
 import logging
 import math
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +50,14 @@ def run_cli_process(tmp_path, command, cfg, out="out", level="warning"):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def pin_workers(monkeypatch, workers, wrap=lambda trial: trial):
+    """Runs every sweep at ``workers`` threads, whatever the command's key,
+    with its trial function wrapped by ``wrap``."""
+    run_sweep = cli._run_sweep
+    monkeypatch.setattr(cli, "_run_sweep",
+                        lambda ctx, trial, _, out: run_sweep(ctx, wrap(trial), workers, out))
 
 
 AKLT_CFG = {
@@ -148,7 +154,7 @@ def test_rows_depend_only_on_seed_index_and_trial(tmp_path, monkeypatch, name, w
     # a task's rows come from spawn_rng(seed, sweep index, trial) alone: a
     # run with fewer trials, a prefix of the sweep and fewer sizes gives a
     # subset of a larger run's rows, at any worker count (9 tasks on 2
-    # workers: the chunks differ in size)
+    # threads)
     command, cfg = sweep_config(name)
     sweep_key = "shots_sweep" if name == "shot_multinomial" else "epsilons"
     sweep = {"aklt": [0.0, 1e-3, 1e-2], "shot_multinomial": [1000, 10000, 100000],
@@ -160,10 +166,7 @@ def test_rows_depend_only_on_seed_index_and_trial(tmp_path, monkeypatch, name, w
     # nonhomog has one row per task, of the whole chain
     sizes, n_sizes = ([3], 3) if command == "aklt" else ([cfg["chain"]["n_sites"]], 1)
     small_rows = rows_of(run_cli(tmp_path, command, small, out="small") / cfg["output"])
-    # the engine runs at the given worker count whatever the command's key
-    run_sweep = cli._run_sweep
-    monkeypatch.setattr(cli, "_run_sweep",
-                        lambda ctx, trial, _, out: run_sweep(ctx, trial, workers, out))
+    pin_workers(monkeypatch, workers)
     large_rows = rows_of(run_cli(tmp_path, command, large, out="large") / cfg["output"])
     assert len(large_rows) == 9 * n_sizes
     # (sites, epsilon, trial) of the small run's rows
@@ -177,16 +180,35 @@ def test_rows_depend_only_on_seed_index_and_trial(tmp_path, monkeypatch, name, w
     assert small_rows == expected and len(expected) == len(keep)
 
 
+def test_sweeps_default_to_the_core_count(tmp_path, monkeypatch):
+    assert cli.TABLES["aklt"]["workers"] == (cli.Ints(1), os.cpu_count() or 1)
+    seen = []
+    monkeypatch.setattr(cli, "_run_sweep",
+                        lambda ctx, trial, workers, out: seen.append(workers) or out)
+    run_cli(tmp_path, "aklt", AKLT_CFG)
+    run_cli(tmp_path, "nonhomog", NONHOMOG_CFG)
+    assert seen == [os.cpu_count() or 1] * 2
+
+
 def test_shot_sweep_workers_byte_identical(tmp_path):
-    seq = run_cli(tmp_path, "aklt", SHOT_CFG, out="seq")
-    par = run_cli(tmp_path, "aklt", dict(SHOT_CFG, workers=2), out="par")
+    seq = run_cli(tmp_path, "aklt", dict(SHOT_CFG, workers=1), out="seq")
+    par = run_cli(tmp_path, "aklt", SHOT_CFG, out="par")
     assert (seq / "shots.csv").read_bytes() == (par / "shots.csv").read_bytes()
 
 
 def test_mixture_sweep_workers_byte_identical(tmp_path):
-    seq = run_cli(tmp_path, "aklt", MIXTURE_CFG, out="seq")
-    par = run_cli(tmp_path, "aklt", dict(MIXTURE_CFG, workers=2), out="par")
+    seq = run_cli(tmp_path, "aklt", dict(MIXTURE_CFG, workers=1), out="seq")
+    par = run_cli(tmp_path, "aklt", MIXTURE_CFG, out="par")
     assert (seq / "mixture.csv").read_bytes() == (par / "mixture.csv").read_bytes()
+
+
+def test_nonhomog_sweep_workers_byte_identical(tmp_path, monkeypatch):
+    # 3 noisy trials and a noiseless point per epsilon
+    cfg = dict(NONHOMOG_CFG, epsilons=[1e-4, 0.0, 1e-3], trials=3)
+    par = run_cli(tmp_path, "nonhomog", cfg, out="par")
+    pin_workers(monkeypatch, 1)
+    seq = run_cli(tmp_path, "nonhomog", cfg, out="seq")
+    assert (seq / cfg["output"]).read_bytes() == (par / cfg["output"]).read_bytes()
 
 
 @pytest.mark.parametrize("command, cfg, runs", [
@@ -198,7 +220,9 @@ def test_mixture_sweep_workers_byte_identical(tmp_path):
 ], ids=["aklt", "nonhomog", "aklt-epsilon-prime"])
 def test_a_trial_that_draws_nothing_runs_once_per_sweep_value(tmp_path, monkeypatch, command,
                                                               cfg, runs):
-    # the other trials at that value take its rows, but for the trial column
+    # the other trials at that value take its rows, but for the trial column;
+    # serially, since a pool thread solves the point again if it starts
+    # before the point is stored
     values = []
 
     def spy(trial):
@@ -207,9 +231,7 @@ def test_a_trial_that_draws_nothing_runs_once_per_sweep_value(tmp_path, monkeypa
             return trial(ctx, value, rng)
         return counted
 
-    run_sweep = cli._run_sweep
-    monkeypatch.setattr(cli, "_run_sweep",
-                        lambda ctx, trial, workers, out: run_sweep(ctx, spy(trial), workers, out))
+    pin_workers(monkeypatch, 1, spy)
     rows = read_rows(run_cli(tmp_path, command, cfg) / cfg["output"])
     assert values == runs
     for value in cfg["epsilons"]:
@@ -222,17 +244,21 @@ def test_a_trial_that_draws_nothing_runs_once_per_sweep_value(tmp_path, monkeypa
                 assert len({r["trace_distance"] for r in same}) == cfg["trials"]
 
 
-def test_reused_rows_warn_per_row(tmp_path, caplog):
-    # rank 2 < 4 on exact data: zero deviations, a zero bound and 2*TD > 0
+def test_reused_rows_warn_per_row(tmp_path, caplog, monkeypatch):
+    # rank 2 < 4 on exact data: zero deviations, a zero bound and 2*TD > 0;
+    # serially, where the warnings come in trial order
     cfg = dict(AKLT_CFG, truncation={"mode": "rank", "value": 2}, epsilons=[0.0], sites=[2],
                trials=3)
+    pin_workers(monkeypatch, 1)
     run_cli(tmp_path, "aklt", cfg)
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert [re.search(r"trial=(\d+)", m).group(1) for m in warnings] == ["0", "1", "2"]
 
 
-def test_reused_rows_time_the_trial_that_solved_the_point(tmp_path):
+def test_reused_rows_time_the_trial_that_solved_the_point(tmp_path, monkeypatch):
+    # serially, where one trial solves the point
     cfg = dict(AKLT_CFG, epsilons=[0.0], trials=3, timing=True)
+    pin_workers(monkeypatch, 1)
     rows = read_rows(run_cli(tmp_path, "aklt", cfg) / cfg["output"])
     for t in {r["sites"] for r in rows}:
         walls = {r["wall_time_ms"] for r in rows if r["sites"] == t}
@@ -240,11 +266,11 @@ def test_reused_rows_time_the_trial_that_solved_the_point(tmp_path):
 
 
 def test_noiseless_sweep_workers_byte_identical(tmp_path):
-    # 9 tasks in chunks of 5 and 4: the noiseless point's trials are split
-    # between the two workers, and each chunk solves it once
+    # 9 tasks on the threads: a thread that starts the noiseless point
+    # before another stored it solves it too
     cfg = dict(AKLT_CFG, epsilons=[1e-4, 0.0, 1e-3], trials=3)
-    seq = run_cli(tmp_path, "aklt", cfg, out="seq")
-    par = run_cli(tmp_path, "aklt", dict(cfg, workers=2), out="par")
+    seq = run_cli(tmp_path, "aklt", dict(cfg, workers=1), out="seq")
+    par = run_cli(tmp_path, "aklt", cfg, out="par")
     assert (seq / cfg["output"]).read_bytes() == (par / cfg["output"]).read_bytes()
 
 
@@ -297,32 +323,65 @@ def test_cmd_aklt_missing_key_rejected(tmp_path):
 
 
 def test_cmd_aklt_worker_pool_matches_sequential(tmp_path):
-    seq = run_cli(tmp_path, "aklt", AKLT_CFG, out="seq")
+    seq = run_cli(tmp_path, "aklt", dict(AKLT_CFG, workers=1), out="seq")
     par = run_cli(tmp_path, "aklt", dict(AKLT_CFG, workers=2), out="par")
     assert (seq / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
 
 
-def test_cmd_aklt_workers_byte_identical_at_t7(tmp_path):
+# the thread count variables of the BLAS libraries numpy may link
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cmd_aklt_workers_byte_identical_at_t7(tmp_path, monkeypatch):
     # the eigensolve's last bits follow the BLAS thread count, so the
-    # sequential run gets the single BLAS thread each worker has
+    # sequential run gets the single BLAS thread each pool thread has
     cfg = dict(AKLT_CFG, epsilons=[1e-4, 1e-2], sites=[2, 7], trials=1, seed=11)
-    env = dict(os.environ)
-    with cli._single_thread_blas_env():
-        seq = run_cli_process(tmp_path, "aklt", cfg, out="seq")
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    seq = run_cli_process(tmp_path, "aklt", dict(cfg, workers=1), out="seq")
     assert seq.returncode == 0, seq.stderr
-    par = run_cli(tmp_path, "aklt", dict(cfg, workers=2), out="par")
+    par = run_cli(tmp_path, "aklt", cfg, out="par")
     assert (tmp_path / "seq" / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
-    assert dict(os.environ) == env
+
+
+def test_sweep_pool_keeps_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch,
+                                                                 fake_blas_threads):
+    # t = 6 is a size whose product and solve take the inherited count on
+    # the main thread; on the pool threads they stay at one
+    counts = []
+
+    def spy(trial):
+        def counted(ctx, value, rng):
+            for size in trial(ctx, value, rng):
+                counts.append(fake_blas_threads.count)
+                yield size
+        return counted
+
+    pin_workers(monkeypatch, 2, spy)
+    run_cli(tmp_path, "aklt", dict(AKLT_CFG, epsilons=[1e-3], sites=[6], trials=2))
+    assert counts == [1, 1]
+    # main's one thread, the pool's one thread, and both restored
+    assert fake_blas_threads.calls == [1, 1, 1, 2] and fake_blas_threads.count == 2
+
+
+@pytest.mark.parametrize("trials", [2, 0])
+def test_sweep_logs_its_task_and_thread_counts(tmp_path, caplog, trials):
+    # 2 x trials tasks; a zero-trial command runs serially
+    cfg_path = write_config(tmp_path, "nonhomog.json", dict(NONHOMOG_CFG, trials=trials))
+    assert cli.main(["nonhomog", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--log-level", "debug"]) == 0
+    threads = max(1, min(2 * trials, os.cpu_count() or 1))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep: ")]
+    assert lines == [f"sweep: {2 * trials} tasks on {threads} threads"]
 
 
 class RecordingPool:
-    """In-process stand-in for the worker pool that records its size."""
+    """In-process stand-in for the thread pool that records its size."""
 
     sizes: list = []
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -330,7 +389,7 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize):
+    def map(self, fn, tasks):
         return map(fn, tasks)
 
 
@@ -343,14 +402,53 @@ def test_worker_pool_is_no_larger_than_cores_or_tasks(tmp_path, monkeypatch, cor
     n = os.cpu_count()
     trials = n + 1 if cores is None else 2
     cfg = dict(AKLT_CFG, sites=[2], trials=trials)
-    seq = run_cli(tmp_path, "aklt", cfg, out="seq")
+    seq = run_cli(tmp_path, "aklt", dict(cfg, workers=1), out="seq")
     # the pooled branch imports the pool when it runs
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     par = run_cli(tmp_path, "aklt", dict(cfg, workers=n + 1), out="par")
     size = min(n, 2 * trials)
     assert RecordingPool.sizes == ([size] if size > 1 else [])
     assert (seq / "aklt.csv").read_bytes() == (par / "aklt.csv").read_bytes()
+
+
+def _stress_trial(ctx, value, rng):
+    # eps = 0 draws nothing, so its rows go through the shared memo
+    ctx["solves"].append(value)
+    noise_draw = rng.standard_normal() * value if value else 0.0
+    diff = np.diag([noise_draw, -noise_draw]).astype(complex)
+    yield 2, diff, 0.5, 1, 1.0
+
+
+def test_thread_pool_keeps_every_row_under_stress(tmp_path, monkeypatch):
+    # more threads than cores and a short switch interval: a lost or
+    # doubled row, or a memo entry stored half-made, changes the CSV
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    ctx = {"sweep": [0.0, 1e-3, 0.0, 1e-2], "trials": 25, "seed": 5, "timing": False,
+           "model_id": "stress"}
+    serial = cli._run_sweep(dict(ctx, solves=[]), _stress_trial, 1, tmp_path / "serial.csv")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = dict(ctx, solves=[])
+        cli._run_sweep(pooled, _stress_trial, 8, tmp_path / "pooled.csv")
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "pooled.csv").read_bytes() == serial.read_bytes()
+    # each noiseless point is solved at least once and at most once per thread
+    assert 2 <= pooled["solves"].count(0.0) <= 2 * 8
+    assert len(pooled["solves"]) - pooled["solves"].count(0.0) == 2 * 25
+
+
+def test_a_pooled_trial_error_reaches_the_caller(tmp_path):
+    def failing(ctx, value, rng):
+        raise ValueError("rank-deficient projected Omega at site 2")
+        yield
+
+    ctx = {"sweep": [1e-3], "trials": 4, "seed": 5, "timing": False, "model_id": "x"}
+    with pytest.raises(ValueError, match="rank-deficient"):
+        cli._run_sweep(ctx, failing, 2, tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_worker_log_messages_follow_log_level(tmp_path):
@@ -435,7 +533,7 @@ def test_cli_process_loads_blas_at_environment_count(tmp_path, monkeypatch, env)
     assert fields["threads"] == plain.stdout.strip()
     assert fields["nproc"] == str(os.cpu_count()) and fields["numpy"] == np.__version__
     assert fields["heap"] == ("default" if linalg._MALLOPT is None
-                              else "mmap:4194304,trim:8388608")
+                              else "mmap:4194304,trim:8388608,arenas:1")
     assert fields["thread_timeout"] == env.get("OPENBLAS_THREAD_TIMEOUT",
                                                cli._BLAS_THREAD_TIMEOUT)
 
@@ -456,13 +554,19 @@ def test_blas_thread_timeout_keeps_outputs_at_t6(tmp_path, monkeypatch):
     assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "caller" / name).read_bytes()
 
 
-def test_blas_thread_env_reaches_spawned_workers_only():
-    env = dict(os.environ)
-    spawn = multiprocessing.get_context("spawn")
-    with cli._single_thread_blas_env(), ProcessPoolExecutor(1, mp_context=spawn) as pool:
-        seen = list(pool.map(os.getenv, cli._BLAS_THREAD_VARS, timeout=60))
-    assert seen == ["1"] * len(cli._BLAS_THREAD_VARS)
-    assert dict(os.environ) == env
+@pytest.mark.parametrize("timeout", [None, "12"], ids=["unset", "caller-12"])
+def test_cli_import_leaves_the_thread_timeout_variable_as_found(monkeypatch, timeout):
+    # the CLI's timeout is set only for numpy's load
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    if timeout is not None:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", timeout)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, fcs_spectral.cli; "
+                               "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(timeout)
 
 
 def test_cmd_aklt_shot_noise_block_size_two(tmp_path):
@@ -574,7 +678,7 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path, monkeypatch, comma
     # small work runs at one thread either way; the t = 6 and 7 solves and
     # products take the 1 or 2 threads the process starts with
     for threads in ("1", "2"):
-        for var in cli._BLAS_THREAD_VARS:
+        for var in _BLAS_THREAD_VARS:
             monkeypatch.setenv(var, threads)
         proc = run_cli_process(tmp_path, command, cfg, out=f"threads{threads}")
         assert proc.returncode == 0, proc.stderr

@@ -213,6 +213,22 @@ def test_trace_norm_rejects_non_hermitian():
         trace_norm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("where", ["first-block", "last-block"])
+def test_check_hermitian_measures_only_blocks_off_their_mirror(where):
+    # a deviation in any row block is found, with the same error text and
+    # the same Hermitian part as the full |a - a^dag| scan
+    n = 3 * linalg._HERM_ROWS + 5
+    a = _random_hermitian(n, 6)
+    i, j = (1, 2) if where == "first-block" else (n - 1, n - 3)
+    a[i, j] += 1e-9
+    h = linalg._check_hermitian(a)
+    assert np.array_equal(h, 0.5 * (a + a.conj().T))
+    assert linalg._check_hermitian(h) is h
+    a[i, j] += 1e-3
+    with pytest.raises(ValueError, match=r"max \|a - a\^dag\| = 1\.000e-03 exceeds 1e-08"):
+        linalg._check_hermitian(a)
+
+
 def _random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -293,6 +309,44 @@ def test_two_stage_driver_runs_from_cutoff_and_names_failure(monkeypatch):
     assert fake.calls == [n]
 
 
+def test_zheevd_runs_below_cutoff_and_names_failure(monkeypatch):
+    fake = _FakeDriver(info=2)
+    monkeypatch.setattr(linalg, "_ZHEEVD", fake)
+    monkeypatch.setattr(linalg, "_ZHEEVD_2STAGE", None)
+    for n in (1, 9, linalg._TWO_STAGE_MIN_DIM):
+        with pytest.raises(np.linalg.LinAlgError, match=f"{n}x{n} matrix"):
+            trace_norm_hermitian(np.eye(n))
+    assert fake.calls == [1, 9, linalg._TWO_STAGE_MIN_DIM]
+
+
+zheevd = pytest.mark.skipif(linalg._ZHEEVD is None, reason="numpy's LAPACK has no LAPACKE zheevd")
+
+
+@zheevd
+@pytest.mark.parametrize("n", [1, 2, 9, 27, 81, 243, 256, 729])
+def test_zheevd_has_the_bits_of_eigvalsh(n):
+    # numpy's eigvalsh runs the same zheevd on its own copy
+    a = _random_hermitian(n, n)
+    kept = a.copy()
+    ref = np.linalg.eigvalsh(a)
+    assert np.array_equal(linalg.hermitian_eigenvalues(a), ref)
+    assert np.array_equal(a, kept)
+    # the norm solves the matrix in place
+    assert trace_norm_hermitian(a) == float(np.abs(ref).sum())
+    assert n == 1 or not np.array_equal(a, kept)
+
+
+def test_eigvalsh_falls_back_to_numpy_without_zheevd(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(linalg, "_ZHEEVD", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: seen.append(h.shape[0]) or eigvalsh(h))
+    a = _random_hermitian(27, 7)
+    kept = a.copy()
+    assert trace_norm_hermitian(a) == float(np.abs(eigvalsh(kept)).sum())
+    assert seen == [27] and np.array_equal(a, kept)
+
+
 def test_nan_rejected_before_two_stage_solve(monkeypatch):
     fake = _FakeDriver(info=0)
     monkeypatch.setattr(linalg, "_ZHEEVD_2STAGE", fake)
@@ -367,6 +421,7 @@ def test_eigensolve_gets_inherited_threads_from_cutoff(monkeypatch, fake_blas_th
     fake.count = 1
     seen = []
     eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(linalg, "_ZHEEVD", None)
     monkeypatch.setattr(linalg, "_ZHEEVD_2STAGE", None)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: seen.append(fake.count) or eigvalsh(h))
     n = linalg._THREADED_MIN_DIM
@@ -374,6 +429,22 @@ def test_eigensolve_gets_inherited_threads_from_cutoff(monkeypatch, fake_blas_th
     assert fake.calls == []
     assert trace_norm_hermitian(np.eye(n)) == pytest.approx(n)
     assert fake.calls == [2, 1] and seen == [1, 2]
+
+
+def test_blas_threads_for_leaves_the_count_off_the_main_thread(fake_blas_threads):
+    # the count is one for the process: a pool thread must not raise it
+    # while other threads run their trials at one BLAS thread
+    from concurrent.futures import ThreadPoolExecutor
+
+    def solve_size():
+        with linalg.blas_threads_for(3 ** 7):
+            return fake_blas_threads.count
+
+    with linalg.blas_threads(1), ThreadPoolExecutor(1) as pool:
+        assert pool.submit(solve_size).result(timeout=60) == 1
+        assert fake_blas_threads.calls == [1]
+        assert solve_size() == 2
+    assert fake_blas_threads.calls == [1, 2, 1, 2]
 
 
 def test_dense_product_gets_inherited_threads_from_cutoff(fake_blas_threads):
@@ -410,7 +481,7 @@ def faults():
 fcs_spectral.marginal(fcs_spectral.from_cstar(fcs_spectral.aklt()), 5)
 library = faults()
 first, again = linalg.keep_heap(), linalg.keep_heap()
-print(library, faults(), first == again == {"mmap": 4 << 20, "trim": 8 << 20})
+print(library, faults(), first == again == {"mmap": 4 << 20, "trim": 8 << 20, "arenas": 1})
 """
 
 
